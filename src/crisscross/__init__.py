@@ -14,17 +14,15 @@ from .mesh import (
     single_quad_mesh,
     write_mesh_text,
 )
-from .refelem import QuadRule, ShapeTable, lagrange_shape, physical_grads, quad_rule
+from .refelem import QuadRule, quad_rule
 from .fespace import (
     DofMap,
     WhBasis,
-    boundary_dofs,
     build_scalar_space,
     build_vector_space,
     build_wh_space,
 )
 from .assembly import (
-    SparseMatrix,
     assemble_div_coupling,
     assemble_divdiv,
     assemble_scalar_mass,
@@ -36,8 +34,8 @@ from .assembly import (
 from .eigsolve import (
     SolverError,
     Spectrum,
+    assemble_pencil,
     dense_gevp,
-    filter_nonzero,
     shift_invert_lanczos,
     solve_fem1,
     solve_fem2,

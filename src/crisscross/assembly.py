@@ -1,5 +1,6 @@
 """Element-loop assembly of the mass, stiffness, div-div, and divergence
-coupling forms into sparse matrices."""
+coupling forms into canonical CSR matrices (duplicates summed, column
+indices sorted)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from .mesh import TriMesh
 from .refelem import QuadRule, tabulate_shapes
 
 __all__ = [
-    "SparseMatrix",
     "assemble_scalar_mass",
     "assemble_scalar_stiffness",
     "assemble_vector_mass",
@@ -22,89 +22,6 @@ __all__ = [
     "l2_project_wh",
     "write_matrix_market",
 ]
-
-
-class SparseMatrix:
-    """Sparse matrix assembled from triplets and finalized to CSR.
-
-    Duplicate entries are summed on finalize; finalized storage has sorted
-    column indices per row.  A matrix flagged symmetric is checked against
-    its transpose on finalize.
-    """
-
-    def __init__(self, n_rows: int, n_cols: int, symmetric: bool = False):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.symmetric = symmetric
-        self._rows = []
-        self._cols = []
-        self._data = []
-        self._csr = None
-
-    def add_triplets(self, rows, cols, data) -> None:
-        if self._csr is not None:
-            raise RuntimeError("matrix already finalized")
-        self._rows.append(np.asarray(rows, dtype=np.int64).ravel())
-        self._cols.append(np.asarray(cols, dtype=np.int64).ravel())
-        self._data.append(np.asarray(data, dtype=float).ravel())
-
-    def finalize(self) -> "SparseMatrix":
-        if self._csr is None:
-            if self._rows:
-                rows = np.concatenate(self._rows)
-                cols = np.concatenate(self._cols)
-                data = np.concatenate(self._data)
-            else:
-                rows = cols = np.empty(0, dtype=np.int64)
-                data = np.empty(0)
-            coo = sp.coo_matrix((data, (rows, cols)),
-                                shape=(self.n_rows, self.n_cols))
-            csr = coo.tocsr()
-            csr.sum_duplicates()
-            csr.sort_indices()
-            self._csr = csr
-            self._rows = self._cols = self._data = None
-            if self.symmetric:
-                self._check_symmetry()
-        return self
-
-    def _check_symmetry(self) -> None:
-        diff = (self._csr - self._csr.T).tocoo()
-        scale = max(np.abs(self._csr.data).max(initial=0.0), 1e-300)
-        if diff.nnz and np.abs(diff.data).max() > 1e-12 * scale:
-            raise ValueError("matrix flagged symmetric is not symmetric")
-
-    @classmethod
-    def from_csr(cls, csr: sp.spmatrix, symmetric: bool = False) -> "SparseMatrix":
-        out = cls(csr.shape[0], csr.shape[1], symmetric=symmetric)
-        csr = csr.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        out._csr = csr
-        out._rows = out._cols = out._data = None
-        if symmetric:
-            out._check_symmetry()
-        return out
-
-    @property
-    def csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            raise RuntimeError("matrix not finalized")
-        return self._csr
-
-    @property
-    def shape(self):
-        return (self.n_rows, self.n_cols)
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    def toarray(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def __matmul__(self, other):
-        return self.csr @ other
 
 
 def _geometry(tmesh: TriMesh):
@@ -137,17 +54,31 @@ def _require_exactness(rule: QuadRule, needed: int) -> None:
         )
 
 
+def _canonical(mat, symmetric: bool = False) -> sp.csr_matrix:
+    """CSR with duplicates summed and sorted column indices per row.  A
+    matrix flagged symmetric is checked against its transpose."""
+    csr = mat.tocsr()
+    csr.sum_duplicates()
+    csr.sort_indices()
+    if symmetric:
+        diff = (csr - csr.T).tocoo()
+        scale = max(np.abs(csr.data).max(initial=0.0), 1e-300)
+        if diff.nnz and np.abs(diff.data).max() > 1e-12 * scale:
+            raise ValueError("matrix flagged symmetric is not symmetric")
+    return csr
+
+
 def _scatter(element: np.ndarray, row_dofs: np.ndarray, col_dofs: np.ndarray,
-             n_rows: int, n_cols: int, symmetric: bool) -> SparseMatrix:
+             n_rows: int, n_cols: int, symmetric: bool) -> sp.csr_matrix:
     T, nr, nc = element.shape
     rows = np.repeat(row_dofs, nc, axis=1).ravel()
     cols = np.tile(col_dofs, (1, nr)).ravel()
-    mat = SparseMatrix(n_rows, n_cols, symmetric=symmetric)
-    mat.add_triplets(rows, cols, element.ravel())
-    return mat.finalize()
+    coo = sp.coo_matrix((element.ravel(), (rows, cols)), shape=(n_rows, n_cols))
+    return _canonical(coo, symmetric)
 
 
-def assemble_scalar_mass(space: DofMap, tmesh: TriMesh, rule: QuadRule) -> SparseMatrix:
+def assemble_scalar_mass(space: DofMap, tmesh: TriMesh,
+                         rule: QuadRule) -> sp.csr_matrix:
     """L2 mass matrix of the scalar Lagrange space."""
     _require_exactness(rule, 2 * space.degree)
     area, _ = _geometry(tmesh)
@@ -158,7 +89,7 @@ def assemble_scalar_mass(space: DofMap, tmesh: TriMesh, rule: QuadRule) -> Spars
 
 
 def assemble_scalar_stiffness(space: DofMap, tmesh: TriMesh,
-                              rule: QuadRule) -> SparseMatrix:
+                              rule: QuadRule) -> sp.csr_matrix:
     """Dirichlet-form stiffness matrix (grad u, grad v) of the scalar space."""
     _require_exactness(rule, 2 * (space.degree - 1))
     area, _ = _geometry(tmesh)
@@ -175,7 +106,8 @@ def _vector_div_table(tmesh: TriMesh, degree: int, rule: QuadRule):
     return grads.reshape(T, P, 2 * n)
 
 
-def assemble_vector_mass(space: DofMap, tmesh: TriMesh, rule: QuadRule) -> SparseMatrix:
+def assemble_vector_mass(space: DofMap, tmesh: TriMesh,
+                         rule: QuadRule) -> sp.csr_matrix:
     """L2 mass matrix of the vector space; SPD, block of the scalar mass."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
@@ -191,7 +123,8 @@ def assemble_vector_mass(space: DofMap, tmesh: TriMesh, rule: QuadRule) -> Spars
                     space.n_dofs, space.n_dofs, symmetric=True)
 
 
-def assemble_divdiv(space: DofMap, tmesh: TriMesh, rule: QuadRule) -> SparseMatrix:
+def assemble_divdiv(space: DofMap, tmesh: TriMesh,
+                    rule: QuadRule) -> sp.csr_matrix:
     """(div u, div v) matrix of the vector space; symmetric positive
     semidefinite with a large kernel of divergence-free fields."""
     if space.kind != "vector2":
@@ -204,13 +137,8 @@ def assemble_divdiv(space: DofMap, tmesh: TriMesh, rule: QuadRule) -> SparseMatr
                     space.n_dofs, space.n_dofs, symmetric=True)
 
 
-def _disc_cell_dofs(disc: DiscSpace, n_triangles: int) -> np.ndarray:
-    return (np.arange(n_triangles)[:, None] * disc.n_local
-            + np.arange(disc.n_local))
-
-
 def assemble_div_coupling(vspace: DofMap, testspace, tmesh: TriMesh,
-                          rule: QuadRule) -> SparseMatrix:
+                          rule: QuadRule) -> sp.csr_matrix:
     """Coupling D with D[i, j] = (div phi_j, q_i).
 
     The test space is either the full discontinuous P_{k-1} space or the
@@ -235,31 +163,30 @@ def assemble_div_coupling(vspace: DofMap, testspace, tmesh: TriMesh,
     div = _vector_div_table(tmesh, vspace.degree, rule)
     test_vals, _ = tabulate_shapes(disc.degree, rule.points)
     element = np.einsum("q,t,qm,tqa->tma", rule.weights, area, test_vals, div)
-    rows = _disc_cell_dofs(disc, tmesh.n_triangles)
-    D = _scatter(element, rows, vspace.cell_dofs,
+    D = _scatter(element, disc.cell_dofs, vspace.cell_dofs,
                  disc.n_dofs, vspace.n_dofs, symmetric=False)
     if isinstance(testspace, WhBasis):
-        return SparseMatrix.from_csr(testspace.restriction.T @ D.csr)
+        return _canonical(testspace.restriction.T @ D)
     return D
 
 
-def _disc_mass_csr(tmesh: TriMesh, disc: DiscSpace, rule: QuadRule) -> sp.csr_matrix:
+def _disc_mass_csr(tmesh: TriMesh, disc: DiscSpace,
+                   rule: QuadRule) -> sp.csr_matrix:
     _require_exactness(rule, 2 * disc.degree)
     area, _ = _geometry(tmesh)
     vals, _ = tabulate_shapes(disc.degree, rule.points)
     ref_mass = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
     element = area[:, None, None] * ref_mass
-    dofs = _disc_cell_dofs(disc, tmesh.n_triangles)
-    return _scatter(element, dofs, dofs, disc.n_dofs, disc.n_dofs,
-                    symmetric=True).csr
+    return _scatter(element, disc.cell_dofs, disc.cell_dofs, disc.n_dofs,
+                    disc.n_dofs, symmetric=True)
 
 
-def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh, rule: QuadRule) -> SparseMatrix:
+def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh,
+                     rule: QuadRule) -> sp.csr_matrix:
     """L2 mass matrix of the divergence-image basis (block diagonal per quad)."""
     disc = build_disc_space(tmesh, wh.degree - 1)
     G = _disc_mass_csr(tmesh, disc, rule)
-    return SparseMatrix.from_csr(wh.restriction.T @ G @ wh.restriction,
-                                 symmetric=True)
+    return _canonical(wh.restriction.T @ G @ wh.restriction, symmetric=True)
 
 
 def l2_project_wh(f, wh: WhBasis, tmesh: TriMesh, rule: QuadRule) -> np.ndarray:
@@ -283,6 +210,6 @@ def l2_project_wh(f, wh: WhBasis, tmesh: TriMesh, rule: QuadRule) -> np.ndarray:
     return np.linalg.solve(blocks, rhs[..., None])[..., 0].ravel()
 
 
-def write_matrix_market(mat: SparseMatrix, path) -> None:
+def write_matrix_market(mat: sp.csr_matrix, path) -> None:
     """Export in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(path, mat.csr.tocoo())
+    scipy.io.mmwrite(path, mat.tocoo())

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_div_coupling, assemble_divdiv
+from .assembly import _geometry, assemble_div_coupling, assemble_divdiv
 from .fespace import build_disc_space, build_vector_space, build_wh_space
 from .mesh import TriMesh, build_rect_grid, criss_cross, mesh_stats, single_quad_mesh
 from .refelem import node_barycentric, quad_rule, tabulate_shapes
@@ -164,15 +164,7 @@ def _div_interpolation_matrix(tmesh: TriMesh, k: int, vspace) -> np.ndarray:
     divergence, per triangle (exact, since div V_h^k is piecewise P_{k-1})."""
     nodes = node_barycentric(k - 1)
     _, ref_grads = tabulate_shapes(k, nodes)        # (n_nodes, n_k, 2)
-    p = tmesh.tri_coords()
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    Jinv = np.empty_like(J)
-    Jinv[:, 0, 0] = J[:, 1, 1]
-    Jinv[:, 0, 1] = -J[:, 0, 1]
-    Jinv[:, 1, 0] = -J[:, 1, 0]
-    Jinv[:, 1, 1] = J[:, 0, 0]
-    Jinv /= det[:, None, None]
+    _, Jinv = _geometry(tmesh)
     grads = np.einsum("qne,ted->tqnd", ref_grads, Jinv)  # (T, nodes, n_k, 2)
     T, nn, nk, _ = grads.shape
     div = grads.reshape(T, nn, 2 * nk)               # divergence of dof (i, c)
@@ -253,7 +245,7 @@ def square_exact_spectrum(count: int) -> np.ndarray:
 
 
 def spurious_scan(domain: str, k: int, levels, n_eigs: int = 10,
-                  threshold: float = 0.5, *, dense_cap: int = 6000) -> SpuriousReport:
+                  threshold: float = 0.5) -> SpuriousReport:
     """Flag computed eigenvalues far from the exact set that fail to shrink.
 
     A value at the finest level is flagged when its distance to the exact
@@ -269,7 +261,7 @@ def spurious_scan(domain: str, k: int, levels, n_eigs: int = 10,
     out_levels = []
     for n in levels:
         tmesh = criss_cross(build_rect_grid(0.0, 0.0, math.pi, math.pi, n, n))
-        spec = solve_fem2(tmesh, k, n_eigs, dense_cap=dense_cap)
+        spec = solve_fem2(tmesh, k, n_eigs)
         out_levels.append((mesh_stats(tmesh).h, spec.eigenvalues.copy()))
 
     exact = square_exact_spectrum(4 * n_eigs + 40)

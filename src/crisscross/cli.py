@@ -11,26 +11,20 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import (
-    assemble_divdiv,
-    assemble_scalar_mass,
-    assemble_scalar_stiffness,
-    assemble_vector_mass,
-    write_matrix_market,
-)
+from .assembly import write_matrix_market
 from .audit import exactness_check, spurious_scan, square_exact_spectrum
 from .eigsolve import (
     SolverError,
+    assemble_pencil,
     cluster_eigenvalues,
     solve_fem1,
     solve_fem2,
     solve_primal,
 )
-from .fespace import build_scalar_space, build_vector_space
 from .mesh import (
     MeshError,
     build_lshape_grid,
@@ -40,7 +34,6 @@ from .mesh import (
     perturb_quad_grid,
     write_mesh_text,
 )
-from .refelem import quad_rule
 
 __all__ = ["StudyConfig", "StudyReport", "LevelResult", "ConfigError",
            "cmd_eig", "cmd_converge", "cmd_audit", "cmd_compare", "main"]
@@ -68,7 +61,6 @@ class StudyConfig:
     n_eigs: int = 10
     backend: str = "dense"
     sigma: float = 1.0
-    tol_zero: float = 1e-9
     seed: int = 42
     perturb: float = 0.15
     exact: list | None = None
@@ -94,6 +86,8 @@ class StudyConfig:
             raise ConfigError("n_eigs must be at least 1")
         if self.backend not in ("dense", "lanczos"):
             raise ConfigError(f"unknown backend {self.backend!r}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError("sigma must be positive and finite")
         return self
 
 
@@ -156,17 +150,15 @@ def _exact_targets(config: StudyConfig) -> np.ndarray | None:
 
 def _solve(config: StudyConfig, tmesh):
     if config.formulation == "fem2":
-        return solve_fem2(
-            tmesh, config.degree, config.n_eigs, config.backend,
-            sigma=config.sigma, tol_zero=config.tol_zero, seed=config.seed,
-        )
+        return solve_fem2(tmesh, config.degree, config.n_eigs, config.backend,
+                          sigma=config.sigma, seed=config.seed)
     if config.formulation == "fem1":
-        return solve_fem1(tmesh, config.degree, config.n_eigs,
-                          tol_zero=config.tol_zero)
+        return solve_fem1(tmesh, config.degree, config.n_eigs)
     return solve_primal(tmesh, config.degree, config.n_eigs)
 
 
-def _run_level(config: StudyConfig, n: int) -> LevelResult:
+def _run_level(config: StudyConfig, n: int):
+    """One level's table row, and the mesh it was solved on."""
     t0 = time.perf_counter()
     tmesh = build_mesh(config, n)
     spec = _solve(config, tmesh)
@@ -184,7 +176,7 @@ def _run_level(config: StudyConfig, n: int) -> LevelResult:
         errors=errors,
         rates=None,
         runtime=runtime,
-    )
+    ), tmesh
 
 
 def _attach_rates(rows: list) -> None:
@@ -200,27 +192,14 @@ def _attach_rates(rows: list) -> None:
         cur.rates = rates
 
 
-def _export_artifacts(config: StudyConfig, n: int) -> None:
-    if not (config.export_mesh or config.export_matrices):
-        return
-    tmesh = build_mesh(config, n)
+def _export_artifacts(config: StudyConfig, tmesh) -> None:
     if config.export_mesh:
         write_mesh_text(tmesh, config.export_mesh)
     if config.export_matrices:
-        rule = quad_rule(2 * config.degree)
-        stem = config.export_matrices
-        if config.formulation == "primal":
-            space = build_scalar_space(tmesh, config.degree)
-            write_matrix_market(
-                assemble_scalar_stiffness(space, tmesh, rule), stem + "_K.mtx")
-            write_matrix_market(
-                assemble_scalar_mass(space, tmesh, rule), stem + "_M.mtx")
-        else:
-            space = build_vector_space(tmesh, config.degree)
-            write_matrix_market(
-                assemble_divdiv(space, tmesh, rule), stem + "_B.mtx")
-            write_matrix_market(
-                assemble_vector_mass(space, tmesh, rule), stem + "_A.mtx")
+        B, A = assemble_pencil(config.formulation, tmesh, config.degree)
+        names = ("_K", "_M") if config.formulation == "primal" else ("_B", "_A")
+        for mat, name in zip((B, A), names):
+            write_matrix_market(mat, config.export_matrices + name + ".mtx")
 
 
 def cmd_eig(config: StudyConfig) -> tuple[StudyReport, int]:
@@ -228,8 +207,8 @@ def cmd_eig(config: StudyConfig) -> tuple[StudyReport, int]:
     config.validate()
     if len(config.levels) != 1:
         raise ConfigError("eig expects exactly one level")
-    row = _run_level(config, config.levels[0])
-    _export_artifacts(config, config.levels[0])
+    row, tmesh = _run_level(config, config.levels[0])
+    _export_artifacts(config, tmesh)
     report = StudyReport(config, [row])
     _print_eig_table(row)
     clusters = cluster_eigenvalues(row.lambdas)
@@ -256,7 +235,7 @@ def cmd_converge(config: StudyConfig) -> tuple[StudyReport, int]:
         raise ConfigError("converge expects at least two levels")
     if _exact_targets(config) is None:
         raise ConfigError("converge needs exact targets (square domain or --exact)")
-    rows = [_run_level(config, n) for n in config.levels]
+    rows = [_run_level(config, n)[0] for n in config.levels]
     _attach_rates(rows)
     report = StudyReport(config, rows)
     code = EXIT_OK
@@ -318,10 +297,8 @@ def cmd_compare(config: StudyConfig) -> tuple[StudyReport, int]:
     n = config.levels[0]
     tmesh = build_mesh(config, n)
     t0 = time.perf_counter()
-    mixed = solve_fem2(tmesh, config.degree, config.n_eigs, config.backend,
-                       sigma=config.sigma, tol_zero=config.tol_zero,
-                       seed=config.seed)
-    primal = solve_primal(tmesh, config.degree, config.n_eigs)
+    mixed = _solve(replace(config, formulation="fem2"), tmesh)
+    primal = _solve(replace(config, formulation="primal"), tmesh)
     runtime = time.perf_counter() - t0
     h = mesh_stats(tmesh).h
     m = min(len(mixed.eigenvalues), len(primal.eigenvalues))
@@ -381,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default="dense",
                        choices=("dense", "lanczos"))
         p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--tol-zero", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--perturb", type=float, default=0.15)
         p.add_argument("--exact", default=None,
@@ -417,7 +393,6 @@ def _config_from_args(args) -> StudyConfig:
         n_eigs=args.neigs,
         backend=args.backend,
         sigma=args.sigma,
-        tol_zero=args.tol_zero,
         seed=args.seed,
         perturb=args.perturb,
         exact=exact,

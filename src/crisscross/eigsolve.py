@@ -1,5 +1,6 @@
 """Generalized symmetric eigensolvers for the mixed, div-div, and primal
-eigenvalue problems, with kernel filtering for the div-div pencil."""
+eigenvalue problems.  Every driver assembles its pencil and hands it to one
+solve path, which filters the div-div kernel."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    SparseMatrix,
     assemble_div_coupling,
     assemble_divdiv,
     assemble_scalar_mass,
@@ -28,7 +28,8 @@ __all__ = [
     "Spectrum",
     "dense_gevp",
     "shift_invert_lanczos",
-    "filter_nonzero",
+    "residual_norms",
+    "assemble_pencil",
     "solve_fem2",
     "solve_fem1",
     "solve_primal",
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 DENSE_CAP_DEFAULT = 6000
-TOL_ZERO_DEFAULT = 1e-9
+TOL_ZERO = 1e-9          # kernel threshold, relative to the largest |lambda|
 CLUSTER_RTOL = 1e-8
 
 
@@ -56,29 +57,9 @@ class Spectrum:
     eigenvalues: np.ndarray
     zero_count: int
     backend: str
-    tol_zero: float = TOL_ZERO_DEFAULT
-    tol: float = 1e-9
     residuals: np.ndarray | None = None
     vectors: np.ndarray | None = None
     converged: bool = True
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-
-def _as_dense(mat) -> np.ndarray:
-    if isinstance(mat, SparseMatrix):
-        return mat.toarray()
-    if sp.issparse(mat):
-        return np.asarray(mat.todense())
-    return np.asarray(mat, dtype=float)
-
-
-def _as_csr(mat) -> sp.csr_matrix:
-    if isinstance(mat, SparseMatrix):
-        return mat.csr
-    return sp.csr_matrix(mat)
 
 
 def _smallest_ldl_pivot(a: np.ndarray) -> float:
@@ -99,29 +80,27 @@ def _smallest_ldl_pivot(a: np.ndarray) -> float:
 
 def residual_norms(B, A, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Certificates |B x - lambda A x| / |x| per column of ``vectors``."""
-    Bc, Ac = _as_csr(B), _as_csr(A)
-    R = Bc @ vectors - Ac @ vectors * eigenvalues[None, :]
+    R = B @ vectors - A @ vectors * eigenvalues[None, :]
     return np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
 
 
-def dense_gevp(B, A, *, dense_cap: int = DENSE_CAP_DEFAULT,
-               tol_zero: float = TOL_ZERO_DEFAULT,
-               want_vectors: bool = True) -> Spectrum:
-    """All eigenvalues of B x = lambda A x with A symmetric positive definite.
+def dense_gevp(B, A, *, dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
+    """All eigenpairs of B x = lambda A x with A symmetric positive definite.
 
     Uses the LAPACK reduction (Cholesky congruence, tridiagonalization,
     implicit-shift iteration).  Eigenvalues come back ascending; the kernel
-    is counted against ``tol_zero`` relative to the largest magnitude.
+    is counted against ``TOL_ZERO`` relative to the largest magnitude.
     """
-    Bd, Ad = _as_dense(B), _as_dense(A)
-    n = Bd.shape[0]
-    if Bd.shape != (n, n) or Ad.shape != (n, n):
+    n = B.shape[0]
+    if B.shape != (n, n) or A.shape != (n, n):
         raise SolverError("pencil matrices must be square and of equal size")
     if n > dense_cap:
         raise SolverError(
             f"dense solve of size {n} exceeds the cap {dense_cap}; use the "
             "shift-invert backend"
         )
+    Bd, Ad = (m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
+              for m in (B, A))
     try:
         sla.cholesky(Ad, lower=True)
     except sla.LinAlgError:
@@ -129,60 +108,19 @@ def dense_gevp(B, A, *, dense_cap: int = DENSE_CAP_DEFAULT,
         raise SolverError(
             f"matrix A is not positive definite (smallest pivot {pivot:.3e})"
         ) from None
-
-    if want_vectors:
-        w, v = sla.eigh(Bd, Ad, driver="gvd")
-    else:
-        w = sla.eigh(Bd, Ad, eigvals_only=True, driver="gvd")
-        v = None
-    zero_count = _count_zeros(w, tol_zero)
-    residuals = None
-    if v is not None and n <= 2000:
-        residuals = residual_norms(Bd, Ad, w, v)
-    return Spectrum(
-        eigenvalues=w,
-        zero_count=zero_count,
-        backend="dense",
-        tol_zero=tol_zero,
-        tol=float(np.finfo(float).eps * max(n, 1) * 100),
-        residuals=residuals,
-        vectors=v,
-    )
+    w, v = sla.eigh(Bd, Ad, driver="gvd")
+    return Spectrum(eigenvalues=w, zero_count=_count_zeros(w), backend="dense",
+                    vectors=v)
 
 
-def _count_zeros(w: np.ndarray, tol_zero: float) -> int:
-    if len(w) == 0:
-        return 0
-    thresh = tol_zero * max(1.0, float(np.abs(w).max()))
+def _count_zeros(w: np.ndarray) -> int:
+    thresh = TOL_ZERO * max(1.0, float(np.abs(w).max(initial=0.0)))
     return int(np.count_nonzero(np.abs(w) <= thresh))
 
 
-def filter_nonzero(spec: Spectrum, tol_zero: float | None = None) -> Spectrum:
-    """Drop kernel eigenvalues; zero_count records how many were removed."""
-    tol = spec.tol_zero if tol_zero is None else tol_zero
-    w = spec.eigenvalues
-    if len(w) == 0:
-        return replace(spec, zero_count=0, tol_zero=tol)
-    thresh = tol * max(1.0, float(np.abs(w).max()))
-    keep = np.abs(w) > thresh
-    order = np.argsort(w[keep])
-    vectors = spec.vectors[:, keep][:, order] if spec.vectors is not None else None
-    residuals = (spec.residuals[keep][order]
-                 if spec.residuals is not None else None)
-    return replace(
-        spec,
-        eigenvalues=np.sort(w[keep]),
-        zero_count=int(np.count_nonzero(~keep)),
-        tol_zero=tol,
-        vectors=vectors,
-        residuals=residuals,
-    )
-
-
 def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
-                         max_iter: int | None = None, tol: float = 1e-9,
                          seed: int = 0) -> Spectrum:
-    """Smallest nonzero eigenvalues of B x = lambda A x by shift-invert.
+    """Smallest nonzero eigenpairs of B x = lambda A x by shift-invert.
 
     With 0 < sigma < lambda_1 the kernel maps to the negative transformed
     value -1/sigma while every target maps to a positive one, so asking for
@@ -190,22 +128,17 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
     entirely.  The restarted Lanczos iteration keeps the Krylov basis fully
     orthogonal and starts from a seeded deterministic vector.
     """
-    Bc, Ac = _as_csr(B), _as_csr(A)
-    n = Bc.shape[0]
+    n = B.shape[0]
     if n_eigs < 1 or n_eigs > n - 2:
         raise SolverError(f"cannot compute {n_eigs} eigenvalues of size-{n} pencil")
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        w, v = spla.eigsh(
-            Bc, k=n_eigs, M=Ac, sigma=sigma, which="LA", v0=v0,
-            maxiter=max_iter, tol=0,
-        )
+        w, v = spla.eigsh(B, k=n_eigs, M=A, sigma=sigma, which="LA", v0=v0,
+                          tol=0)
         converged = True
     except spla.ArpackNoConvergence as exc:
         if exc.eigenvalues is None or len(exc.eigenvalues) == 0:
-            raise SolverError(
-                f"Lanczos did not converge within {max_iter} iterations"
-            ) from exc
+            raise SolverError("Lanczos did not converge") from exc
         w, v = exc.eigenvalues, exc.eigenvectors
         converged = False
     except RuntimeError as exc:
@@ -214,56 +147,58 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
             "try a different shift"
         ) from exc
     order = np.argsort(w)
-    w, v = w[order], v[:, order]
-    residuals = residual_norms(Bc, Ac, w, v)
-    return Spectrum(
-        eigenvalues=w,
-        zero_count=0,
-        backend="lanczos",
-        tol=tol,
-        residuals=residuals,
-        vectors=v,
-        converged=converged,
-    )
+    return Spectrum(eigenvalues=w[order], zero_count=0, backend="lanczos",
+                    vectors=v[:, order], converged=converged)
 
 
-def _keep_reported(spec: Spectrum, B, A, n_eigs: int) -> Spectrum:
-    """Truncate a filtered spectrum to the reported prefix, with residuals."""
-    m = min(n_eigs, spec.n)
-    vectors = spec.vectors[:, :m] if spec.vectors is not None else None
-    residuals = None
-    if vectors is not None:
-        residuals = residual_norms(B, A, spec.eigenvalues[:m], vectors)
-    return replace(
-        spec,
-        eigenvalues=spec.eigenvalues[:m],
-        vectors=vectors,
-        residuals=residuals,
-    )
+def _solve_pencil(B, A, n_eigs: int, backend: str = "dense", *,
+                  sigma: float = 1.0, seed: int = 0,
+                  label: str | None = None) -> Spectrum:
+    """The reported spectrum of a pencil with B positive semidefinite.
+
+    The one place that picks the backend, splits off the kernel, truncates
+    to ``n_eigs`` and certifies the reported pairs.  Kernel eigenvalues lead
+    the ascending spectrum, so the split drops a prefix.
+    """
+    if backend == "dense":
+        spec = dense_gevp(B, A)
+    elif backend == "lanczos":
+        spec = shift_invert_lanczos(B, A, sigma, n_eigs, seed=seed)
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    zeros = _count_zeros(spec.eigenvalues)
+    w = spec.eigenvalues[zeros:zeros + n_eigs]
+    v = spec.vectors[:, zeros:zeros + n_eigs]
+    return replace(spec, eigenvalues=w, vectors=v, zero_count=zeros,
+                   residuals=residual_norms(B, A, w, v),
+                   backend=label or spec.backend)
+
+
+def assemble_pencil(form: str, tmesh: TriMesh, k: int):
+    """Canonical CSR pencil (B, A) of a formulation on all its dofs.
+
+    ``fem2`` and ``fem1`` give the div-div and vector mass matrices,
+    ``primal`` the scalar stiffness and mass matrices.
+    """
+    rule = quad_rule(2 * k)
+    if form == "primal":
+        space = build_scalar_space(tmesh, k)
+        return (assemble_scalar_stiffness(space, tmesh, rule),
+                assemble_scalar_mass(space, tmesh, rule))
+    if form in ("fem1", "fem2"):
+        space = build_vector_space(tmesh, k)
+        return (assemble_divdiv(space, tmesh, rule),
+                assemble_vector_mass(space, tmesh, rule))
+    raise ValueError(f"unknown formulation {form!r}")
 
 
 def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
-               *, sigma: float = 1.0, tol_zero: float = TOL_ZERO_DEFAULT,
-               dense_cap: int = DENSE_CAP_DEFAULT, tol: float = 1e-9,
-               seed: int = 0) -> Spectrum:
-    """First nonzero eigenvalues of the div-div pencil on the vector space.
-
-    Assembles the vector mass and div-div matrices of degree ``k`` and
-    filters the divergence-free kernel.
-    """
+               *, sigma: float = 1.0, seed: int = 0) -> Spectrum:
+    """First nonzero eigenvalues of the div-div pencil on the vector space."""
     if k not in (1, 2, 3):
         raise ValueError("the div-div formulation supports k in {1, 2, 3}")
-    rule = quad_rule(2 * k)
-    vspace = build_vector_space(tmesh, k)
-    A = assemble_vector_mass(vspace, tmesh, rule)
-    B = assemble_divdiv(vspace, tmesh, rule)
-    if backend == "dense":
-        spec = dense_gevp(B, A, dense_cap=dense_cap, tol_zero=tol_zero)
-        spec = filter_nonzero(spec)
-        return _keep_reported(spec, B, A, n_eigs)
-    if backend == "lanczos":
-        return shift_invert_lanczos(B, A, sigma, n_eigs, tol=tol, seed=seed)
-    raise ValueError(f"unknown backend {backend!r}")
+    B, A = assemble_pencil("fem2", tmesh, k)
+    return _solve_pencil(B, A, n_eigs, backend, sigma=sigma, seed=seed)
 
 
 def _solve_spd_refined(Acsr: sp.csr_matrix, rhs: np.ndarray,
@@ -282,9 +217,7 @@ def _solve_spd_refined(Acsr: sp.csr_matrix, rhs: np.ndarray,
     return x
 
 
-def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int, *,
-               tol_zero: float = TOL_ZERO_DEFAULT,
-               dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
+def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
     """Mixed-formulation eigenvalues through the pressure Schur complement.
 
     Eliminating the vector unknown from the saddle system leaves
@@ -300,29 +233,21 @@ def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int, *,
     D = assemble_div_coupling(vspace, wh, tmesh, rule)
     M = assemble_wh_mass(wh, tmesh, rule)
 
-    X = _solve_spd_refined(A.csr, D.csr.T.toarray())
-    S = D.csr @ X
+    X = _solve_spd_refined(A, D.T.toarray())
+    S = D @ X
     S = 0.5 * (S + S.T)
-    spec = dense_gevp(S, M, dense_cap=dense_cap, tol_zero=tol_zero)
-    spec = replace(spec, backend="fem1-schur")
-    return _keep_reported(spec, S, M.toarray(), n_eigs)
+    return _solve_pencil(S, M, n_eigs, label="fem1-schur")
 
 
-def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, *,
-                 dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
+def solve_primal(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
     """Dirichlet eigenvalues of the primal form (grad u, grad v) = l (u, v)."""
     if k not in (1, 2, 3):
         raise ValueError("the primal formulation supports k in {1, 2, 3}")
-    rule = quad_rule(2 * k)
-    space = build_scalar_space(tmesh, k)
-    K = assemble_scalar_stiffness(space, tmesh, rule)
-    M = assemble_scalar_mass(space, tmesh, rule)
-    interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
-    Ki = K.csr[interior][:, interior].toarray()
-    Mi = M.csr[interior][:, interior].toarray()
-    spec = dense_gevp(Ki, Mi, dense_cap=dense_cap)
-    spec = replace(spec, backend="primal-dense")
-    return _keep_reported(spec, Ki, Mi, n_eigs)
+    K, M = assemble_pencil("primal", tmesh, k)
+    interior = np.setdiff1d(np.arange(K.shape[0]),
+                            build_scalar_space(tmesh, k).boundary_dofs)
+    return _solve_pencil(K[interior][:, interior], M[interior][:, interior],
+                         n_eigs, label="primal-dense")
 
 
 def cluster_eigenvalues(eigenvalues: np.ndarray,

@@ -25,7 +25,6 @@ __all__ = [
     "build_vector_space",
     "build_disc_space",
     "build_wh_space",
-    "boundary_dofs",
     "dof_points",
     "eval_scalar",
     "eval_vector",
@@ -61,8 +60,10 @@ class DiscSpace:
     n_dofs: int
     n_local: int              # nodes per triangle
 
-    def cell_dofs(self, tri: int) -> np.ndarray:
-        return tri * self.n_local + np.arange(self.n_local)
+    @property
+    def cell_dofs(self) -> np.ndarray:
+        """(T, n_local) dofs per triangle, as in :class:`DofMap`."""
+        return np.arange(self.n_dofs).reshape(-1, self.n_local)
 
 
 @dataclass(frozen=True)
@@ -163,14 +164,6 @@ def build_vector_space(tmesh: TriMesh, k: int) -> DofMap:
         cell_dofs=cell,
         boundary_dofs=bdofs,
     )
-
-
-def boundary_dofs(dmap: DofMap, tmesh: TriMesh) -> np.ndarray:
-    """Dofs whose nodes lie on the domain boundary (vertex and edge nodes)."""
-    scalar = _scalar_boundary_dofs(tmesh, dmap.degree)
-    if dmap.kind == "scalar":
-        return scalar
-    return np.sort(np.concatenate([2 * scalar, 2 * scalar + 1]))
 
 
 def build_disc_space(tmesh: TriMesh, degree: int) -> DiscSpace:

@@ -15,32 +15,14 @@ import numpy as np
 
 __all__ = [
     "MAX_DEGREE",
-    "ShapeTable",
     "QuadRule",
     "node_multi_indices",
     "node_barycentric",
-    "lagrange_shape",
     "tabulate_shapes",
-    "physical_grads",
-    "triangle_jacobian",
     "quad_rule",
 ]
 
 MAX_DEGREE = 4
-
-
-@dataclass(frozen=True)
-class ShapeTable:
-    """Lagrange basis values and reference gradients at one point."""
-
-    degree: int
-    point: np.ndarray    # barycentric, shape (3,)
-    values: np.ndarray   # (n_k,)
-    grads: np.ndarray    # (n_k, 2), d/dx and d/dy on the reference triangle
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -141,35 +123,6 @@ def tabulate_shapes(degree: int, points: np.ndarray):
         [dlam[:, :, 1] - dlam[:, :, 0], dlam[:, :, 2] - dlam[:, :, 0]], axis=2
     )
     return values, grads
-
-
-def lagrange_shape(degree: int, point) -> ShapeTable:
-    """Shape values and reference gradients at one barycentric point."""
-    values, grads = tabulate_shapes(degree, point)
-    pt = np.asarray(point, dtype=float).reshape(3)
-    return ShapeTable(degree=degree, point=pt, values=values[0], grads=grads[0])
-
-
-def triangle_jacobian(tri: np.ndarray):
-    """Jacobian matrix of the affine map from the reference triangle."""
-    tri = np.asarray(tri, dtype=float)
-    J = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    return J, det
-
-
-def physical_grads(shape: ShapeTable, tri) -> np.ndarray:
-    """Map reference gradients to a physical triangle (rows of grads @ J^-1)."""
-    tri = np.asarray(tri, dtype=float)
-    J, det = triangle_jacobian(tri)
-    h2 = max(
-        float(np.sum((tri[i] - tri[j]) ** 2))
-        for i, j in ((0, 1), (1, 2), (2, 0))
-    )
-    if abs(det) <= 1e-14 * h2:
-        raise ValueError(f"degenerate triangle with vertices {tri.tolist()}")
-    Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
-    return shape.grads @ Jinv
 
 
 # Symmetric positive rules assembled from group orbits.  S3 is the centroid,

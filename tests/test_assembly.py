@@ -6,7 +6,7 @@ import scipy.io
 from numpy.testing import assert_allclose
 
 from crisscross.assembly import (
-    SparseMatrix,
+    _scatter,
     assemble_div_coupling,
     assemble_divdiv,
     assemble_scalar_mass,
@@ -29,7 +29,7 @@ from crisscross.mesh import (
     perturb_quad_grid,
     single_quad_mesh,
 )
-from crisscross.refelem import lagrange_shape, physical_grads, quad_rule, tabulate_shapes
+from crisscross.refelem import quad_rule, tabulate_shapes
 
 PI = math.pi
 
@@ -44,18 +44,19 @@ def small_perturbed_tri(n=2, seed=3):
 
 
 def element_matrix_oracle(tri, k, form):
-    """Single-triangle bilinear form through the refelem primitives only."""
+    """Single-triangle bilinear form through the refelem primitives only,
+    with its own inline Jacobian."""
     rule = quad_rule(2 * k)
+    vals, ref_grads = tabulate_shapes(k, rule.points)
     n = (k + 1) * (k + 2) // 2
     out = np.zeros((n, n))
-    d1, d2 = tri[1] - tri[0], tri[2] - tri[0]
-    area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-    for p, w in zip(rule.points, rule.weights):
-        table = lagrange_shape(k, p)
+    J = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
+    area = 0.5 * abs(np.linalg.det(J))
+    for q, w in enumerate(rule.weights):
         if form == "mass":
-            out += w * np.outer(table.values, table.values)
+            out += w * np.outer(vals[q], vals[q])
         else:
-            g = physical_grads(table, tri)
+            g = ref_grads[q] @ np.linalg.inv(J)
             out += w * (g @ g.T)
     return area * out
 
@@ -186,7 +187,7 @@ def test_stiffness_row_sums_zero_and_mass_total():
     dmap = build_scalar_space(tmesh, 2)
     K = assemble_scalar_stiffness(dmap, tmesh, quad_rule(4))
     M = assemble_scalar_mass(dmap, tmesh, quad_rule(4))
-    assert np.abs(np.asarray(K.csr.sum(axis=1))).max() < 1e-11
+    assert np.abs(np.asarray(K.sum(axis=1))).max() < 1e-11
     assert_allclose(M.toarray().sum(), PI * PI, rtol=1e-13)
 
 
@@ -214,7 +215,7 @@ def test_coupling_linear_field_against_indicator():
     areas = tmesh.tri_areas()
     for t in range(tmesh.n_triangles):
         indicator = np.zeros(disc.n_dofs)
-        indicator[disc.cell_dofs(t)] = 1.0  # nodal constants give 1 on T
+        indicator[disc.cell_dofs[t]] = 1.0  # nodal constants give 1 on T
         assert_allclose(indicator @ moments, areas[t], rtol=1e-13)
 
 
@@ -330,38 +331,38 @@ def test_projection_of_checkerboard_misses():
     assert norm_proj < norm_cb - 1e-3
 
 
-# ------------------------------------------------ SparseMatrix plumbing
+# ------------------------------------------------ CSR scatter plumbing
 
 
 def test_sparse_matrix_dedup_and_sort():
-    mat = SparseMatrix(3, 3)
-    mat.add_triplets([0, 0, 2, 1], [1, 1, 0, 2], [1.0, 2.0, 5.0, -1.0])
-    mat.finalize()
+    # one entry per element: (0,1) twice, then (2,0) and (1,2)
+    element = np.array([1.0, 2.0, 5.0, -1.0]).reshape(4, 1, 1)
+    rows = np.array([[0], [0], [2], [1]])
+    cols = np.array([[1], [1], [0], [2]])
+    mat = _scatter(element, rows, cols, 3, 3, symmetric=False)
     dense = mat.toarray()
     assert dense[0, 1] == 3.0
     assert dense[2, 0] == 5.0
     assert mat.nnz == 3
-    csr = mat.csr
     for r in range(3):
-        cols = csr.indices[csr.indptr[r]:csr.indptr[r + 1]]
-        assert np.all(np.diff(cols) > 0)
+        row_cols = mat.indices[mat.indptr[r]:mat.indptr[r + 1]]
+        assert np.all(np.diff(row_cols) > 0)
 
 
 def test_sparse_matrix_symmetry_flag():
-    good = SparseMatrix(2, 2, symmetric=True)
-    good.add_triplets([0, 1, 0, 1], [0, 1, 1, 0], [1.0, 1.0, 0.5, 0.5])
-    good.finalize()
-    bad = SparseMatrix(2, 2, symmetric=True)
-    bad.add_triplets([0, 1], [1, 0], [1.0, 2.0])
+    dofs = np.array([[0, 1]])
+    _scatter(np.array([[[1.0, 0.5], [0.5, 1.0]]]), dofs, dofs, 2, 2,
+             symmetric=True)
     with pytest.raises(ValueError, match="symmetric"):
-        bad.finalize()
+        _scatter(np.array([[[0.0, 1.0], [2.0, 0.0]]]), dofs, dofs, 2, 2,
+                 symmetric=True)
 
 
 def test_assembled_matrices_are_symmetric_flagged():
     tmesh = unit_square_tri()
     dmap = build_vector_space(tmesh, 2)
     A = assemble_vector_mass(dmap, tmesh, quad_rule(4))
-    assert A.symmetric
+    assert A.has_canonical_format
     diff = np.abs(A.toarray() - A.toarray().T).max()
     assert diff < 1e-12 * np.abs(A.toarray()).max()
 

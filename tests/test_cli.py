@@ -7,11 +7,13 @@ import scipy.io
 from crisscross.cli import (
     ConfigError,
     StudyConfig,
+    build_mesh,
     cmd_compare,
     cmd_converge,
     cmd_eig,
     main,
 )
+from crisscross.eigsolve import assemble_pencil
 
 PI = math.pi
 
@@ -41,6 +43,17 @@ def test_invalid_config_exit_code(capsys):
     assert main(["eig", "--levels", "x"]) == 2
     assert main(["converge", "--domain", "lshape", "--levels", "2,4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sigma", ["-1", "0", "nan"])
+def test_non_positive_sigma_rejected(tmp_path, capsys, sigma):
+    # sigma = -1 used to print three kernel zeros as the spectrum
+    out = tmp_path / "lz.csv"
+    code = main(["eig", "--degree", "2", "--levels", "4", "--neigs", "3",
+                 "--backend", "lanczos", "--sigma", sigma, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "sigma" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- eig
@@ -93,18 +106,23 @@ def test_bit_reproducible_output(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_exports(tmp_path, capsys):
+@pytest.mark.parametrize("form, names", [
+    ("fem2", ("_B", "_A")), ("fem1", ("_B", "_A")), ("primal", ("_K", "_M")),
+], ids=["fem2", "fem1", "primal"])
+def test_exports(tmp_path, capsys, form, names):
     mesh_path = tmp_path / "mesh.txt"
     stem = tmp_path / "mat"
     code = main([
-        "eig", "--levels", "2", "--neigs", "2",
+        "eig", "--form", form, "--levels", "2", "--neigs", "2",
         "--export-mesh", str(mesh_path), "--export-matrices", str(stem),
     ])
     assert code == 0
     assert mesh_path.read_text().startswith("crisscross-mesh v1")
-    A = scipy.io.mmread(str(stem) + "_A.mtx")
-    B = scipy.io.mmread(str(stem) + "_B.mtx")
-    assert A.shape == B.shape
+    pencil = assemble_pencil(form, build_mesh(StudyConfig(), 2), 2)
+    for name, mat in zip(names, pencil):
+        back = scipy.io.mmread(str(stem) + name + ".mtx").tocsr()
+        assert back.shape == mat.shape
+        assert (back != mat).nnz == 0
     capsys.readouterr()
 
 

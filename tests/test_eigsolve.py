@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 
 from crisscross.eigsolve import (
     SolverError,
+    _solve_pencil,
     cluster_eigenvalues,
     dense_gevp,
-    filter_nonzero,
+    residual_norms,
     shift_invert_lanczos,
     solve_fem1,
     solve_fem2,
@@ -82,15 +83,14 @@ def test_single_square_k3_kernel_count():
 
 
 def test_filter_nonzero_basic():
-    spec = dense_gevp(np.diag([0.0, 0.0, 2.0, 6.0]), np.eye(4))
-    out = filter_nonzero(spec, 1e-9)
+    out = _solve_pencil(np.diag([0.0, 0.0, 2.0, 6.0]), np.eye(4), 4)
     assert out.zero_count == 2
     assert_allclose(out.eigenvalues, [2, 6])
+    assert out.vectors.shape == (4, 2) and len(out.residuals) == 2
 
 
 def test_filter_all_zero():
-    spec = dense_gevp(np.zeros((3, 3)), np.eye(3))
-    out = filter_nonzero(spec, 1e-9)
+    out = _solve_pencil(np.zeros((3, 3)), np.eye(3), 3)
     assert out.zero_count == 3
     assert len(out.eigenvalues) == 0
 
@@ -113,7 +113,7 @@ def test_shift_invert_on_explicit_pencil():
     A = np.eye(8)
     spec = shift_invert_lanczos(B, A, sigma=1.0, n_eigs=3)
     assert_allclose(spec.eigenvalues, [3, 7, 11], atol=1e-10)
-    assert spec.residuals.max() < 1e-10
+    assert residual_norms(B, A, spec.eigenvalues, spec.vectors).max() < 1e-10
 
 
 def test_lanczos_excludes_kernel():
@@ -235,10 +235,31 @@ def test_residual_certificate_inequality():
 
     tmesh = square_tri(2)
     vspace = build_vector_space(tmesh, 2)
-    A = assemble_vector_mass(vspace, tmesh, quad_rule(4)).csr
-    B = assemble_divdiv(vspace, tmesh, quad_rule(4)).csr
+    A = assemble_vector_mass(vspace, tmesh, quad_rule(4))
+    B = assemble_divdiv(vspace, tmesh, quad_rule(4))
     spec = solve_fem2(tmesh, 2, 8)
     norm_a = spla.norm(A, 1)
     norm_b = spla.norm(B, 1)
     for lam, res in zip(spec.eigenvalues, spec.residuals):
         assert res <= 1e-9 * (norm_b + abs(lam) * norm_a)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda t: solve_fem2(t, 2, 4),
+    lambda t: solve_fem2(t, 2, 4, backend="lanczos"),
+    lambda t: solve_fem1(t, 2, 4),
+    lambda t: solve_primal(t, 2, 4),
+], ids=["fem2", "fem2-lanczos", "fem1", "primal"])
+def test_residuals_computed_once_for_reported_pairs(monkeypatch, solve):
+    import crisscross.eigsolve as eigsolve
+
+    widths = []
+
+    def counting(B, A, eigenvalues, vectors):
+        widths.append(vectors.shape[1])
+        return residual_norms(B, A, eigenvalues, vectors)
+
+    monkeypatch.setattr(eigsolve, "residual_norms", counting)
+    spec = solve(square_tri(2))
+    assert widths == [len(spec.eigenvalues)] == [4]
+    assert dense_gevp(np.diag([1.0, 2.0]), np.eye(2)).residuals is None
