@@ -21,6 +21,7 @@ from .fespace import (
     build_scalar_space,
     build_vector_space,
     build_wh_space,
+    dim_sigma,
 )
 from .assembly import (
     assemble_div_coupling,
@@ -44,7 +45,6 @@ from .eigsolve import (
 from .audit import (
     ComplexReport,
     SpuriousReport,
-    dim_sigma,
     exactness_check,
     spurious_scan,
     square_exact_spectrum,

@@ -9,7 +9,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import _geometry, assemble_div_coupling, assemble_divdiv
-from .fespace import build_disc_space, build_vector_space, build_wh_space
+from .fespace import (
+    build_disc_space,
+    build_vector_space,
+    build_wh_space,
+    dim_sigma,
+)
 from .mesh import TriMesh, build_rect_grid, criss_cross, mesh_stats, single_quad_mesh
 from .refelem import node_barycentric, quad_rule, tabulate_shapes
 from .eigsolve import solve_fem2
@@ -95,14 +100,6 @@ class SpuriousReport:
     @property
     def clean(self) -> bool:
         return not self.flags
-
-
-def dim_sigma(k: int, n_quad_vertices: int, n_quad_edges: int, n_quads: int) -> int:
-    """Dimension of the conforming stream-function space on the quad mesh."""
-    if k not in (2, 3):
-        raise ValueError("dimension formula holds for k in {2, 3}")
-    return (3 * n_quad_vertices + (2 * k - 3) * n_quad_edges
-            + 4 * (k - 2) * n_quads)
 
 
 def _svd_rank(mat: np.ndarray, rtol: float = RANK_TOL) -> int:

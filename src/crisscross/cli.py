@@ -86,6 +86,9 @@ class StudyConfig:
             raise ConfigError("n_eigs must be at least 1")
         if self.backend not in ("dense", "lanczos"):
             raise ConfigError(f"unknown backend {self.backend!r}")
+        if self.formulation == "fem1" and self.backend == "lanczos":
+            raise ConfigError("fem1 has no shift-invert path; use --backend "
+                              "dense or --form fem2")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive and finite")
         return self
@@ -149,12 +152,24 @@ def _exact_targets(config: StudyConfig) -> np.ndarray | None:
 
 
 def _solve(config: StudyConfig, tmesh):
-    if config.formulation == "fem2":
-        return solve_fem2(tmesh, config.degree, config.n_eigs, config.backend,
-                          sigma=config.sigma, seed=config.seed)
+    """The spectrum of the configured form; warns on stderr when the solver
+    could not certify it."""
     if config.formulation == "fem1":
-        return solve_fem1(tmesh, config.degree, config.n_eigs)
-    return solve_primal(tmesh, config.degree, config.n_eigs)
+        spec = solve_fem1(tmesh, config.degree, config.n_eigs)
+    else:
+        solve = solve_fem2 if config.formulation == "fem2" else solve_primal
+        spec = solve(tmesh, config.degree, config.n_eigs, config.backend,
+                     sigma=config.sigma, seed=config.seed)
+    doubts = []
+    if not spec.converged:
+        doubts.append("Lanczos did not converge")
+    if spec.backend == "lanczos" and spec.inertia is None:
+        doubts.append("an off-diagonal pivot leaves the eigenvalue count "
+                      "below sigma uncertified")
+    if doubts:
+        print(f"warning: {config.formulation} k={config.degree} on "
+              f"{tmesh.n_quads} quads: " + "; ".join(doubts), file=sys.stderr)
+    return spec
 
 
 def _run_level(config: StudyConfig, n: int):

@@ -19,7 +19,12 @@ from .assembly import (
     assemble_vector_mass,
     assemble_wh_mass,
 )
-from .fespace import build_scalar_space, build_vector_space, build_wh_space
+from .fespace import (
+    build_scalar_space,
+    build_vector_space,
+    build_wh_space,
+    dim_sigma,
+)
 from .mesh import TriMesh
 from .refelem import quad_rule
 
@@ -52,6 +57,10 @@ class Spectrum:
     ``residuals`` holds |B x - lambda A x| / |x| for the eigenpairs whose
     vectors were kept (aligned with ``eigenvalues``); ``zero_count`` is the
     number of eigenvalues classified as kernel and removed or listed first.
+    A shift-invert solve also records ``inertia``, the number of eigenvalues
+    below the shift counted from the pivot signs of its factor (None when
+    uncertified, and for dense solves), and ``factor_nnz``, the fill of
+    that factor.
     """
 
     eigenvalues: np.ndarray
@@ -60,6 +69,8 @@ class Spectrum:
     residuals: np.ndarray | None = None
     vectors: np.ndarray | None = None
     converged: bool = True
+    inertia: int | None = None
+    factor_nnz: int | None = None
 
 
 def _smallest_ldl_pivot(a: np.ndarray) -> float:
@@ -127,43 +138,70 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
     the algebraically largest transformed eigenvalues excludes the kernel
     entirely.  The restarted Lanczos iteration keeps the Krylov basis fully
     orthogonal and starts from a seeded deterministic vector.
+
+    B - sigma A is symmetric, so it is factored once with a symmetric
+    minimum-degree ordering and diagonal pivots, P^T (B - sigma A) P = L U
+    with U = D L^T.  By Sylvester's law of inertia the negative pivots count
+    the eigenvalues below sigma; ``inertia`` holds that count, or None when
+    an off-diagonal pivot was taken (perm_r != perm_c) and the factor is
+    no congruence.
     """
     n = B.shape[0]
     if n_eigs < 1 or n_eigs > n - 2:
         raise SolverError(f"cannot compute {n_eigs} eigenvalues of size-{n} pencil")
+    try:
+        lu = spla.splu(sp.csc_matrix(B - sigma * A), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(
+            f"factorization of (B - sigma*A) failed for sigma={sigma}; "
+            "try a different shift"
+        ) from exc
+    inertia = None
+    if np.array_equal(lu.perm_r, lu.perm_c):
+        inertia = int(np.count_nonzero(lu.U.diagonal() < 0))
+    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         w, v = spla.eigsh(B, k=n_eigs, M=A, sigma=sigma, which="LA", v0=v0,
-                          tol=0)
+                          tol=0, OPinv=opinv)
         converged = True
     except spla.ArpackNoConvergence as exc:
         if exc.eigenvalues is None or len(exc.eigenvalues) == 0:
             raise SolverError("Lanczos did not converge") from exc
         w, v = exc.eigenvalues, exc.eigenvectors
         converged = False
-    except RuntimeError as exc:
-        raise SolverError(
-            f"factorization of (B - sigma*A) failed for sigma={sigma}; "
-            "try a different shift"
-        ) from exc
+    except spla.ArpackError as exc:
+        raise SolverError(f"Lanczos failed: {exc}") from exc
     order = np.argsort(w)
     return Spectrum(eigenvalues=w[order], zero_count=0, backend="lanczos",
-                    vectors=v[:, order], converged=converged)
+                    vectors=v[:, order], converged=converged,
+                    inertia=inertia, factor_nnz=int(lu.nnz))
 
 
 def _solve_pencil(B, A, n_eigs: int, backend: str = "dense", *,
                   sigma: float = 1.0, seed: int = 0,
+                  kernel_dim: int | None = None,
                   label: str | None = None) -> Spectrum:
     """The reported spectrum of a pencil with B positive semidefinite.
 
     The one place that picks the backend, splits off the kernel, truncates
     to ``n_eigs`` and certifies the reported pairs.  Kernel eigenvalues lead
-    the ascending spectrum, so the split drops a prefix.
+    the ascending spectrum, so the split drops a prefix.  With a known
+    ``kernel_dim`` a certified shift-invert count of eigenvalues below
+    sigma must equal it: a larger count means sigma is not below lambda_1
+    and the smallest eigenvalues would be missing from the table.
     """
     if backend == "dense":
         spec = dense_gevp(B, A)
     elif backend == "lanczos":
         spec = shift_invert_lanczos(B, A, sigma, n_eigs, seed=seed)
+        if None not in (spec.inertia, kernel_dim) and spec.inertia != kernel_dim:
+            raise SolverError(
+                f"inertia check failed at sigma={sigma:g}: {spec.inertia} "
+                f"eigenvalues lie below the shift, but the kernel has "
+                f"dimension {kernel_dim}; choose sigma below lambda_1"
+            )
     else:
         raise ValueError(f"unknown backend {backend!r}")
     zeros = _count_zeros(spec.eigenvalues)
@@ -198,7 +236,12 @@ def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
     if k not in (1, 2, 3):
         raise ValueError("the div-div formulation supports k in {1, 2, 3}")
     B, A = assemble_pencil("fem2", tmesh, k)
-    return _solve_pencil(B, A, n_eigs, backend, sigma=sigma, seed=seed)
+    kernel_dim = None
+    if k in (2, 3):
+        kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
+                               tmesh.n_quads) - 1
+    return _solve_pencil(B, A, n_eigs, backend, sigma=sigma, seed=seed,
+                         kernel_dim=kernel_dim)
 
 
 def _solve_spd_refined(Acsr: sp.csr_matrix, rhs: np.ndarray,
@@ -239,15 +282,20 @@ def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
     return _solve_pencil(S, M, n_eigs, label="fem1-schur")
 
 
-def solve_primal(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
-    """Dirichlet eigenvalues of the primal form (grad u, grad v) = l (u, v)."""
+def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
+                 *, sigma: float = 1.0, seed: int = 0) -> Spectrum:
+    """Dirichlet eigenvalues of the primal form (grad u, grad v) = l (u, v).
+
+    The interior pencil has no kernel, so no eigenvalue lies below a valid
+    shift.
+    """
     if k not in (1, 2, 3):
         raise ValueError("the primal formulation supports k in {1, 2, 3}")
     K, M = assemble_pencil("primal", tmesh, k)
     interior = np.setdiff1d(np.arange(K.shape[0]),
                             build_scalar_space(tmesh, k).boundary_dofs)
     return _solve_pencil(K[interior][:, interior], M[interior][:, interior],
-                         n_eigs, label="primal-dense")
+                         n_eigs, backend, sigma=sigma, seed=seed, kernel_dim=0)
 
 
 def cluster_eigenvalues(eigenvalues: np.ndarray,

@@ -25,6 +25,7 @@ __all__ = [
     "build_vector_space",
     "build_disc_space",
     "build_wh_space",
+    "dim_sigma",
     "dof_points",
     "eval_scalar",
     "eval_vector",
@@ -91,6 +92,19 @@ class WhBasis:
     @property
     def n_quads(self) -> int:
         return len(self.quad_tris)
+
+
+def dim_sigma(k: int, n_quad_vertices: int, n_quad_edges: int, n_quads: int) -> int:
+    """Dimension of the conforming stream-function space on the quad mesh.
+
+    The curl, whose own kernel is the constants, maps it onto the kernel of
+    the div-div form on the degree-k vector space, which therefore has
+    dimension ``dim_sigma - 1``.
+    """
+    if k not in (2, 3):
+        raise ValueError("dimension formula holds for k in {2, 3}")
+    return (3 * n_quad_vertices + (2 * k - 3) * n_quad_edges
+            + 4 * (k - 2) * n_quads)
 
 
 def _entity_counts_dim(tmesh: TriMesh, k: int) -> int:

@@ -7,7 +7,7 @@ Where each bound is checked (h is the criss-cross mesh size):
 
 * Criterion 1: the k=2 errors at h=pi/8 and pi/16 (dense) against the
   recorded values, to 6 digits.
-* Criterion 2: the k=3 errors at h=pi/8 (dense, 6 digits) and pi/16
+* Criterion 2: the k=3 errors at h=pi/8 (dense, 4 digits) and pi/16
   (Lanczos, 3 digits) against values measured by independent solve paths;
   the provenance is given beside the constants.
 * Criterion 3: the 1e-4 per-mode bound on the first ten eigenvalues for k=3
@@ -140,8 +140,12 @@ def test_criterion_2_k3_errors(k3_spectra):
     # At pi/16 the error is ~6.5e-10 on an eigenvalue of 2, at the
     # eigensolver floor: sigma=0.5 instead of 1 moves it by 4.8e-5 relative,
     # about half a unit in the 5th digit.  Three digits is ~10x that spread.
+    # At pi/8 (~4.1e-8) the floor reaches the 6th digit: dense eigh gives
+    # 4.136298e-08 with BLAS on one thread and 4.136259e-08 threaded (9.5e-6
+    # relative), Lanczos sigma=1 vs 0.5 spreads 5.2e-6.  Four digits keep
+    # the same margin, two digits coarser than the spread.
     checks = [
-        sig_digits_match(err8, K3_ERR_PI8, 6),
+        sig_digits_match(err8, K3_ERR_PI8, 4),
         sig_digits_match(err16, K3_ERR_PI16, 3),
     ]
     ok = report(

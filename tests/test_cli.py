@@ -13,7 +13,7 @@ from crisscross.cli import (
     cmd_eig,
     main,
 )
-from crisscross.eigsolve import assemble_pencil
+from crisscross.eigsolve import Spectrum, assemble_pencil
 
 PI = math.pi
 
@@ -30,6 +30,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         StudyConfig(formulation="fem1", degree=1).validate()
     with pytest.raises(ConfigError):
+        StudyConfig(formulation="fem1", backend="lanczos").validate()
+    with pytest.raises(ConfigError):
         StudyConfig(levels=[4, 4]).validate()
     with pytest.raises(ConfigError):
         StudyConfig(levels=[8, 4]).validate()
@@ -42,16 +44,21 @@ def test_invalid_config_exit_code(capsys):
     assert main(["eig", "--levels", "8,4"]) == 2
     assert main(["eig", "--levels", "x"]) == 2
     assert main(["converge", "--domain", "lshape", "--levels", "2,4"]) == 2
+    assert main(["eig", "--form", "fem1", "--levels", "4",
+                 "--backend", "lanczos"]) == 2
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("sigma", ["-1", "0", "nan"])
-def test_non_positive_sigma_rejected(tmp_path, capsys, sigma):
-    # sigma = -1 used to print three kernel zeros as the spectrum
+@pytest.mark.parametrize("sigma, code", [
+    ("-1", 2), ("0", 2), ("nan", 2), ("3", 3),
+], ids=["-1", "0", "nan", "3"])
+def test_non_positive_sigma_rejected(tmp_path, capsys, sigma, code):
+    # sigma = -1 used to print three kernel zeros as the spectrum; sigma = 3
+    # lies above lambda_1 ~ 2 and printed 5.0007 as lambda_1, which the
+    # inertia count of the shift-invert factor now refuses
     out = tmp_path / "lz.csv"
-    code = main(["eig", "--degree", "2", "--levels", "4", "--neigs", "3",
-                 "--backend", "lanczos", "--sigma", sigma, "--out", str(out)])
-    assert code == 2
+    assert main(["eig", "--degree", "2", "--levels", "8", "--backend",
+                 "lanczos", "--sigma", sigma, "--out", str(out)]) == code
     assert not out.exists()
     assert "sigma" in capsys.readouterr().err
 
@@ -242,14 +249,36 @@ def test_cmd_compare_rejects_k1():
 
 def test_cmd_eig_lanczos_backend(tmp_path, capsys):
     out = tmp_path / "lz.csv"
-    code = main([
-        "eig", "--degree", "2", "--levels", "4", "--neigs", "3",
-        "--backend", "lanczos", "--sigma", "1.0", "--out", str(out),
-    ])
-    assert code == 0
-    row = out.read_text().strip().split("\n")[1].split(",")
-    assert float(row[3]) == pytest.approx(2.0, abs=1e-3)
-    capsys.readouterr()
+    # primal k=3 at levels 20 has 7 081 interior unknowns, above the dense cap
+    for form, degree, levels in (("fem2", "2", "4"), ("primal", "3", "20")):
+        code = main([
+            "eig", "--form", form, "--degree", degree, "--levels", levels,
+            "--neigs", "3", "--backend", "lanczos", "--sigma", "1.0",
+            "--out", str(out),
+        ])
+        assert code == 0
+        row = out.read_text().strip().split("\n")[1].split(",")
+        assert float(row[3]) == pytest.approx(2.0, abs=1e-3)
+        assert capsys.readouterr().err == ""
+
+
+def test_uncertified_spectrum_warns_on_stderr(tmp_path, capsys, monkeypatch):
+    import crisscross.cli as cli
+
+    def doubtful(tmesh, k, n_eigs, backend, *, sigma, seed):
+        return Spectrum(eigenvalues=np.array([2.0, 5.0]), zero_count=0,
+                        backend="lanczos", converged=False, inertia=None)
+
+    monkeypatch.setattr(cli, "solve_fem2", doubtful)
+    out = tmp_path / "w.csv"
+    assert main(["eig", "--levels", "2", "--neigs", "2", "--backend",
+                 "lanczos", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 1 and warnings[0].startswith("warning:")
+    assert "did not converge" in warnings[0] and "uncertified" in warnings[0]
+    assert "warning" not in captured.out
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_cmd_compare_square_modes_converge(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from crisscross.cli import StudyConfig, build_mesh
 from crisscross.eigsolve import (
     SolverError,
     _solve_pencil,
@@ -15,6 +16,7 @@ from crisscross.eigsolve import (
     solve_fem2,
     solve_primal,
 )
+from crisscross.fespace import dim_sigma
 from crisscross.mesh import (
     build_lshape_grid,
     build_rect_grid,
@@ -98,13 +100,18 @@ def test_filter_all_zero():
 # ---------------------------------------------------------------- lanczos
 
 
-def test_lanczos_matches_dense_on_single_square():
-    tmesh = unit_pi_square_tri()
-    dense = solve_fem2(tmesh, 2, 5)
-    lanczos = solve_fem2(tmesh, 2, 5, backend="lanczos", sigma=1.0)
+@pytest.mark.parametrize("solve, tmesh, inertia", [
+    (solve_fem2, unit_pi_square_tri(), 15),   # dim Sigma^3 - 1 on one quad
+    (solve_primal, square_tri(2), 0),         # the interior pencil has no kernel
+], ids=["fem2", "primal"])
+def test_lanczos_matches_dense_on_single_square(solve, tmesh, inertia):
+    dense = solve(tmesh, 2, 5)
+    lanczos = solve(tmesh, 2, 5, backend="lanczos", sigma=1.0)
     assert_allclose(lanczos.eigenvalues, dense.eigenvalues[:5], rtol=1e-10)
     assert lanczos.backend == "lanczos"
     assert lanczos.converged
+    assert lanczos.inertia == inertia and dense.inertia is None
+    assert lanczos.factor_nnz > 0 and dense.factor_nnz is None
 
 
 def test_shift_invert_on_explicit_pencil():
@@ -114,6 +121,38 @@ def test_shift_invert_on_explicit_pencil():
     spec = shift_invert_lanczos(B, A, sigma=1.0, n_eigs=3)
     assert_allclose(spec.eigenvalues, [3, 7, 11], atol=1e-10)
     assert residual_norms(B, A, spec.eigenvalues, spec.vectors).max() < 1e-10
+    assert spec.inertia == 2      # the two kernel zeros lie below sigma
+
+
+def test_off_diagonal_pivot_leaves_inertia_uncertified():
+    # B - 2A holds the block [[0, 1], [1, 0]], whose zero diagonal forces an
+    # off-diagonal pivot; the eigenvalues 1 and 3 of that block straddle sigma
+    B = np.diag([2.0, 2.0, 5.0, 7.0, 9.0, 11.0])
+    B[0, 1] = B[1, 0] = 1.0
+    spec = shift_invert_lanczos(B, np.eye(6), sigma=2.0, n_eigs=3)
+    assert_allclose(spec.eigenvalues, [3, 5, 7], atol=1e-10)
+    assert spec.inertia is None
+
+
+@pytest.mark.parametrize("domain, n", [
+    ("square", 4), ("lshape", 2), ("square-perturbed", 4),
+])
+@pytest.mark.parametrize("k", [2, 3])
+def test_lanczos_inertia_equals_kernel_dimension(domain, n, k):
+    # Sylvester: the negative pivots of B - sigma A count the eigenvalues
+    # below sigma, which for 0 < sigma < lambda_1 is the div-div kernel
+    tmesh = build_mesh(StudyConfig(domain=domain), n)
+    spec = solve_fem2(tmesh, k, 3, backend="lanczos", sigma=1.0)
+    assert spec.inertia == dim_sigma(k, tmesh.n_quad_vertices,
+                                     tmesh.n_quad_edges, tmesh.n_quads) - 1
+
+
+@pytest.mark.parametrize("solve", [solve_fem2, solve_primal],
+                         ids=["fem2", "primal"])
+def test_shift_above_first_eigenvalue_raises(solve):
+    # lambda_1 ~ 2 on the square; sigma = 3 would drop it from the table
+    with pytest.raises(SolverError, match=r"sigma=3\b.*kernel has dimension"):
+        solve(square_tri(4), 2, 3, backend="lanczos", sigma=3.0)
 
 
 def test_lanczos_excludes_kernel():
