@@ -8,16 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import _geometry, assemble_div_coupling, assemble_divdiv
-from .fespace import (
-    build_disc_space,
-    build_vector_space,
-    build_wh_space,
-    dim_sigma,
-)
+from .assembly import _geometry
+from .fespace import build_vector_space, build_wh_space, dim_sigma
 from .mesh import TriMesh, build_rect_grid, criss_cross, mesh_stats, single_quad_mesh
 from .refelem import node_barycentric, quad_rule, tabulate_shapes
-from .eigsolve import solve_fem2
+from .eigsolve import SolverError, _factor_shifted, assemble_pencil, solve_fem2
 
 __all__ = [
     "ComplexReport",
@@ -32,7 +27,11 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-9          # relative singular-value cutoff for rank decisions
-RANK_SIZE_CAP = 3000     # largest vector-space dimension for dense rank work
+# Shift of the div-div kernel count.  Every supported domain lies inside
+# (0, pi)^2, where the first Dirichlet eigenvalue is at least 2, so 1 sits
+# below the discrete lambda_1; a mesh where it did not would report FAIL,
+# never a false PASS (see exactness_check).
+KERNEL_SHIFT = 1.0
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,7 @@ class SpuriousReport:
     exact: np.ndarray
     threshold: float
     flags: list = field(default_factory=list)  # (value, dist_fine, dist_coarse)
+    doubts: list = field(default_factory=list)  # (n_quads, Spectrum.doubts)
 
     @property
     def clean(self) -> bool:
@@ -112,32 +112,36 @@ def _svd_rank(mat: np.ndarray, rtol: float = RANK_TOL) -> int:
 def exactness_check(tmesh: TriMesh, k: int) -> ComplexReport:
     """Verify the Euler identity, divergence rank, and div-div nullity.
 
-    Dense factorizations; meant for desk-scale meshes.
+    Both counts come from one sparse symmetric factor of B - s A (div-div
+    and vector mass, s = ``KERNEL_SHIFT``).  Its negative pivots count the
+    eigenvalues below s, which for 0 < s < lambda_1 are exactly the kernel.
+    The curls of the stream functions lie in the kernel, so count >=
+    nullity >= dim_sigma - 1: a count equal to dim_sigma - 1 certifies the
+    kernel law, and a shift at or above lambda_1 could only turn a pass into
+    a failure.  A field has zero div-div energy exactly when its divergence
+    vanishes, so ker D = ker B and rank D = dim_v - nullity.  No size cap
+    applies.  An uncertified count (an off-diagonal pivot) raises
+    ``SolverError``.
     """
     if k not in (2, 3):
         raise ValueError("exactness audit supports k in {2, 3}")
-    vspace = build_vector_space(tmesh, k)
-    if vspace.n_dofs > RANK_SIZE_CAP:
-        raise ValueError(
-            f"vector space of dimension {vspace.n_dofs} is too large for the "
-            f"dense rank audit (cap {RANK_SIZE_CAP}); use a smaller mesh"
-        )
+    B, A = assemble_pencil("fem2", tmesh, k)
+    dim_v = B.shape[0]
     wh = build_wh_space(tmesh, k)
-    rule = quad_rule(2 * k)
 
     V_Q = tmesh.n_quad_vertices
     E_Q = tmesh.n_quad_edges
     Q = tmesh.n_quads
     dsig = dim_sigma(k, V_Q, E_Q, Q)
-    euler_residual = 1 - dsig + vspace.n_dofs - wh.n_dofs
+    euler_residual = 1 - dsig + dim_v - wh.n_dofs
 
-    disc = build_disc_space(tmesh, k - 1)
-    D = assemble_div_coupling(vspace, disc, tmesh, rule)
-    rank_div = _svd_rank(D.toarray())
-
-    B = assemble_divdiv(vspace, tmesh, rule).toarray()
-    evals = np.linalg.eigvalsh(B)
-    nullity = int(np.count_nonzero(np.abs(evals) <= RANK_TOL * np.abs(evals).max()))
+    _, nullity = _factor_shifted(B, A, KERNEL_SHIFT)
+    if nullity is None:
+        raise SolverError(
+            f"div-div kernel count at sigma={KERNEL_SHIFT:g} is uncertified: "
+            "the factor of B - sigma*A took an off-diagonal pivot"
+        )
+    rank_div = dim_v - nullity
 
     return ComplexReport(
         k=k,
@@ -145,7 +149,7 @@ def exactness_check(tmesh: TriMesh, k: int) -> ComplexReport:
         n_quad_edges=E_Q,
         n_quads=Q,
         dim_sigma=dsig,
-        dim_v=vspace.n_dofs,
+        dim_v=dim_v,
         dim_wh=wh.n_dofs,
         rank_div=rank_div,
         nullity_divdiv=nullity,
@@ -242,13 +246,16 @@ def square_exact_spectrum(count: int) -> np.ndarray:
 
 
 def spurious_scan(domain: str, k: int, levels, n_eigs: int = 10,
-                  threshold: float = 0.5) -> SpuriousReport:
+                  threshold: float = 0.5, backend: str = "dense", *,
+                  sigma: float = 1.0, seed: int = 0) -> SpuriousReport:
     """Flag computed eigenvalues far from the exact set that fail to shrink.
 
     A value at the finest level is flagged when its distance to the exact
     spectrum exceeds the threshold and the nearest value on the previous
     level was no better than twice as far (converging modes shrink by at
-    least 4 per refinement; spurious ones stagnate).
+    least 4 per refinement; spurious ones stagnate).  ``backend``,
+    ``sigma`` and ``seed`` go to ``solve_fem2``; ``doubts`` lists the levels
+    whose spectrum the solver could not certify.
     """
     if domain != "square":
         raise ValueError("the exact spectrum is only known for the square")
@@ -256,10 +263,13 @@ def spurious_scan(domain: str, k: int, levels, n_eigs: int = 10,
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
     out_levels = []
+    doubts = []
     for n in levels:
         tmesh = criss_cross(build_rect_grid(0.0, 0.0, math.pi, math.pi, n, n))
-        spec = solve_fem2(tmesh, k, n_eigs)
+        spec = solve_fem2(tmesh, k, n_eigs, backend, sigma=sigma, seed=seed)
         out_levels.append((mesh_stats(tmesh).h, spec.eigenvalues.copy()))
+        if spec.doubts:
+            doubts.append((tmesh.n_quads, spec.doubts))
 
     exact = square_exact_spectrum(4 * n_eigs + 40)
 
@@ -278,5 +288,6 @@ def spurious_scan(domain: str, k: int, levels, n_eigs: int = 10,
         if d_f > 0.5 * d_c:
             flags.append((float(lam), d_f, d_c))
     return SpuriousReport(
-        k=k, levels=out_levels, exact=exact, threshold=threshold, flags=flags
+        k=k, levels=out_levels, exact=exact, threshold=threshold, flags=flags,
+        doubts=doubts,
     )

@@ -160,16 +160,15 @@ def _solve(config: StudyConfig, tmesh):
         solve = solve_fem2 if config.formulation == "fem2" else solve_primal
         spec = solve(tmesh, config.degree, config.n_eigs, config.backend,
                      sigma=config.sigma, seed=config.seed)
-    doubts = []
-    if not spec.converged:
-        doubts.append("Lanczos did not converge")
-    if spec.backend == "lanczos" and spec.inertia is None:
-        doubts.append("an off-diagonal pivot leaves the eigenvalue count "
-                      "below sigma uncertified")
-    if doubts:
-        print(f"warning: {config.formulation} k={config.degree} on "
-              f"{tmesh.n_quads} quads: " + "; ".join(doubts), file=sys.stderr)
+    _warn_doubts(config.formulation, config.degree, tmesh.n_quads, spec.doubts)
     return spec
+
+
+def _warn_doubts(formulation: str, k: int, n_quads: int, doubts: list) -> None:
+    """One stderr line when a solve could not certify its spectrum."""
+    if doubts:
+        print(f"warning: {formulation} k={k} on {n_quads} quads: "
+              + "; ".join(doubts), file=sys.stderr)
 
 
 def _run_level(config: StudyConfig, n: int):
@@ -286,7 +285,10 @@ def cmd_audit(config: StudyConfig) -> int:
         ok &= report.passed
     if config.domain == "square" and len(config.levels) >= 2:
         scan = spurious_scan("square", config.degree, config.levels,
-                             config.n_eigs)
+                             config.n_eigs, backend=config.backend,
+                             sigma=config.sigma, seed=config.seed)
+        for n_quads, doubts in scan.doubts:
+            _warn_doubts("fem2", config.degree, n_quads, doubts)
         for h, vals in scan.levels:
             print(f"spurious: h={h:.6g} spectrum prefix "
                   + " ".join(f"{v:.6g}" for v in vals))

@@ -72,6 +72,17 @@ class Spectrum:
     inertia: int | None = None
     factor_nnz: int | None = None
 
+    @property
+    def doubts(self) -> list:
+        """Why the spectrum is not certified; empty when it is."""
+        doubts = []
+        if not self.converged:
+            doubts.append("Lanczos did not converge")
+        if self.backend == "lanczos" and self.inertia is None:
+            doubts.append("an off-diagonal pivot leaves the eigenvalue count "
+                          "below sigma uncertified")
+        return doubts
+
 
 def _smallest_ldl_pivot(a: np.ndarray) -> float:
     _, d, _ = sla.ldl(a)
@@ -129,26 +140,16 @@ def _count_zeros(w: np.ndarray) -> int:
     return int(np.count_nonzero(np.abs(w) <= thresh))
 
 
-def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
-                         seed: int = 0) -> Spectrum:
-    """Smallest nonzero eigenpairs of B x = lambda A x by shift-invert.
+def _factor_shifted(B, A, sigma: float):
+    """Symmetric factor of B - sigma A and the count of pencil eigenvalues
+    below sigma.
 
-    With 0 < sigma < lambda_1 the kernel maps to the negative transformed
-    value -1/sigma while every target maps to a positive one, so asking for
-    the algebraically largest transformed eigenvalues excludes the kernel
-    entirely.  The restarted Lanczos iteration keeps the Krylov basis fully
-    orthogonal and starts from a seeded deterministic vector.
-
-    B - sigma A is symmetric, so it is factored once with a symmetric
-    minimum-degree ordering and diagonal pivots, P^T (B - sigma A) P = L U
-    with U = D L^T.  By Sylvester's law of inertia the negative pivots count
-    the eigenvalues below sigma; ``inertia`` holds that count, or None when
-    an off-diagonal pivot was taken (perm_r != perm_c) and the factor is
-    no congruence.
+    A symmetric minimum-degree ordering with diagonal pivots gives
+    P^T (B - sigma A) P = L U with U = D L^T.  By Sylvester's law of inertia
+    the negative pivots count the eigenvalues of B x = lambda A x below
+    sigma (A positive definite).  The count is None when an off-diagonal
+    pivot was taken (perm_r != perm_c) and the factor is no congruence.
     """
-    n = B.shape[0]
-    if n_eigs < 1 or n_eigs > n - 2:
-        raise SolverError(f"cannot compute {n_eigs} eigenvalues of size-{n} pencil")
     try:
         lu = spla.splu(sp.csc_matrix(B - sigma * A), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -160,6 +161,27 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
     inertia = None
     if np.array_equal(lu.perm_r, lu.perm_c):
         inertia = int(np.count_nonzero(lu.U.diagonal() < 0))
+    return lu, inertia
+
+
+def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
+                         seed: int = 0) -> Spectrum:
+    """Smallest nonzero eigenpairs of B x = lambda A x by shift-invert.
+
+    With 0 < sigma < lambda_1 the kernel maps to the negative transformed
+    value -1/sigma while every target maps to a positive one, so asking for
+    the algebraically largest transformed eigenvalues excludes the kernel
+    entirely.  The restarted Lanczos iteration keeps the Krylov basis fully
+    orthogonal and starts from a seeded deterministic vector.
+
+    B - sigma A is factored once (``_factor_shifted``) and that factor is
+    the shift-invert operator; ``inertia`` holds the factor's count of
+    eigenvalues below sigma, or None when it is uncertified.
+    """
+    n = B.shape[0]
+    if n_eigs < 1 or n_eigs > n - 2:
+        raise SolverError(f"cannot compute {n_eigs} eigenvalues of size-{n} pencil")
+    lu, inertia = _factor_shifted(B, A, sigma)
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
@@ -190,10 +212,18 @@ def _solve_pencil(B, A, n_eigs: int, backend: str = "dense", *,
     the ascending spectrum, so the split drops a prefix.  With a known
     ``kernel_dim`` a certified shift-invert count of eigenvalues below
     sigma must equal it: a larger count means sigma is not below lambda_1
-    and the smallest eigenvalues would be missing from the table.
+    and the smallest eigenvalues would be missing from the table.  A dense
+    solve must find exactly that many zeros, or the table would start with
+    a kernel value or skip an eigenvalue.
     """
     if backend == "dense":
         spec = dense_gevp(B, A)
+        if kernel_dim is not None and spec.zero_count != kernel_dim:
+            raise SolverError(
+                f"kernel check failed: {spec.zero_count} eigenvalues are zero "
+                f"to the tolerance {TOL_ZERO:g}, but the kernel has dimension "
+                f"{kernel_dim}"
+            )
     elif backend == "lanczos":
         spec = shift_invert_lanczos(B, A, sigma, n_eigs, seed=seed)
         if None not in (spec.inertia, kernel_dim) and spec.inertia != kernel_dim:
@@ -279,7 +309,7 @@ def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
     X = _solve_spd_refined(A, D.T.toarray())
     S = D @ X
     S = 0.5 * (S + S.T)
-    return _solve_pencil(S, M, n_eigs, label="fem1-schur")
+    return _solve_pencil(S, M, n_eigs, kernel_dim=0, label="fem1-schur")
 
 
 def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",

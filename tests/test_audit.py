@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from crisscross import audit
+from crisscross.assembly import assemble_div_coupling, assemble_divdiv
 from crisscross.audit import (
     dim_sigma,
     exactness_check,
@@ -11,7 +13,12 @@ from crisscross.audit import (
     square_exact_spectrum,
     wh_local_audit,
 )
-from crisscross.fespace import build_vector_space, interpolate_vector
+from crisscross.eigsolve import SolverError
+from crisscross.fespace import (
+    build_disc_space,
+    build_vector_space,
+    interpolate_vector,
+)
 from crisscross.mesh import (
     build_lshape_grid,
     build_rect_grid,
@@ -19,7 +26,7 @@ from crisscross.mesh import (
     perturb_quad_grid,
     single_quad_mesh,
 )
-from crisscross.refelem import tabulate_shapes
+from crisscross.refelem import quad_rule, tabulate_shapes
 
 PI = math.pi
 
@@ -41,16 +48,35 @@ def test_dim_sigma_values():
 # ---------------------------------------------------------------- exactness
 
 
+def dense_counts(tmesh, k, rtol=1e-9):
+    """Oracle: SVD rank of the divergence coupling D and eigvalsh nullity
+    of the div-div matrix B, both dense."""
+    rule = quad_rule(2 * k)
+    vspace = build_vector_space(tmesh, k)
+    D = assemble_div_coupling(vspace, build_disc_space(tmesh, k - 1), tmesh,
+                              rule).toarray()
+    s = np.linalg.svd(D, compute_uv=False)
+    evals = np.linalg.eigvalsh(assemble_divdiv(vspace, tmesh, rule).toarray())
+    return (int(np.count_nonzero(s > rtol * s[0])),
+            int(np.count_nonzero(np.abs(evals) <= rtol * np.abs(evals).max())))
+
+
+def assert_matches_oracle(report, tmesh, k):
+    assert (report.rank_div, report.nullity_divdiv) == dense_counts(tmesh, k)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_exactness_single_square(k):
-    tmesh = criss_cross(single_quad_mesh(UNIT_SQUARE))
-    report = exactness_check(tmesh, k)
-    assert report.euler_residual == 0
-    assert report.passed
-    if k == 2:
-        assert (report.dim_sigma, report.dim_v, report.dim_wh) == (16, 26, 11)
-    else:
-        assert (report.dim_sigma, report.dim_v, report.dim_wh) == (28, 50, 23)
+    for corners in (UNIT_SQUARE, SKEWED_QUAD):
+        tmesh = criss_cross(single_quad_mesh(corners))
+        report = exactness_check(tmesh, k)
+        assert report.euler_residual == 0
+        assert report.passed
+        assert_matches_oracle(report, tmesh, k)
+        if k == 2:
+            assert (report.dim_sigma, report.dim_v, report.dim_wh) == (16, 26, 11)
+        else:
+            assert (report.dim_sigma, report.dim_v, report.dim_wh) == (28, 50, 23)
 
 
 def test_exactness_2x2_nullity():
@@ -60,6 +86,8 @@ def test_exactness_2x2_nullity():
     assert report.nullity_divdiv == 38
     assert report.rank_div == report.dim_wh
     assert report.passed
+    for k in (2, 3):
+        assert_matches_oracle(exactness_check(tmesh, k), tmesh, k)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -73,11 +101,27 @@ def test_exactness_on_perturbed_and_lshape(k):
         report = exactness_check(tmesh, k)
         assert report.euler_residual == 0
         assert report.passed
+        assert_matches_oracle(report, tmesh, k)
 
 
-def test_exactness_rejects_large_mesh():
+def test_exactness_beyond_dense_size():
+    # 4 226 vector dofs: dense rank work was refused here; the sparse count
+    # is not capped
     tmesh = criss_cross(build_rect_grid(0, 0, PI, PI, 16, 16))
-    with pytest.raises(ValueError, match="smaller mesh"):
+    report = exactness_check(tmesh, 2)
+    assert report.dim_v == 4226
+    assert report.nullity_divdiv == report.dim_sigma - 1
+    assert report.rank_div == report.dim_wh
+    assert report.passed
+
+
+def test_exactness_uncertified_count_raises(monkeypatch):
+    def off_diagonal_pivot(B, A, sigma):
+        return None, None
+
+    monkeypatch.setattr(audit, "_factor_shifted", off_diagonal_pivot)
+    tmesh = criss_cross(single_quad_mesh(UNIT_SQUARE))
+    with pytest.raises(SolverError, match="off-diagonal pivot"):
         exactness_check(tmesh, 2)
 
 

@@ -227,6 +227,44 @@ def test_cmd_audit_lshape_k3(capsys):
     assert "euler_residual=0 ok=True" in out
 
 
+def test_cmd_audit_honours_backend(capsys):
+    # levels 20 has 6 562 unknowns, above the dense cap
+    assert main(["audit", "--degree", "2", "--levels", "4,20",
+                 "--backend", "lanczos"]) == 0
+    out = capsys.readouterr().out
+    assert "exactness: PASS" in out and "0 flagged, PASS" in out
+
+
+def test_cmd_audit_uncertified_scan_warns_on_stderr(capsys, monkeypatch):
+    import crisscross.audit as audit
+
+    def doubtful(tmesh, k, n_eigs, backend, *, sigma, seed):
+        return Spectrum(eigenvalues=np.array([2.0, 5.0]), zero_count=0,
+                        backend="lanczos", converged=False, inertia=None)
+
+    monkeypatch.setattr(audit, "solve_fem2", doubtful)
+    assert main(["audit", "--degree", "2", "--levels", "2,4", "--neigs", "2",
+                 "--backend", "lanczos"]) == 0
+    captured = capsys.readouterr()
+    warnings = captured.err.splitlines()
+    assert [w.split(":")[1] for w in warnings] == [" fem2 k=2 on 4 quads",
+                                                    " fem2 k=2 on 16 quads"]
+    assert all("did not converge" in w and "uncertified" in w
+               for w in warnings)
+    assert "warning" not in captured.out
+
+
+def test_cmd_audit_uncertified_count_exit_code(capsys, monkeypatch):
+    import crisscross.audit as audit
+
+    monkeypatch.setattr(audit, "_factor_shifted",
+                        lambda B, A, sigma: (None, None))
+    assert main(["audit", "--degree", "2", "--levels", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "off-diagonal pivot" in captured.err
+    assert "PASS" not in captured.out
+
+
 # ---------------------------------------------------------------- compare
 
 

@@ -91,6 +91,13 @@ def test_filter_nonzero_basic():
     assert out.vectors.shape == (4, 2) and len(out.residuals) == 2
 
 
+def test_dense_kernel_count_checked_against_law():
+    B, A = np.diag([0.0, 0.0, 2.0, 6.0]), np.eye(4)
+    with pytest.raises(SolverError, match="kernel has dimension 1"):
+        _solve_pencil(B, A, 4, kernel_dim=1)
+    assert _solve_pencil(B, A, 4, kernel_dim=2).zero_count == 2
+
+
 def test_filter_all_zero():
     out = _solve_pencil(np.zeros((3, 3)), np.eye(3), 3)
     assert out.zero_count == 3
