@@ -8,6 +8,8 @@ configuration, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import math
 import sys
 import time
@@ -351,7 +353,30 @@ def _parse_levels(text: str) -> list:
         raise ConfigError(f"bad levels {text!r}") from None
 
 
+# glibc's malloc raises its mmap threshold to the size of each large block
+# that is freed, so after one dense solve the arrays of later ones come from
+# the heap, and how much freed memory stays resident then depends on the
+# order of the earlier solves; so does the peak memory of a process that runs
+# several (converge, compare, audit, or an in-process caller of main).  A
+# fixed threshold turns that off: a new array of 4 MiB or more that free heap
+# memory cannot hold gets its own mapping, returned to the system when freed.
+_M_MMAP_THRESHOLD = -3          # mallopt parameter number, <malloc.h>
+_MMAP_THRESHOLD_BYTES = 4 << 20
+
+
+@functools.cache
+def _fix_mmap_threshold() -> None:
+    """Pin glibc's mmap threshold once per process; a no-op without glibc."""
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="crisscross",
         description="Laplace eigenvalues with Lagrange elements on "
@@ -421,6 +446,7 @@ def _config_from_args(args) -> StudyConfig:
 
 
 def main(argv=None) -> int:
+    _fix_mmap_threshold()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

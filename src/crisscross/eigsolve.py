@@ -106,12 +106,25 @@ def residual_norms(B, A, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.nda
     return np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
 
 
+def _owned_fortran(m) -> np.ndarray:
+    """A Fortran-ordered copy of a sparse or dense matrix that LAPACK may
+    overwrite in place."""
+    if sp.issparse(m):
+        return m.toarray(order="F")
+    return np.array(m, dtype=float, order="F")
+
+
 def dense_gevp(B, A, *, dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
     """All eigenpairs of B x = lambda A x with A symmetric positive definite.
 
     Uses the LAPACK reduction (Cholesky congruence, tridiagonalization,
     implicit-shift iteration).  Eigenvalues come back ascending; the kernel
     is counted against ``TOL_ZERO`` relative to the largest magnitude.
+
+    The solve works on its own Fortran-ordered copies, so the caller's
+    matrices are never modified: ``sygvd`` writes the Cholesky factor of A
+    over one and the eigenvectors over the other, and its own Cholesky
+    step is the positive-definiteness check.
     """
     n = B.shape[0]
     if B.shape != (n, n) or A.shape != (n, n):
@@ -121,16 +134,17 @@ def dense_gevp(B, A, *, dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
             f"dense solve of size {n} exceeds the cap {dense_cap}; use the "
             "shift-invert backend"
         )
-    Bd, Ad = (m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
-              for m in (B, A))
+    Bd, Ad = _owned_fortran(B), _owned_fortran(A)
     try:
-        sla.cholesky(Ad, lower=True)
-    except sla.LinAlgError:
-        pivot = _smallest_ldl_pivot(Ad)
+        w, v = sla.eigh(Bd, Ad, driver="gvd", overwrite_a=True, overwrite_b=True)
+    except sla.LinAlgError as exc:
+        # scipy's wording for a failed Cholesky factorization of A
+        if "not positive definite" not in str(exc):
+            raise
+        pivot = _smallest_ldl_pivot(_owned_fortran(A))
         raise SolverError(
             f"matrix A is not positive definite (smallest pivot {pivot:.3e})"
         ) from None
-    w, v = sla.eigh(Bd, Ad, driver="gvd")
     return Spectrum(eigenvalues=w, zero_count=_count_zeros(w), backend="dense",
                     vectors=v)
 
@@ -140,28 +154,44 @@ def _count_zeros(w: np.ndarray) -> int:
     return int(np.count_nonzero(np.abs(w) <= thresh))
 
 
+def _factor_symmetric(M: sp.csc_matrix):
+    """Symmetric factor of M.
+
+    A symmetric minimum-degree ordering with diagonal pivots gives
+    P^T M P = L U with U = D L^T, so by Sylvester's law of inertia the
+    negative pivots, read by ``_inertia``, count the negative eigenvalues
+    of M.  A singular M raises ``RuntimeError``.
+    """
+    return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+def _inertia(lu) -> int | None:
+    """Negative pivots of a ``_factor_symmetric`` factor; None when an
+    off-diagonal pivot was taken (perm_r != perm_c) and the factor is no
+    congruence."""
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
 def _factor_shifted(B, A, sigma: float):
     """Symmetric factor of B - sigma A and the count of pencil eigenvalues
     below sigma.
 
-    A symmetric minimum-degree ordering with diagonal pivots gives
-    P^T (B - sigma A) P = L U with U = D L^T.  By Sylvester's law of inertia
-    the negative pivots count the eigenvalues of B x = lambda A x below
-    sigma (A positive definite).  The count is None when an off-diagonal
-    pivot was taken (perm_r != perm_c) and the factor is no congruence.
+    With A positive definite the negative pivots of the factor count the
+    eigenvalues of B x = lambda A x below sigma; the count is None when the
+    factor is no congruence.  The shifted matrix is released before the
+    count reads the factor's U.
     """
     try:
-        lu = spla.splu(sp.csc_matrix(B - sigma * A), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = _factor_symmetric(sp.csc_matrix(B - sigma * A))
     except RuntimeError as exc:
         raise SolverError(
             f"factorization of (B - sigma*A) failed for sigma={sigma}; "
             "try a different shift"
         ) from exc
-    inertia = None
-    if np.array_equal(lu.perm_r, lu.perm_c):
-        inertia = int(np.count_nonzero(lu.U.diagonal() < 0))
-    return lu, inertia
+    return lu, _inertia(lu)
 
 
 def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
@@ -236,7 +266,8 @@ def _solve_pencil(B, A, n_eigs: int, backend: str = "dense", *,
         raise ValueError(f"unknown backend {backend!r}")
     zeros = _count_zeros(spec.eigenvalues)
     w = spec.eigenvalues[zeros:zeros + n_eigs]
-    v = spec.vectors[:, zeros:zeros + n_eigs]
+    # a copy, so the returned Spectrum does not keep all N columns alive
+    v = spec.vectors[:, zeros:zeros + n_eigs].copy()
     return replace(spec, eigenvalues=w, vectors=v, zero_count=zeros,
                    residuals=residual_norms(B, A, w, v),
                    backend=label or spec.backend)
@@ -248,15 +279,20 @@ def assemble_pencil(form: str, tmesh: TriMesh, k: int):
     ``fem2`` and ``fem1`` give the div-div and vector mass matrices,
     ``primal`` the scalar stiffness and mass matrices.
     """
+    return _pencil_and_space(form, tmesh, k)[:2]
+
+
+def _pencil_and_space(form: str, tmesh: TriMesh, k: int):
+    """``assemble_pencil`` plus the dof map it was assembled on."""
     rule = quad_rule(2 * k)
     if form == "primal":
         space = build_scalar_space(tmesh, k)
         return (assemble_scalar_stiffness(space, tmesh, rule),
-                assemble_scalar_mass(space, tmesh, rule))
+                assemble_scalar_mass(space, tmesh, rule), space)
     if form in ("fem1", "fem2"):
         space = build_vector_space(tmesh, k)
         return (assemble_divdiv(space, tmesh, rule),
-                assemble_vector_mass(space, tmesh, rule))
+                assemble_vector_mass(space, tmesh, rule), space)
     raise ValueError(f"unknown formulation {form!r}")
 
 
@@ -276,8 +312,23 @@ def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
 
 def _solve_spd_refined(Acsr: sp.csr_matrix, rhs: np.ndarray,
                        tol: float = 1e-12, max_refine: int = 3) -> np.ndarray:
-    """Direct solve with iterative refinement to ``tol`` relative residual."""
-    lu = spla.splu(Acsr.tocsc())
+    """Direct solve with iterative refinement to ``tol`` relative residual.
+
+    The matrix is factored by ``_factor_symmetric``; a factor without
+    negative pivots certifies that it is positive definite, and any other
+    factor raises ``SolverError``.
+    """
+    try:
+        lu = _factor_symmetric(Acsr.tocsc())
+    except RuntimeError as exc:
+        raise SolverError(f"matrix is not positive definite ({exc})") from exc
+    negative = _inertia(lu)
+    if negative != 0:
+        found = ("an off-diagonal pivot" if negative is None
+                 else f"{negative} negative pivots")
+        raise SolverError(
+            f"matrix is not positive definite ({found} in its symmetric factor)"
+        )
     x = lu.solve(rhs)
     scale = np.linalg.norm(rhs)
     if scale == 0.0:
@@ -321,9 +372,8 @@ def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
     """
     if k not in (1, 2, 3):
         raise ValueError("the primal formulation supports k in {1, 2, 3}")
-    K, M = assemble_pencil("primal", tmesh, k)
-    interior = np.setdiff1d(np.arange(K.shape[0]),
-                            build_scalar_space(tmesh, k).boundary_dofs)
+    K, M, space = _pencil_and_space("primal", tmesh, k)
+    interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
     return _solve_pencil(K[interior][:, interior], M[interior][:, interior],
                          n_eigs, backend, sigma=sigma, seed=seed, kernel_dim=0)
 

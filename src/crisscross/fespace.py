@@ -29,7 +29,6 @@ __all__ = [
     "dof_points",
     "eval_scalar",
     "eval_vector",
-    "interpolate_scalar",
     "interpolate_vector",
 ]
 
@@ -280,12 +279,6 @@ def eval_vector(tmesh: TriMesh, dmap: DofMap, coeffs, tri: int, bary) -> np.ndar
     out[:, 0] = values @ local[0::2]
     out[:, 1] = values @ local[1::2]
     return out
-
-
-def interpolate_scalar(tmesh: TriMesh, dmap: DofMap, f) -> np.ndarray:
-    """Nodal interpolation of a callable f(x, y) into the scalar space."""
-    pts = dof_points(dmap, tmesh)
-    return np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
 
 
 def interpolate_vector(tmesh: TriMesh, dmap: DofMap, f) -> np.ndarray:

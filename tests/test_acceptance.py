@@ -15,7 +15,7 @@ Where each bound is checked (h is the criss-cross mesh size):
   for k=2.  Quadratic errors at pi/16 are O(1e-3) on the higher modes.
 * Criterion 8: |lambda_3 - 8| < 1e-4 on the L-shape at h=pi/80 (levels 40,
   Lanczos); the mixed-vs-primal gap pattern at h=pi/16 (levels 8), where
-  the dense-only primal solve fits under its size cap.
+  both formulations are solved dense under the size cap.
 
 All rates follow the a priori estimate |lambda_h - lambda| = O(h^{2k}) for
 smooth eigenfunctions (Boffi, Acta Numerica 19, 2010).
@@ -268,8 +268,9 @@ def test_criterion_8_lshape_compare():
                       backend="lanczos", sigma=1.0)
     lam3_err = abs(fine.eigenvalues[2] - 8.0)
     rel = abs(lam3_err - LSHAPE_ERR3_PI80) / LSHAPE_ERR3_PI80
-    # The gap pattern stays at levels 8: primal is dense-only and has 6017
-    # unknowns at levels 16, above the dense size cap.
+    # The gap pattern stays at levels 8, solved dense on both sides: primal
+    # has 6017 unknowns at levels 16, above the dense size cap, where it
+    # would need the Lanczos backend.
     tmesh = criss_cross(build_lshape_grid(8))
     mixed = solve_fem2(tmesh, 2, 3)
     primal = solve_primal(tmesh, 2, 3)

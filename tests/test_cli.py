@@ -1,12 +1,18 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.io
 
+import crisscross
 from crisscross.cli import (
     ConfigError,
     StudyConfig,
+    _build_parser,
     build_mesh,
     cmd_compare,
     cmd_converge,
@@ -61,6 +67,52 @@ def test_non_positive_sigma_rejected(tmp_path, capsys, sigma, code):
                  "lanczos", "--sigma", sigma, "--out", str(out)]) == code
     assert not out.exists()
     assert "sigma" in capsys.readouterr().err
+
+
+def test_parser_built_once_and_reused_without_state():
+    # main() reuses one parser per process; a parse leaves no value behind
+    parser = _build_parser()
+    assert _build_parser() is parser
+    parser.parse_args(["audit", "--degree", "3", "--levels", "4,8"])
+    args = parser.parse_args(["eig"])
+    assert (args.command, args.degree, args.levels) == ("eig", 2, "8")
+
+
+# Run in a fresh interpreter: free heap memory left by earlier tests could
+# hold the array without a mapping whatever the threshold.
+_MAPPING_PROBE = """
+import ctypes
+import numpy as np
+from crisscross.cli import main
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+assert main(["eig", "--degree", "2", "--levels", "1", "--neigs", "1"]) == 0
+freed = np.ones(24 << 17)
+del freed
+mapped = mallinfo2().hblkhd
+held = np.ones(20 << 17)
+print(mallinfo2().hblkhd - mapped >= held.nbytes)
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and hasattr(ctypes.CDLL(None), "mallinfo2")),
+                    reason="needs glibc's mallinfo2")
+def test_main_gives_large_arrays_their_own_mapping():
+    # glibc raises its mmap threshold to the size of a freed mapped block, so
+    # the 20 MiB array would come from the heap after the 24 MiB one is
+    # freed; main() pins the threshold, so it is mapped on its own
+    src = os.path.dirname(os.path.dirname(crisscross.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _MAPPING_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "True"
 
 
 # ---------------------------------------------------------------- eig

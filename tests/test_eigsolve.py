@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from crisscross.cli import StudyConfig, build_mesh
 from crisscross.eigsolve import (
     SolverError,
     _solve_pencil,
+    _solve_spd_refined,
+    assemble_pencil,
     cluster_eigenvalues,
     dense_gevp,
     residual_norms,
@@ -59,6 +63,25 @@ def test_dense_gevp_rejects_indefinite_mass():
         dense_gevp(B, A)
 
 
+def test_dense_gevp_equals_lapack_gvd_bitwise():
+    # the in-place solve runs sygvd on the same numbers as a plain eigh call
+    B, A = assemble_pencil("fem2", square_tri(2), 2)
+    w, v = sla.eigh(B.toarray(), A.toarray(), driver="gvd")
+    spec = dense_gevp(B, A)
+    assert np.array_equal(spec.eigenvalues, w)
+    assert np.array_equal(spec.vectors, v)
+
+
+def test_dense_gevp_leaves_caller_arrays_unchanged():
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((6, 6))
+    B = B + B.T
+    A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) + 0.1
+    B0, A0 = B.copy(), A.copy()
+    dense_gevp(B, A)
+    assert np.array_equal(B, B0) and np.array_equal(A, A0)
+
+
 def test_dense_gevp_size_cap():
     B = np.eye(12)
     with pytest.raises(SolverError, match="shift-invert"):
@@ -96,6 +119,15 @@ def test_dense_kernel_count_checked_against_law():
     with pytest.raises(SolverError, match="kernel has dimension 1"):
         _solve_pencil(B, A, 4, kernel_dim=1)
     assert _solve_pencil(B, A, 4, kernel_dim=2).zero_count == 2
+
+
+@pytest.mark.parametrize("backend", ["dense", "lanczos"])
+def test_reported_vectors_own_their_data(backend):
+    # a view would keep every eigenvector of the solve alive
+    B, A = assemble_pencil("fem2", square_tri(2), 2)
+    out = _solve_pencil(B, A, 3, backend)
+    assert out.vectors.shape == (B.shape[0], 3)
+    assert out.vectors.base is None
 
 
 def test_filter_all_zero():
@@ -207,6 +239,16 @@ def test_fem1_dimension_is_wh_dimension():
     spec = solve_fem1(tmesh, 2, 100)
     assert len(spec.eigenvalues) == 11   # dim W_h on one quad
     assert np.all(spec.eigenvalues > 0)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([1.0, -3.0]),                   # a negative pivot
+    np.array([[0.0, 1.0], [1.0, 0.0]]),     # an off-diagonal pivot
+    np.array([[1.0, 1.0], [1.0, 1.0]]),     # singular
+], ids=["indefinite", "zero-diagonal", "singular"])
+def test_schur_factor_rejects_non_spd_matrix(matrix):
+    with pytest.raises(SolverError, match="not positive definite"):
+        _solve_spd_refined(sp.csr_matrix(matrix), np.ones((2, 1)))
 
 
 def test_fem1_requires_pressure_degree():
