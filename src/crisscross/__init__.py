@@ -29,7 +29,6 @@ from .assembly import (
     assemble_scalar_mass,
     assemble_scalar_stiffness,
     assemble_vector_mass,
-    l2_project_wh,
     write_matrix_market,
 )
 from .eigsolve import (

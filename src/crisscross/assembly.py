@@ -19,7 +19,6 @@ __all__ = [
     "assemble_divdiv",
     "assemble_div_coupling",
     "assemble_wh_mass",
-    "l2_project_wh",
     "write_matrix_market",
 ]
 
@@ -56,7 +55,9 @@ def _require_exactness(rule: QuadRule, needed: int) -> None:
 
 def _canonical(mat, symmetric: bool = False) -> sp.csr_matrix:
     """CSR with duplicates summed and sorted column indices per row.  A
-    matrix flagged symmetric is checked against its transpose."""
+    matrix flagged symmetric is checked against its transpose.  Sums that
+    cancel stay stored as zeros, so every matrix assembled on one dof map
+    stores that map's element graph, and a sparse factor is ordered on it."""
     csr = mat.tocsr()
     csr.sum_duplicates()
     csr.sort_indices()
@@ -187,27 +188,6 @@ def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh,
     disc = build_disc_space(tmesh, wh.degree - 1)
     G = _disc_mass_csr(tmesh, disc, rule)
     return _canonical(wh.restriction.T @ G @ wh.restriction, symmetric=True)
-
-
-def l2_project_wh(f, wh: WhBasis, tmesh: TriMesh, rule: QuadRule) -> np.ndarray:
-    """L2-orthogonal projection of a callable f(x, y) onto the constrained
-    space; solves one small Gram system per quad."""
-    disc = build_disc_space(tmesh, wh.degree - 1)
-    _require_exactness(rule, 2 * disc.degree)
-    area, _ = _geometry(tmesh)
-    vals, _ = tabulate_shapes(disc.degree, rule.points)
-    coords = np.einsum("qj,tjd->tqd", rule.points, tmesh.tri_coords())
-    fvals = np.asarray(f(coords[:, :, 0], coords[:, :, 1]), dtype=float)
-    b_disc = np.einsum("q,t,tq,qm->tm", rule.weights, area, fvals, vals).ravel()
-
-    b_wh = wh.restriction.T @ b_disc
-    gram = (wh.restriction.T @ _disc_mass_csr(tmesh, disc, rule)
-            @ wh.restriction).tocsr()
-    m = wh.n_local
-    blocks = np.stack([gram[q * m:(q + 1) * m, q * m:(q + 1) * m].toarray()
-                       for q in range(wh.n_quads)])
-    rhs = b_wh.reshape(wh.n_quads, m)
-    return np.linalg.solve(blocks, rhs[..., None])[..., 0].ravel()
 
 
 def write_matrix_market(mat: sp.csr_matrix, path) -> None:

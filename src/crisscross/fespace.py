@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TriMesh
-from .refelem import MAX_DEGREE, node_barycentric, tabulate_shapes
+from .refelem import MAX_DEGREE
 
 __all__ = [
     "DofMap",
@@ -26,10 +26,6 @@ __all__ = [
     "build_disc_space",
     "build_wh_space",
     "dim_sigma",
-    "dof_points",
-    "eval_scalar",
-    "eval_vector",
-    "interpolate_vector",
 ]
 
 # signs of the alternating functional at the center, in slot order
@@ -249,43 +245,3 @@ def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
         eliminated_index=elim,
         restriction=restriction,
     )
-
-
-def dof_points(dmap: DofMap, tmesh: TriMesh) -> np.ndarray:
-    """Physical node coordinates per scalar dof (vector dofs share nodes)."""
-    k = dmap.degree
-    cell_scalar = dmap.cell_dofs[:, 0::2] // 2 if dmap.kind == "vector2" \
-        else dmap.cell_dofs
-    n_scalar = dmap.n_dofs // 2 if dmap.kind == "vector2" else dmap.n_dofs
-    bary = node_barycentric(k)                     # (n_local, 3)
-    coords = np.einsum("nj,tjd->tnd", bary, tmesh.tri_coords())
-    points = np.empty((n_scalar, 2))
-    points[cell_scalar.ravel()] = coords.reshape(-1, 2)
-    return points
-
-
-def eval_scalar(tmesh: TriMesh, dmap: DofMap, coeffs, tri: int, bary) -> np.ndarray:
-    """Evaluate a scalar FE function on one triangle at barycentric points."""
-    values, _ = tabulate_shapes(dmap.degree, np.atleast_2d(bary))
-    local = np.asarray(coeffs)[dmap.cell_dofs[tri]]
-    return values @ local
-
-
-def eval_vector(tmesh: TriMesh, dmap: DofMap, coeffs, tri: int, bary) -> np.ndarray:
-    """Evaluate a vector FE function; returns shape (P, 2)."""
-    values, _ = tabulate_shapes(dmap.degree, np.atleast_2d(bary))
-    local = np.asarray(coeffs)[dmap.cell_dofs[tri]]
-    out = np.empty((values.shape[0], 2))
-    out[:, 0] = values @ local[0::2]
-    out[:, 1] = values @ local[1::2]
-    return out
-
-
-def interpolate_vector(tmesh: TriMesh, dmap: DofMap, f) -> np.ndarray:
-    """Nodal interpolation of a callable returning (fx, fy) components."""
-    pts = dof_points(dmap, tmesh)
-    fx, fy = f(pts[:, 0], pts[:, 1])
-    out = np.empty(dmap.n_dofs)
-    out[0::2] = fx
-    out[1::2] = fy
-    return out

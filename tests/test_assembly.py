@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from crisscross.assembly import (
+    _canonical,
     _scatter,
     assemble_div_coupling,
     assemble_divdiv,
@@ -13,15 +15,14 @@ from crisscross.assembly import (
     assemble_scalar_stiffness,
     assemble_vector_mass,
     assemble_wh_mass,
-    l2_project_wh,
     write_matrix_market,
 )
+from crisscross.eigsolve import assemble_pencil
 from crisscross.fespace import (
     build_disc_space,
     build_scalar_space,
     build_vector_space,
     build_wh_space,
-    interpolate_vector,
 )
 from crisscross.mesh import (
     build_rect_grid,
@@ -30,6 +31,8 @@ from crisscross.mesh import (
     single_quad_mesh,
 )
 from crisscross.refelem import quad_rule, tabulate_shapes
+
+from fe_helpers import interpolate_vector, l2_project_wh
 
 PI = math.pi
 
@@ -347,6 +350,28 @@ def test_sparse_matrix_dedup_and_sort():
     for r in range(3):
         row_cols = mat.indices[mat.indptr[r]:mat.indptr[r + 1]]
         assert np.all(np.diff(row_cols) > 0)
+
+
+def test_canonical_keeps_cancelled_entries():
+    # (0,1) and (1,0) each come twice with opposite signs; the sums are
+    # stored zeros, so the pattern stays that of the element graph
+    triplets = sp.coo_matrix(([1.0, -1.0, 2.0, -2.0, 4.0],
+                              ([0, 0, 1, 1, 2], [1, 1, 0, 0, 2])), shape=(3, 3))
+    mat = _canonical(triplets)
+    assert mat.nnz == 3
+    assert mat[0, 1] == 0.0 and mat[1, 0] == 0.0 and mat[2, 2] == 4.0
+    assert mat.has_canonical_format
+
+
+@pytest.mark.parametrize("form", ["fem2", "primal"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pencil_matrices_share_one_pattern(form, k):
+    # the shifted factor orders the pattern of B - sigma A, which is this
+    # one pattern only because B and A store the same element graph
+    tmesh = criss_cross(build_rect_grid(0, 0, PI, PI, 3, 3))
+    B, A = assemble_pencil(form, tmesh, k)
+    assert np.array_equal(B.indptr, A.indptr)
+    assert np.array_equal(B.indices, A.indices)
 
 
 def test_sparse_matrix_symmetry_flag():

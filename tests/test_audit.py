@@ -14,11 +14,7 @@ from crisscross.audit import (
     wh_local_audit,
 )
 from crisscross.eigsolve import SolverError
-from crisscross.fespace import (
-    build_disc_space,
-    build_vector_space,
-    interpolate_vector,
-)
+from crisscross.fespace import build_disc_space, build_vector_space
 from crisscross.mesh import (
     build_lshape_grid,
     build_rect_grid,
@@ -27,6 +23,8 @@ from crisscross.mesh import (
     single_quad_mesh,
 )
 from crisscross.refelem import quad_rule, tabulate_shapes
+
+from fe_helpers import interpolate_vector
 
 PI = math.pi
 

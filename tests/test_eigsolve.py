@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from crisscross.cli import StudyConfig, build_mesh
 from crisscross.eigsolve import (
     SolverError,
+    _factor_shifted,
     _solve_pencil,
     _solve_spd_refined,
     assemble_pencil,
@@ -351,3 +352,23 @@ def test_residuals_computed_once_for_reported_pairs(monkeypatch, solve):
     spec = solve(square_tri(2))
     assert widths == [len(spec.eigenvalues)] == [4]
     assert dense_gevp(np.diag([1.0, 2.0]), np.eye(2)).residuals is None
+
+
+def test_shifted_factor_fill_does_not_depend_on_cancellations():
+    # the square and its perturbation share one element graph, so the
+    # ordering and the fill of B - sigma A must agree; cancellations on the
+    # square (exact zeros of the difference) must not change the pattern
+    factors = []
+    for domain in ("square", "square-perturbed"):
+        B, A = assemble_pencil("fem2", build_mesh(StudyConfig(domain=domain), 16), 2)
+        lu, inertia = _factor_shifted(B, A, 1.0)
+        factors.append((lu.nnz, inertia))
+    assert factors[0] == factors[1]
+    assert factors[0][1] == 1410
+
+
+def test_lanczos_factor_fill_on_fine_square():
+    # ordering the element graph keeps the k=2 factor near 1.2 M at n=32; a
+    # graph punched by cancelled entries gives about 3.6 M
+    spec = solve_fem2(square_tri(32), 2, 3, backend="lanczos", sigma=1.0)
+    assert spec.factor_nnz < 1_500_000

@@ -8,10 +8,6 @@ from crisscross.fespace import (
     build_scalar_space,
     build_vector_space,
     build_wh_space,
-    dof_points,
-    eval_scalar,
-    eval_vector,
-    interpolate_vector,
 )
 from crisscross.mesh import (
     build_lshape_grid,
@@ -20,6 +16,8 @@ from crisscross.mesh import (
     perturb_quad_grid,
     single_quad_mesh,
 )
+
+from fe_helpers import dof_points, eval_scalar, eval_vector, interpolate_vector
 
 PI = math.pi
 
