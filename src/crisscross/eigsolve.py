@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .assembly import (
     assemble_div_coupling,
@@ -44,6 +45,7 @@ __all__ = [
 DENSE_CAP_DEFAULT = 6000
 TOL_ZERO = 1e-9          # kernel threshold, relative to the largest |lambda|
 CLUSTER_RTOL = 1e-8
+_REFLECTOR_BLOCK = 128  # dsytrd reflectors applied per dormqr call
 
 
 class SolverError(RuntimeError):
@@ -54,9 +56,13 @@ class SolverError(RuntimeError):
 class Spectrum:
     """Sorted generalized eigenvalues with kernel count and solver metadata.
 
-    ``residuals`` holds |B x - lambda A x| / |x| for the eigenpairs whose
-    vectors were kept (aligned with ``eigenvalues``); ``zero_count`` is the
-    number of eigenvalues classified as kernel and removed or listed first.
+    ``vectors`` holds eigenvectors for the reported window only: the
+    columns of ``dense_gevp`` start at eigenvalue ``zero_count`` although
+    its ``eigenvalues`` list the whole spectrum, and a reported spectrum's
+    columns align with its ``eigenvalues``.  ``residuals`` holds
+    |B x - lambda A x| / |x| for the reported eigenpairs; ``zero_count`` is
+    the number of eigenvalues classified as kernel and removed or listed
+    first.
     A shift-invert solve also records ``inertia``, the number of eigenvalues
     below the shift counted from the pivot signs of its factor (None when
     uncertified, and for dense solves), and ``factor_nnz``, the fill of
@@ -108,23 +114,64 @@ def residual_norms(B, A, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.nda
 
 def _owned_fortran(m) -> np.ndarray:
     """A Fortran-ordered copy of a sparse or dense matrix that LAPACK may
-    overwrite in place."""
+    overwrite in place.  Infinite or NaN entries raise ``ValueError``; the
+    check reads the sparse ``data`` or the caller's array, not the copy."""
+    if not np.isfinite(m.data if sp.issparse(m) else np.asarray(m)).all():
+        raise ValueError("array must not contain infs or NaNs")
     if sp.issparse(m):
         return m.toarray(order="F")
     return np.array(m, dtype=float, order="F")
 
 
-def dense_gevp(B, A, *, dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
-    """All eigenpairs of B x = lambda A x with A symmetric positive definite.
+def _lapack_check(name: str, info: int) -> None:
+    if info != 0:
+        raise SolverError(f"LAPACK {name} failed (info={info})")
 
-    Uses the LAPACK reduction (Cholesky congruence, tridiagonalization,
-    implicit-shift iteration).  Eigenvalues come back ascending; the kernel
-    is counted against ``TOL_ZERO`` relative to the largest magnitude.
 
-    The solve works on its own Fortran-ordered copies, so the caller's
-    matrices are never modified: ``sygvd`` writes the Cholesky factor of A
-    over one and the eigenvectors over the other, and its own Cholesky
-    step is the positive-definiteness check.
+def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of the symmetric tridiagonal (d, e), ascending."""
+    if len(d) == 1:
+        return d.copy()   # f2py's dsterf rejects the empty off-diagonal
+    w, info = lapack.dsterf(d, e)
+    _lapack_check("dsterf", info)
+    return w
+
+
+def _apply_reflectors(C: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> None:
+    """Z <- Q Z in place, with Q = H(1) ... H(n-1) the reflectors that
+    ``dsytrd`` (lower) left below the subdiagonal of C.
+
+    Reflector j acts on rows j+1 and below, so the slice C[1:, :n-1] is the
+    QR factor ``dormqr`` expects.  Passing that slice whole would make f2py
+    copy N^2 doubles; column blocks copy at most N x _REFLECTOR_BLOCK, and
+    the last block goes first because Q Z = Q_first (... (Q_last Z)).
+    """
+    n, m = Z.shape
+    lwork = 64 * (m + 65)   # blocked dormqr: NB <= 64 columns plus its T
+    for j0 in reversed(range(0, n - 1, _REFLECTOR_BLOCK)):
+        j1 = min(j0 + _REFLECTOR_BLOCK, n - 1)
+        Z[j0 + 1:], _, info = lapack.dormqr("L", "N", C[j0 + 1:, j0:j1],
+                                            tau[j0:j1], Z[j0 + 1:], lwork)
+        _lapack_check("dormqr", info)
+
+
+def dense_gevp(B, A, n_eigs: int | None = None, *,
+               dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
+    """Every eigenvalue of B x = lambda A x with A symmetric positive
+    definite, and the eigenvectors of the reported window.
+
+    One LAPACK reduction: ``dpotrf`` factors A = L L^T and is the
+    positive-definiteness check, ``dsygst`` forms L^-1 B L^-T and ``dsytrd``
+    reduces that to Q T Q^T with T tridiagonal.  ``dsterf`` gives all N
+    eigenvalues of T, ascending, so the kernel is counted against
+    ``TOL_ZERO`` relative to the largest magnitude over the whole spectrum.
+    Eigenvectors are computed only for the window [zero_count, zero_count +
+    n_eigs), clipped at N (every nonzero eigenvalue when ``n_eigs`` is
+    None): bisection and inverse iteration on T give y, and x = L^-T Q y.
+    ``vectors`` holds those columns, A-orthonormal.
+
+    The solve works on its own Fortran-ordered copies of B and A, so the
+    caller's matrices are never modified; they are its only N x N arrays.
     """
     n = B.shape[0]
     if B.shape != (n, n) or A.shape != (n, n):
@@ -134,19 +181,37 @@ def dense_gevp(B, A, *, dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
             f"dense solve of size {n} exceeds the cap {dense_cap}; use the "
             "shift-invert backend"
         )
-    Bd, Ad = _owned_fortran(B), _owned_fortran(A)
-    try:
-        w, v = sla.eigh(Bd, Ad, driver="gvd", overwrite_a=True, overwrite_b=True)
-    except sla.LinAlgError as exc:
-        # scipy's wording for a failed Cholesky factorization of A
-        if "not positive definite" not in str(exc):
-            raise
+    L, info = lapack.dpotrf(_owned_fortran(A), lower=1, clean=0, overwrite_a=1)
+    if info > 0:
         pivot = _smallest_ldl_pivot(_owned_fortran(A))
         raise SolverError(
             f"matrix A is not positive definite (smallest pivot {pivot:.3e})"
-        ) from None
-    return Spectrum(eigenvalues=w, zero_count=_count_zeros(w), backend="dense",
-                    vectors=v)
+        )
+    _lapack_check("dpotrf", info)
+    C, info = lapack.dsygst(_owned_fortran(B), L, lower=1, overwrite_a=1)
+    _lapack_check("dsygst", info)
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _lapack_check("dsytrd_lwork", info)
+    C, d, e, tau, info = lapack.dsytrd(C, lower=1, lwork=int(lwork),
+                                       overwrite_a=1)
+    _lapack_check("dsytrd", info)
+    w = _tridiagonal_eigenvalues(d, e)
+    zeros = _count_zeros(w)
+    stop = n if n_eigs is None else min(n, zeros + n_eigs)
+    v = np.empty((n, 0))
+    if stop > zeros:
+        try:
+            _, y = sla.eigh_tridiagonal(d, e, select="i",
+                                        select_range=(zeros, stop - 1),
+                                        lapack_driver="stebz",
+                                        check_finite=False)
+        except sla.LinAlgError as exc:
+            raise SolverError(f"tridiagonal eigenvectors failed: {exc}") from exc
+        v = np.array(y, order="F")
+        _apply_reflectors(C, tau, v)
+        v, info = lapack.dtrtrs(L, v, lower=1, trans=1, overwrite_b=1)
+        _lapack_check("dtrtrs", info)
+    return Spectrum(eigenvalues=w, zero_count=zeros, backend="dense", vectors=v)
 
 
 def _count_zeros(w: np.ndarray) -> int:
@@ -183,8 +248,16 @@ def _shifted(B, A, sigma: float) -> sp.csc_matrix:
     graph with holes that depend on the numbers: on the k=2 div-div pencil
     of the square about a tenth of the pattern cancels at sigma = 1, and the
     factor of the punched graph has three times the fill.
+
+    Assembled pencils store B and A on one CSR pattern, and the difference
+    is taken on that pattern's data; other pencils are summed as triplets.
     """
-    B, A = sp.coo_matrix(B), sp.coo_matrix(A)
+    B, A = sp.csr_matrix(B), sp.csr_matrix(A)
+    if (np.array_equal(B.indptr, A.indptr)
+            and np.array_equal(B.indices, A.indices)):
+        return sp.csr_matrix((B.data - sigma * A.data, B.indices, B.indptr),
+                             shape=B.shape).tocsc()
+    B, A = B.tocoo(), A.tocoo()
     return sp.csc_matrix((np.concatenate([B.data, -sigma * A.data]),
                           (np.concatenate([B.row, A.row]),
                            np.concatenate([B.col, A.col]))), shape=B.shape)
@@ -262,7 +335,7 @@ def _solve_pencil(B, A, n_eigs: int, backend: str = "dense", *,
     a kernel value or skip an eigenvalue.
     """
     if backend == "dense":
-        spec = dense_gevp(B, A)
+        spec = dense_gevp(B, A, n_eigs)
         if kernel_dim is not None and spec.zero_count != kernel_dim:
             raise SolverError(
                 f"kernel check failed: {spec.zero_count} eigenvalues are zero "
@@ -281,8 +354,10 @@ def _solve_pencil(B, A, n_eigs: int, backend: str = "dense", *,
         raise ValueError(f"unknown backend {backend!r}")
     zeros = _count_zeros(spec.eigenvalues)
     w = spec.eigenvalues[zeros:zeros + n_eigs]
-    # a copy, so the returned Spectrum does not keep all N columns alive
-    v = spec.vectors[:, zeros:zeros + n_eigs].copy()
+    v = spec.vectors   # dense: already the window [zeros, zeros + n_eigs)
+    if backend == "lanczos":
+        # a copy, so the returned Spectrum does not keep dropped columns alive
+        v = v[:, zeros:zeros + n_eigs].copy()
     return replace(spec, eigenvalues=w, vectors=v, zero_count=zeros,
                    residuals=residual_norms(B, A, w, v),
                    backend=label or spec.backend)

@@ -389,6 +389,20 @@ def test_solver_failure_exit_code(capsys):
     assert "shift-invert" in capsys.readouterr().err
 
 
+def test_lapack_failure_exits_as_solver_error(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError; it must not pass for a config error
+    import scipy.linalg as sla
+
+    def diverging(*args, **kwargs):
+        raise sla.LinAlgError("2 eigenvectors failed to converge")
+
+    monkeypatch.setattr(sla, "eigh_tridiagonal", diverging)
+    out = tmp_path / "w.csv"
+    assert main(["eig", "--levels", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("solver error:")
+    assert not out.exists()
+
+
 def test_cmd_eig_lshape_third_mode_near_eight(capsys):
     config = StudyConfig(domain="lshape", degree=2, levels=[4], n_eigs=3)
     report, code = cmd_eig(config)

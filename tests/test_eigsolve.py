@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 from crisscross.cli import StudyConfig, build_mesh
 from crisscross.eigsolve import (
     SolverError,
+    _count_zeros,
     _factor_shifted,
+    _shifted,
     _solve_pencil,
     _solve_spd_refined,
     assemble_pencil,
@@ -64,13 +66,99 @@ def test_dense_gevp_rejects_indefinite_mass():
         dense_gevp(B, A)
 
 
-def test_dense_gevp_equals_lapack_gvd_bitwise():
-    # the in-place solve runs sygvd on the same numbers as a plain eigh call
+def _cluster_slices(eigenvalues):
+    start = 0
+    for _, mult in cluster_eigenvalues(eigenvalues):
+        yield slice(start, start + mult)
+        start += mult
+
+
+def test_dense_gevp_agrees_with_lapack_gvd():
+    # same numbers as LAPACK's sygvd, up to rounding: the eigenvalues agree
+    # relative to the largest, the kernel counts are equal, and on every
+    # cluster the window vectors are A-orthonormal and span gvd's subspace
     B, A = assemble_pencil("fem2", square_tri(2), 2)
-    w, v = sla.eigh(B.toarray(), A.toarray(), driver="gvd")
+    Ad = A.toarray()
+    w, v = sla.eigh(B.toarray(), Ad, driver="gvd")
     spec = dense_gevp(B, A)
-    assert np.array_equal(spec.eigenvalues, w)
-    assert np.array_equal(spec.vectors, v)
+    assert np.abs(spec.eigenvalues - w).max() <= 1e-13 * np.abs(w).max()
+    zeros = spec.zero_count
+    assert zeros == _count_zeros(w) == 38
+    assert spec.vectors.shape == (len(w), len(w) - zeros)
+    for cluster in _cluster_slices(w[zeros:]):
+        x, y = spec.vectors[:, cluster], v[:, zeros:][:, cluster]
+        assert_allclose(x.T @ Ad @ x, np.eye(x.shape[1]), atol=1e-12)
+        # x = y G with G orthogonal exactly when they span one subspace
+        g = y.T @ Ad @ x
+        assert_allclose(g.T @ g, np.eye(x.shape[1]), atol=1e-12)
+        assert np.abs(x - y @ g).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_dense_gevp_one_by_one_pencil():
+    # the primal k=1 pencil on one quad has a single interior dof
+    spec = dense_gevp(np.array([[3.0]]), np.array([[2.0]]), 6)
+    assert_allclose(spec.eigenvalues, [1.5])
+    assert_allclose(spec.vectors, [[2.0 ** -0.5]])
+    kernel = dense_gevp(np.zeros((1, 1)), np.eye(1), 6)
+    assert kernel.zero_count == 1 and kernel.vectors.shape == (1, 0)
+    out = solve_primal(unit_pi_square_tri(), 1, 6)
+    assert len(out.eigenvalues) == 1 and out.residuals.max() < 1e-12
+
+
+def test_dense_window_clipped_at_size():
+    # 26 dofs, 15 of them kernel: asking for 20 returns the 11 there are
+    B, A = assemble_pencil("fem2", unit_pi_square_tri(), 2)
+    spec = dense_gevp(B, A, 20)
+    assert spec.zero_count == 15 and spec.vectors.shape == (26, 11)
+    out = _solve_pencil(B, A, 20)
+    assert len(out.eigenvalues) == 11 and out.residuals.max() < 1e-12
+
+
+def test_dense_window_ends_inside_a_doublet():
+    # lambda_2 = lambda_3 = 5 on the square; the window keeps only lambda_2
+    B, A = assemble_pencil("fem2", square_tri(4), 2)
+    out = _solve_pencil(B, A, 2)
+    lam = dense_gevp(B, A, 0).eigenvalues[out.zero_count:]
+    assert_allclose(lam[2], lam[1], rtol=1e-12)
+    assert_allclose(out.eigenvalues, [2, 5], rtol=1e-2)
+    assert out.residuals.max() < 1e-12
+    assert_allclose(out.vectors.T @ A @ out.vectors, np.eye(2), atol=1e-12)
+
+
+def test_dense_window_starts_inside_a_doublet():
+    # B - 6A has eigenvalues lambda - 6: the kernel at -6, -4, the doublet
+    # -1, -1, then 2, 4, 4, ...  Appending as many exact zeros as there are
+    # values below the doublet's second member starts the window on it
+    tmesh = square_tri(4)
+    B, A = assemble_pencil("fem2", tmesh, 2)
+    below = dim_sigma(2, tmesh.n_quad_vertices, tmesh.n_quad_edges,
+                      tmesh.n_quads) - 1 + 2
+    Bz = sp.block_diag([B - 6.0 * A, sp.csr_matrix((below, below))]).toarray()
+    Az = sp.block_diag([A, sp.identity(below)]).toarray()
+    spec = dense_gevp(Bz, Az, 3)
+    assert spec.zero_count == below
+    window = spec.eigenvalues[below:below + 3]
+    assert_allclose(spec.eigenvalues[below - 1], window[0], rtol=1e-12)
+    assert_allclose(window, [-1, 0, 0], atol=2e-2)
+    assert residual_norms(Bz, Az, window, spec.vectors).max() < 1e-12
+    assert_allclose(spec.vectors.T @ Az @ spec.vectors, np.eye(3), atol=1e-12)
+
+
+def test_dense_gevp_rejects_non_finite_input():
+    B = np.diag([1.0, np.nan])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        dense_gevp(B, np.eye(2))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        dense_gevp(np.eye(2), sp.csr_matrix(np.diag([1.0, np.inf])))
+
+
+def test_tridiagonal_failure_is_a_solver_error(monkeypatch):
+    def diverging(*args, **kwargs):
+        raise sla.LinAlgError("2 eigenvectors failed to converge")
+
+    monkeypatch.setattr(sla, "eigh_tridiagonal", diverging)
+    with pytest.raises(SolverError, match="failed to converge"):
+        dense_gevp(np.diag([1.0, 2.0]), np.eye(2))
 
 
 def test_dense_gevp_leaves_caller_arrays_unchanged():
@@ -365,6 +453,24 @@ def test_shifted_factor_fill_does_not_depend_on_cancellations():
         factors.append((lu.nnz, inertia))
     assert factors[0] == factors[1]
     assert factors[0][1] == 1410
+
+
+@pytest.mark.parametrize("B, A", [
+    assemble_pencil("fem2", square_tri(4), 2),
+    (np.diag([0.0, 0.0, 3.0]), np.eye(3) + np.eye(3, k=1) + np.eye(3, k=-1)),
+], ids=["assembled", "patterns-differ"])
+def test_shifted_keeps_the_union_pattern(B, A):
+    # stored cancellations stay in the pattern, whether B and A share one
+    # pattern (assembled pencils) or not (hand-written ones)
+    def stored(m):
+        m = sp.csr_matrix(m)
+        return sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), m.shape)
+
+    M = _shifted(B, A, 1.0)
+    union = stored(B) + stored(A)
+    assert M.format == "csc" and M.has_sorted_indices
+    assert M.nnz == union.nnz
+    assert np.array_equal(M.toarray(), sp.csr_matrix(B).toarray() - A)
 
 
 def test_lanczos_factor_fill_on_fine_square():
