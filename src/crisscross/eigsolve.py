@@ -46,6 +46,7 @@ DENSE_CAP_DEFAULT = 6000
 TOL_ZERO = 1e-9          # kernel threshold, relative to the largest |lambda|
 CLUSTER_RTOL = 1e-8
 _REFLECTOR_BLOCK = 128  # dsytrd reflectors applied per dormqr call
+_SCHUR_BLOCK = 64       # right-hand sides per sparse solve of the Schur complement
 
 
 class SolverError(RuntimeError):
@@ -400,16 +401,21 @@ def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
                          kernel_dim=kernel_dim)
 
 
-def _solve_spd_refined(Acsr: sp.csr_matrix, rhs: np.ndarray,
-                       tol: float = 1e-12, max_refine: int = 3) -> np.ndarray:
-    """Direct solve with iterative refinement to ``tol`` relative residual.
+def _schur_complement(A: sp.csr_matrix, D: sp.csr_matrix, tol: float = 1e-12,
+                      max_refine: int = 3) -> np.ndarray:
+    """D A^-1 D^T, symmetrized, for A symmetric positive definite.
 
-    The matrix is factored by ``_factor_symmetric``; a factor without
-    negative pivots certifies that it is positive definite, and any other
-    factor raises ``SolverError``.
+    A is factored by ``_factor_symmetric``; a factor without negative pivots
+    certifies that it is positive definite, and any other factor raises
+    ``SolverError``.  The right-hand sides D^T are solved, refined to ``tol``
+    relative residual and multiplied by D in blocks of ``_SCHUR_BLOCK``
+    columns, so A^-1 D^T is never held whole.  SuperLU updates every
+    right-hand side row by row; a block of them stays in cache where all of
+    them do not.  Each column is solved on its own, as in one solve of all
+    columns, and blocks refined to ``tol`` leave the whole within ``tol``.
     """
     try:
-        lu = _factor_symmetric(Acsr.tocsc())
+        lu = _factor_symmetric(A.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"matrix is not positive definite ({exc})") from exc
     negative = _inertia(lu)
@@ -419,16 +425,23 @@ def _solve_spd_refined(Acsr: sp.csr_matrix, rhs: np.ndarray,
         raise SolverError(
             f"matrix is not positive definite ({found} in its symmetric factor)"
         )
-    x = lu.solve(rhs)
-    scale = np.linalg.norm(rhs)
-    if scale == 0.0:
-        return x
-    for _ in range(max_refine):
-        r = rhs - Acsr @ x
-        if np.linalg.norm(r) <= tol * scale:
-            break
-        x = x + lu.solve(r)
-    return x
+    Dt = D.T.tocsc()
+    n = D.shape[0]
+    S = np.empty((n, n), order="F")   # column blocks are contiguous
+    for j0 in range(0, n, _SCHUR_BLOCK):
+        j1 = min(j0 + _SCHUR_BLOCK, n)
+        rhs = Dt[:, j0:j1].toarray(order="F")
+        x = lu.solve(rhs)
+        scale = np.linalg.norm(rhs)
+        for _ in range(max_refine):
+            r = rhs - A @ x
+            if np.linalg.norm(r) <= tol * scale:
+                break
+            x = x + lu.solve(r)
+        S[:, j0:j1] = D @ x
+    S += S.T
+    S *= 0.5
+    return S
 
 
 def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
@@ -447,10 +460,8 @@ def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
     D = assemble_div_coupling(vspace, wh, tmesh, rule)
     M = assemble_wh_mass(wh, tmesh, rule)
 
-    X = _solve_spd_refined(A, D.T.toarray())
-    S = D @ X
-    S = 0.5 * (S + S.T)
-    return _solve_pencil(S, M, n_eigs, kernel_dim=0, label="fem1-schur")
+    return _solve_pencil(_schur_complement(A, D), M, n_eigs, kernel_dim=0,
+                         label="fem1-schur")
 
 
 def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",

@@ -6,14 +6,16 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from crisscross.assembly import assemble_div_coupling, assemble_vector_mass
 from crisscross.cli import StudyConfig, build_mesh
 from crisscross.eigsolve import (
     SolverError,
     _count_zeros,
     _factor_shifted,
+    _factor_symmetric,
+    _schur_complement,
     _shifted,
     _solve_pencil,
-    _solve_spd_refined,
     assemble_pencil,
     cluster_eigenvalues,
     dense_gevp,
@@ -23,13 +25,14 @@ from crisscross.eigsolve import (
     solve_fem2,
     solve_primal,
 )
-from crisscross.fespace import dim_sigma
+from crisscross.fespace import build_vector_space, build_wh_space, dim_sigma
 from crisscross.mesh import (
     build_lshape_grid,
     build_rect_grid,
     criss_cross,
     single_quad_mesh,
 )
+from crisscross.refelem import quad_rule
 
 PI = math.pi
 
@@ -337,7 +340,23 @@ def test_fem1_dimension_is_wh_dimension():
 ], ids=["indefinite", "zero-diagonal", "singular"])
 def test_schur_factor_rejects_non_spd_matrix(matrix):
     with pytest.raises(SolverError, match="not positive definite"):
-        _solve_spd_refined(sp.csr_matrix(matrix), np.ones((2, 1)))
+        _schur_complement(sp.csr_matrix(matrix), sp.csr_matrix(np.eye(2)))
+
+
+def test_schur_complement_in_blocks_matches_one_solve():
+    # 368 pressure dofs: five full blocks of right-hand sides and a partial one
+    tmesh, k = square_tri(4), 3
+    rule = quad_rule(2 * k)
+    vspace = build_vector_space(tmesh, k)
+    A = assemble_vector_mass(vspace, tmesh, rule)
+    D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh, rule)
+    assert D.shape[0] == 368
+    X = _factor_symmetric(A.tocsc()).solve(D.T.toarray())
+    expected = D @ X
+    expected = 0.5 * (expected + expected.T)
+    S = _schur_complement(A, D)
+    assert np.array_equal(S, S.T)
+    assert_allclose(S, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
 def test_fem1_requires_pressure_degree():
