@@ -34,7 +34,6 @@ from .assembly import (
 from .eigsolve import (
     SolverError,
     Spectrum,
-    assemble_pencil,
     dense_gevp,
     shift_invert_lanczos,
     solve_fem1,

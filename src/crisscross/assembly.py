@@ -190,6 +190,6 @@ def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh,
     return _canonical(wh.restriction.T @ G @ wh.restriction, symmetric=True)
 
 
-def write_matrix_market(mat: sp.csr_matrix, path) -> None:
-    """Export in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(path, mat.tocoo())
+def write_matrix_market(mat, path) -> None:
+    """Export a sparse or dense matrix in MatrixMarket coordinate format."""
+    scipy.io.mmwrite(path, sp.coo_matrix(mat))

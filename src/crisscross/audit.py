@@ -12,7 +12,7 @@ from .assembly import _geometry
 from .fespace import build_vector_space, build_wh_space, dim_sigma
 from .mesh import TriMesh, build_rect_grid, criss_cross, mesh_stats, single_quad_mesh
 from .refelem import node_barycentric, quad_rule, tabulate_shapes
-from .eigsolve import SolverError, _factor_shifted, assemble_pencil, solve_fem2
+from .eigsolve import SolverError, _factor_shifted, _pencil, solve_fem2
 
 __all__ = [
     "ComplexReport",
@@ -47,6 +47,7 @@ class ComplexReport:
     dim_wh: int
     rank_div: int
     nullity_divdiv: int
+    expected_nullity: int
     euler_residual: int
     euler_ok: bool
     rank_ok: bool
@@ -62,7 +63,7 @@ class ComplexReport:
             f"dim_sigma={self.dim_sigma} dim_v={self.dim_v} dim_wh={self.dim_wh}",
             f"euler_residual={self.euler_residual} ok={self.euler_ok}",
             f"rank_div={self.rank_div} expected={self.dim_wh} ok={self.rank_ok}",
-            f"nullity_divdiv={self.nullity_divdiv} expected={self.dim_sigma - 1} "
+            f"nullity_divdiv={self.nullity_divdiv} expected={self.expected_nullity} "
             f"ok={self.nullity_ok}",
         ]
 
@@ -116,24 +117,24 @@ def exactness_check(tmesh: TriMesh, k: int) -> ComplexReport:
     and vector mass, s = ``KERNEL_SHIFT``).  Its negative pivots count the
     eigenvalues below s, which for 0 < s < lambda_1 are exactly the kernel.
     The curls of the stream functions lie in the kernel, so count >=
-    nullity >= dim_sigma - 1: a count equal to dim_sigma - 1 certifies the
-    kernel law, and a shift at or above lambda_1 could only turn a pass into
-    a failure.  A field has zero div-div energy exactly when its divergence
-    vanishes, so ker D = ker B and rank D = dim_v - nullity.  No size cap
-    applies.  An uncertified count (an off-diagonal pivot) raises
-    ``SolverError``.
+    nullity >= the kernel dimension of the fem2 pencil (``_pencil``): a
+    count equal to it certifies the kernel law, and a shift at or above
+    lambda_1 could only turn a pass into a failure.  A field has zero
+    div-div energy exactly when its divergence vanishes, so ker D = ker B
+    and rank D = dim_v - nullity, and the Euler residual is
+    dim_v - kernel dimension - dim W_h.  No size cap applies.  An
+    uncertified count (an off-diagonal pivot) raises ``SolverError``.
     """
     if k not in (2, 3):
         raise ValueError("exactness audit supports k in {2, 3}")
-    B, A = assemble_pencil("fem2", tmesh, k)
+    B, A, kernel_dim = _pencil("fem2", tmesh, k)
     dim_v = B.shape[0]
     wh = build_wh_space(tmesh, k)
 
     V_Q = tmesh.n_quad_vertices
     E_Q = tmesh.n_quad_edges
     Q = tmesh.n_quads
-    dsig = dim_sigma(k, V_Q, E_Q, Q)
-    euler_residual = 1 - dsig + dim_v - wh.n_dofs
+    euler_residual = dim_v - kernel_dim - wh.n_dofs
 
     _, nullity = _factor_shifted(B, A, KERNEL_SHIFT)
     if nullity is None:
@@ -148,15 +149,16 @@ def exactness_check(tmesh: TriMesh, k: int) -> ComplexReport:
         n_quad_vertices=V_Q,
         n_quad_edges=E_Q,
         n_quads=Q,
-        dim_sigma=dsig,
+        dim_sigma=dim_sigma(k, V_Q, E_Q, Q),
         dim_v=dim_v,
         dim_wh=wh.n_dofs,
         rank_div=rank_div,
         nullity_divdiv=nullity,
+        expected_nullity=kernel_dim,
         euler_residual=euler_residual,
         euler_ok=euler_residual == 0,
         rank_ok=rank_div == wh.n_dofs,
-        nullity_ok=nullity == dsig - 1,
+        nullity_ok=nullity == kernel_dim,
     )
 
 

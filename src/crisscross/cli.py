@@ -21,7 +21,7 @@ from .assembly import write_matrix_market
 from .audit import exactness_check, spurious_scan, square_exact_spectrum
 from .eigsolve import (
     SolverError,
-    assemble_pencil,
+    _pencil,
     cluster_eigenvalues,
     solve_fem1,
     solve_fem2,
@@ -212,7 +212,7 @@ def _export_artifacts(config: StudyConfig, tmesh) -> None:
     if config.export_mesh:
         write_mesh_text(tmesh, config.export_mesh)
     if config.export_matrices:
-        B, A = assemble_pencil(config.formulation, tmesh, config.degree)
+        B, A, _ = _pencil(config.formulation, tmesh, config.degree)
         names = ("_K", "_M") if config.formulation == "primal" else ("_B", "_A")
         for mat, name in zip((B, A), names):
             write_matrix_market(mat, config.export_matrices + name + ".mtx")

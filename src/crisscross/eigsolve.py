@@ -1,6 +1,6 @@
 """Generalized symmetric eigensolvers for the mixed, div-div, and primal
-eigenvalue problems.  Every driver assembles its pencil and hands it to one
-solve path, which filters the div-div kernel."""
+eigenvalue problems.  One builder maps each formulation to its pencil and
+kernel dimension, and one solve path filters and certifies the kernel."""
 
 from __future__ import annotations
 
@@ -35,14 +35,13 @@ __all__ = [
     "dense_gevp",
     "shift_invert_lanczos",
     "residual_norms",
-    "assemble_pencil",
     "solve_fem2",
     "solve_fem1",
     "solve_primal",
     "cluster_eigenvalues",
 ]
 
-DENSE_CAP_DEFAULT = 6000
+DENSE_CAP = 6000         # largest dense pencil; bigger ones need shift-invert
 TOL_ZERO = 1e-9          # kernel threshold, relative to the largest |lambda|
 CLUSTER_RTOL = 1e-8
 _REFLECTOR_BLOCK = 128  # dsytrd reflectors applied per dormqr call
@@ -89,22 +88,6 @@ class Spectrum:
             doubts.append("an off-diagonal pivot leaves the eigenvalue count "
                           "below sigma uncertified")
         return doubts
-
-
-def _smallest_ldl_pivot(a: np.ndarray) -> float:
-    _, d, _ = sla.ldl(a)
-    # D may hold 2x2 blocks; their eigenvalues are the true pivots
-    pivots = []
-    i = 0
-    n = d.shape[0]
-    while i < n:
-        if i + 1 < n and (d[i, i + 1] != 0.0 or d[i + 1, i] != 0.0):
-            pivots.extend(np.linalg.eigvalsh(d[i:i + 2, i:i + 2]))
-            i += 2
-        else:
-            pivots.append(d[i, i])
-            i += 1
-    return float(min(pivots))
 
 
 def residual_norms(B, A, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -156,15 +139,15 @@ def _apply_reflectors(C: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> None:
         _lapack_check("dormqr", info)
 
 
-def dense_gevp(B, A, n_eigs: int | None = None, *,
-               dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
+def dense_gevp(B, A, n_eigs: int | None = None) -> Spectrum:
     """Every eigenvalue of B x = lambda A x with A symmetric positive
     definite, and the eigenvectors of the reported window.
 
     One LAPACK reduction: ``dpotrf`` factors A = L L^T and is the
-    positive-definiteness check, ``dsygst`` forms L^-1 B L^-T and ``dsytrd``
-    reduces that to Q T Q^T with T tridiagonal.  ``dsterf`` gives all N
-    eigenvalues of T, ascending, so the kernel is counted against
+    positive-definiteness check (its ``info`` names the first leading minor
+    that is not positive definite), ``dsygst`` forms L^-1 B L^-T and
+    ``dsytrd`` reduces that to Q T Q^T with T tridiagonal.  ``dsterf`` gives
+    all N eigenvalues of T, ascending, so the kernel is counted against
     ``TOL_ZERO`` relative to the largest magnitude over the whole spectrum.
     Eigenvectors are computed only for the window [zero_count, zero_count +
     n_eigs), clipped at N (every nonzero eigenvalue when ``n_eigs`` is
@@ -177,16 +160,15 @@ def dense_gevp(B, A, n_eigs: int | None = None, *,
     n = B.shape[0]
     if B.shape != (n, n) or A.shape != (n, n):
         raise SolverError("pencil matrices must be square and of equal size")
-    if n > dense_cap:
+    if n > DENSE_CAP:
         raise SolverError(
-            f"dense solve of size {n} exceeds the cap {dense_cap}; use the "
+            f"dense solve of size {n} exceeds the cap {DENSE_CAP}; use the "
             "shift-invert backend"
         )
     L, info = lapack.dpotrf(_owned_fortran(A), lower=1, clean=0, overwrite_a=1)
     if info > 0:
-        pivot = _smallest_ldl_pivot(_owned_fortran(A))
         raise SolverError(
-            f"matrix A is not positive definite (smallest pivot {pivot:.3e})"
+            f"matrix A is not positive definite (leading minor of order {info})"
         )
     _lapack_check("dpotrf", info)
     C, info = lapack.dsygst(_owned_fortran(B), L, lower=1, overwrite_a=1)
@@ -320,20 +302,20 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
                     inertia=inertia, factor_nnz=int(lu.nnz))
 
 
-def _solve_pencil(B, A, n_eigs: int, backend: str = "dense", *,
-                  sigma: float = 1.0, seed: int = 0,
-                  kernel_dim: int | None = None,
-                  label: str | None = None) -> Spectrum:
+def _solve_pencil(B, A, kernel_dim: int | None, n_eigs: int,
+                  backend: str = "dense", *, sigma: float = 1.0,
+                  seed: int = 0) -> Spectrum:
     """The reported spectrum of a pencil with B positive semidefinite.
 
     The one place that picks the backend, splits off the kernel, truncates
     to ``n_eigs`` and certifies the reported pairs.  Kernel eigenvalues lead
-    the ascending spectrum, so the split drops a prefix.  With a known
-    ``kernel_dim`` a certified shift-invert count of eigenvalues below
-    sigma must equal it: a larger count means sigma is not below lambda_1
-    and the smallest eigenvalues would be missing from the table.  A dense
-    solve must find exactly that many zeros, or the table would start with
-    a kernel value or skip an eigenvalue.
+    the ascending spectrum, so the split drops a prefix.  ``kernel_dim`` is
+    the dimension the pencil's kernel must have, None when no law is known.
+    A certified shift-invert count of eigenvalues below sigma must equal it:
+    a larger count means sigma is not below lambda_1 and the smallest
+    eigenvalues would be missing from the table.  A dense solve must find
+    exactly that many zeros, or the table would start with a kernel value or
+    skip an eigenvalue.
     """
     if backend == "dense":
         spec = dense_gevp(B, A, n_eigs)
@@ -360,45 +342,7 @@ def _solve_pencil(B, A, n_eigs: int, backend: str = "dense", *,
         # a copy, so the returned Spectrum does not keep dropped columns alive
         v = v[:, zeros:zeros + n_eigs].copy()
     return replace(spec, eigenvalues=w, vectors=v, zero_count=zeros,
-                   residuals=residual_norms(B, A, w, v),
-                   backend=label or spec.backend)
-
-
-def assemble_pencil(form: str, tmesh: TriMesh, k: int):
-    """Canonical CSR pencil (B, A) of a formulation on all its dofs.
-
-    ``fem2`` and ``fem1`` give the div-div and vector mass matrices,
-    ``primal`` the scalar stiffness and mass matrices.
-    """
-    return _pencil_and_space(form, tmesh, k)[:2]
-
-
-def _pencil_and_space(form: str, tmesh: TriMesh, k: int):
-    """``assemble_pencil`` plus the dof map it was assembled on."""
-    rule = quad_rule(2 * k)
-    if form == "primal":
-        space = build_scalar_space(tmesh, k)
-        return (assemble_scalar_stiffness(space, tmesh, rule),
-                assemble_scalar_mass(space, tmesh, rule), space)
-    if form in ("fem1", "fem2"):
-        space = build_vector_space(tmesh, k)
-        return (assemble_divdiv(space, tmesh, rule),
-                assemble_vector_mass(space, tmesh, rule), space)
-    raise ValueError(f"unknown formulation {form!r}")
-
-
-def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
-               *, sigma: float = 1.0, seed: int = 0) -> Spectrum:
-    """First nonzero eigenvalues of the div-div pencil on the vector space."""
-    if k not in (1, 2, 3):
-        raise ValueError("the div-div formulation supports k in {1, 2, 3}")
-    B, A = assemble_pencil("fem2", tmesh, k)
-    kernel_dim = None
-    if k in (2, 3):
-        kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
-                               tmesh.n_quads) - 1
-    return _solve_pencil(B, A, n_eigs, backend, sigma=sigma, seed=seed,
-                         kernel_dim=kernel_dim)
+                   residuals=residual_norms(B, A, w, v))
 
 
 def _schur_complement(A: sp.csr_matrix, D: sp.csr_matrix, tol: float = 1e-12,
@@ -444,6 +388,57 @@ def _schur_complement(A: sp.csr_matrix, D: sp.csr_matrix, tol: float = 1e-12,
     return S
 
 
+def _pencil(form: str, tmesh: TriMesh, k: int):
+    """The pencil (B, A) that ``form`` solves and the dimension of its kernel.
+
+    ``fem2`` is the div-div and vector mass pair on every vector dof.  The
+    discrete complex is exact, so its kernel is curl Sigma_h, of dimension
+    dim Sigma_h - 1, for k = 2, 3; for k = 1 no law is known (None).
+    ``fem1`` is the pressure Schur complement D A^-1 D^T (dense) and the
+    pressure mass, ``primal`` the stiffness and mass on the interior dofs;
+    neither has a kernel.
+    """
+    if form == "fem2":
+        if k not in (1, 2, 3):
+            raise ValueError("the div-div formulation supports k in {1, 2, 3}")
+        rule = quad_rule(2 * k)
+        space = build_vector_space(tmesh, k)
+        kernel_dim = None
+        if k in (2, 3):
+            kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
+                                   tmesh.n_quads) - 1
+        return (assemble_divdiv(space, tmesh, rule),
+                assemble_vector_mass(space, tmesh, rule), kernel_dim)
+    if form == "fem1":
+        if k not in (2, 3):
+            raise ValueError("the mixed formulation needs the pressure basis, "
+                             "k in {2, 3}")
+        rule = quad_rule(2 * k)
+        vspace = build_vector_space(tmesh, k)
+        wh = build_wh_space(tmesh, k)
+        A = assemble_vector_mass(vspace, tmesh, rule)
+        D = assemble_div_coupling(vspace, wh, tmesh, rule)
+        M = assemble_wh_mass(wh, tmesh, rule)
+        return _schur_complement(A, D), M, 0
+    if form == "primal":
+        if k not in (1, 2, 3):
+            raise ValueError("the primal formulation supports k in {1, 2, 3}")
+        rule = quad_rule(2 * k)
+        space = build_scalar_space(tmesh, k)
+        interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
+        K = assemble_scalar_stiffness(space, tmesh, rule)
+        M = assemble_scalar_mass(space, tmesh, rule)
+        return K[interior][:, interior], M[interior][:, interior], 0
+    raise ValueError(f"unknown formulation {form!r}")
+
+
+def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
+               *, sigma: float = 1.0, seed: int = 0) -> Spectrum:
+    """First nonzero eigenvalues of the div-div pencil on the vector space."""
+    return _solve_pencil(*_pencil("fem2", tmesh, k), n_eigs, backend,
+                         sigma=sigma, seed=seed)
+
+
 def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
     """Mixed-formulation eigenvalues through the pressure Schur complement.
 
@@ -451,17 +446,7 @@ def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
     (D A^-1 D^T) u = lambda M u on the constrained pressure space; the
     spectrum is strictly positive and matches the nonzero div-div spectrum.
     """
-    if k not in (2, 3):
-        raise ValueError("the mixed formulation needs the pressure basis, k in {2, 3}")
-    rule = quad_rule(2 * k)
-    vspace = build_vector_space(tmesh, k)
-    wh = build_wh_space(tmesh, k)
-    A = assemble_vector_mass(vspace, tmesh, rule)
-    D = assemble_div_coupling(vspace, wh, tmesh, rule)
-    M = assemble_wh_mass(wh, tmesh, rule)
-
-    return _solve_pencil(_schur_complement(A, D), M, n_eigs, kernel_dim=0,
-                         label="fem1-schur")
+    return _solve_pencil(*_pencil("fem1", tmesh, k), n_eigs)
 
 
 def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
@@ -471,12 +456,8 @@ def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
     The interior pencil has no kernel, so no eigenvalue lies below a valid
     shift.
     """
-    if k not in (1, 2, 3):
-        raise ValueError("the primal formulation supports k in {1, 2, 3}")
-    K, M, space = _pencil_and_space("primal", tmesh, k)
-    interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
-    return _solve_pencil(K[interior][:, interior], M[interior][:, interior],
-                         n_eigs, backend, sigma=sigma, seed=seed, kernel_dim=0)
+    return _solve_pencil(*_pencil("primal", tmesh, k), n_eigs, backend,
+                         sigma=sigma, seed=seed)
 
 
 def cluster_eigenvalues(eigenvalues: np.ndarray,

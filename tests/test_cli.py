@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 
 import crisscross
 from crisscross.cli import (
@@ -19,7 +20,7 @@ from crisscross.cli import (
     cmd_eig,
     main,
 )
-from crisscross.eigsolve import Spectrum, assemble_pencil
+from crisscross.eigsolve import Spectrum, _pencil, dense_gevp
 
 PI = math.pi
 
@@ -177,11 +178,30 @@ def test_exports(tmp_path, capsys, form, names):
     ])
     assert code == 0
     assert mesh_path.read_text().startswith("crisscross-mesh v1")
-    pencil = assemble_pencil(form, build_mesh(StudyConfig(), 2), 2)
+    pencil = _pencil(form, build_mesh(StudyConfig(), 2), 2)[:2]
     for name, mat in zip(names, pencil):
         back = scipy.io.mmread(str(stem) + name + ".mtx").tocsr()
         assert back.shape == mat.shape
-        assert (back != mat).nnz == 0
+        assert (back != sp.csr_matrix(mat)).nnz == 0   # fem1's B is dense
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("form, names", [
+    ("fem2", ("_B", "_A")), ("fem1", ("_B", "_A")), ("primal", ("_K", "_M")),
+], ids=["fem2", "fem1", "primal"])
+def test_exported_pencil_reproduces_the_table(tmp_path, capsys, form, names):
+    # the exported pair is the pencil that was solved: its spectrum after
+    # the kernel is the CSV's lambda_h column
+    stem, out = tmp_path / "mat", tmp_path / "eig.csv"
+    assert main(["eig", "--form", form, "--levels", "2", "--neigs", "6",
+                 "--out", str(out), "--export-matrices", str(stem)]) == 0
+    lambdas = [float(line.split(",")[3])
+               for line in out.read_text().strip().split("\n")[1:]]
+    B, A = (scipy.io.mmread(str(stem) + name + ".mtx").tocsr()
+            for name in names)
+    spec = dense_gevp(B, A)
+    w = spec.eigenvalues[spec.zero_count:][:len(lambdas)]
+    np.testing.assert_allclose(w, lambdas, rtol=1e-12, atol=0)
     capsys.readouterr()
 
 

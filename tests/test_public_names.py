@@ -29,3 +29,25 @@ def test_package_imports_resolve():
         assert hasattr(crisscross, name), name
     for name in getattr(crisscross, "__all__", ()):
         assert hasattr(crisscross, name), name
+
+
+def test_benchmark_traced_names_are_public_callables():
+    # the benchmark's tracer wraps public functions only and reads its
+    # per-layer figures from the spans named in its ATTRS table; a renamed
+    # or privatised function would silently drop those figures to zero
+    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    if not worker.exists():
+        pytest.skip("perfbench/ is absent")
+    tree = ast.parse(worker.read_text())
+    tables = [node.value for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "ATTRS" for t in node.targets)]
+    assert len(tables) == 1 and isinstance(tables[0], ast.Dict)
+    keys = [ast.literal_eval(key) for key in tables[0].keys]
+    assert keys
+    for key in keys:
+        module, name = key.split(".")
+        obj = getattr(importlib.import_module(f"crisscross.{module}"), name, None)
+        assert not name.startswith("_") and callable(obj), key
+        assert not isinstance(obj, type), key
+        assert obj.__module__ == f"crisscross.{module}", key
