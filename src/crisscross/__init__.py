@@ -42,11 +42,9 @@ from .eigsolve import (
 )
 from .audit import (
     ComplexReport,
-    SpuriousReport,
     exactness_check,
     spurious_scan,
     square_exact_spectrum,
-    wh_local_audit,
 )
 
 __version__ = "0.1.0"

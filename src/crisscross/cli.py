@@ -20,6 +20,7 @@ import numpy as np
 from .assembly import write_matrix_market
 from .audit import exactness_check, spurious_scan, square_exact_spectrum
 from .eigsolve import (
+    DEFAULT_SHIFT,
     SolverError,
     _pencil,
     cluster_eigenvalues,
@@ -62,7 +63,7 @@ class StudyConfig:
     levels: list = field(default_factory=lambda: [8])
     n_eigs: int = 10
     backend: str = "dense"
-    sigma: float = 1.0
+    sigma: float = DEFAULT_SHIFT
     seed: int = 42
     perturb: float = 0.15
     exact: list | None = None
@@ -94,6 +95,19 @@ class StudyConfig:
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive and finite")
         return self
+
+
+def _validate(config: StudyConfig, command: str) -> None:
+    """Validate the config and refuse settings ``command`` would ignore:
+    exports outside ``eig``, and a form other than fem2 in ``audit`` and
+    ``compare``, which solve fem2 (``compare`` adds primal)."""
+    if command in ("audit", "compare") and config.formulation != "fem2":
+        raise ConfigError(f"{command} runs --form fem2 only, not "
+                          f"{config.formulation!r}")
+    if command != "eig" and (config.export_mesh or config.export_matrices):
+        raise ConfigError(f"{command} writes no exports; --export-mesh and "
+                          "--export-matrices belong to eig")
+    config.validate()
 
 
 @dataclass
@@ -162,15 +176,11 @@ def _solve(config: StudyConfig, tmesh):
         solve = solve_fem2 if config.formulation == "fem2" else solve_primal
         spec = solve(tmesh, config.degree, config.n_eigs, config.backend,
                      sigma=config.sigma, seed=config.seed)
-    _warn_doubts(config.formulation, config.degree, tmesh.n_quads, spec.doubts)
+    if spec.doubts:
+        print(f"warning: {config.formulation} k={config.degree} on "
+              f"{tmesh.n_quads} quads: " + "; ".join(spec.doubts),
+              file=sys.stderr)
     return spec
-
-
-def _warn_doubts(formulation: str, k: int, n_quads: int, doubts: list) -> None:
-    """One stderr line when a solve could not certify its spectrum."""
-    if doubts:
-        print(f"warning: {formulation} k={k} on {n_quads} quads: "
-              + "; ".join(doubts), file=sys.stderr)
 
 
 def _run_level(config: StudyConfig, n: int):
@@ -220,7 +230,7 @@ def _export_artifacts(config: StudyConfig, tmesh) -> None:
 
 def cmd_eig(config: StudyConfig) -> tuple[StudyReport, int]:
     """Single-level eigenvalue table with errors against known targets."""
-    config.validate()
+    _validate(config, "eig")
     if len(config.levels) != 1:
         raise ConfigError("eig expects exactly one level")
     row, tmesh = _run_level(config, config.levels[0])
@@ -246,7 +256,7 @@ def _print_eig_table(row: LevelResult) -> None:
 
 def cmd_converge(config: StudyConfig) -> tuple[StudyReport, int]:
     """Multi-level refinement study with per-mode convergence rates."""
-    config.validate()
+    _validate(config, "converge")
     if len(config.levels) < 2:
         raise ConfigError("converge expects at least two levels")
     if _exact_targets(config) is None:
@@ -275,32 +285,33 @@ def cmd_converge(config: StudyConfig) -> tuple[StudyReport, int]:
 
 
 def cmd_audit(config: StudyConfig) -> int:
-    """Exactness audit (k = 2, 3) and spurious scan (square, >= 2 levels)."""
-    config.validate()
+    """Exactness audit (k = 2, 3) on the first level, and spurious scan
+    (square, >= 2 levels) of the fem2 spectra solved on every level."""
+    _validate(config, "audit")
     ok = True
+    first = build_mesh(config, config.levels[0])
     if config.degree in (2, 3):
-        tmesh = build_mesh(config, config.levels[0])
-        report = exactness_check(tmesh, config.degree)
+        report = exactness_check(first, config.degree)
         for line in report.lines():
             print("exactness:", line)
         print("exactness:", "PASS" if report.passed else "FAIL")
         ok &= report.passed
     if config.domain == "square" and len(config.levels) >= 2:
-        scan = spurious_scan("square", config.degree, config.levels,
-                             config.n_eigs, backend=config.backend,
-                             sigma=config.sigma, seed=config.seed)
-        for n_quads, doubts in scan.doubts:
-            _warn_doubts("fem2", config.degree, n_quads, doubts)
-        for h, vals in scan.levels:
+        levels = []
+        for i, n in enumerate(config.levels):
+            tmesh = build_mesh(config, n) if i else first
+            levels.append((mesh_stats(tmesh).h,
+                           _solve(config, tmesh).eigenvalues))
+        flags = spurious_scan([vals for _, vals in levels], config.n_eigs)
+        for h, vals in levels:
             print(f"spurious: h={h:.6g} spectrum prefix "
                   + " ".join(f"{v:.6g}" for v in vals))
-        for lam, d_f, d_c in scan.flags:
+        for lam, d_f, d_c in flags:
             print(f"spurious: flagged {lam:.8g} (distance {d_f:.3g}, "
                   f"previous {d_c:.3g})")
         # degree 1 must exhibit the failure; higher degrees must not
-        expected_clean = config.degree != 1
-        scan_ok = scan.clean == expected_clean
-        print(f"spurious: {len(scan.flags)} flagged, "
+        scan_ok = bool(flags) == (config.degree == 1)
+        print(f"spurious: {len(flags)} flagged, "
               + ("PASS" if scan_ok else "FAIL"))
         ok &= scan_ok
     return EXIT_OK if ok else EXIT_TOLERANCE
@@ -308,7 +319,7 @@ def cmd_audit(config: StudyConfig) -> int:
 
 def cmd_compare(config: StudyConfig) -> tuple[StudyReport, int]:
     """Mixed (div-div) versus primal eigenvalues on the same mesh."""
-    config.validate()
+    _validate(config, "compare")
     if config.degree not in (2, 3):
         raise ConfigError("compare requires degree 2 or 3")
     if len(config.levels) != 1:
@@ -316,7 +327,7 @@ def cmd_compare(config: StudyConfig) -> tuple[StudyReport, int]:
     n = config.levels[0]
     tmesh = build_mesh(config, n)
     t0 = time.perf_counter()
-    mixed = _solve(replace(config, formulation="fem2"), tmesh)
+    mixed = _solve(config, tmesh)
     primal = _solve(replace(config, formulation="primal"), tmesh)
     runtime = time.perf_counter() - t0
     h = mesh_stats(tmesh).h
@@ -336,7 +347,7 @@ def cmd_compare(config: StudyConfig) -> tuple[StudyReport, int]:
 
 def cmd_mesh(config: StudyConfig) -> int:
     """Build a mesh and write the plain-text criss-cross format."""
-    config.validate()
+    _validate(config, "mesh")
     tmesh = build_mesh(config, config.levels[0])
     path = config.out or "mesh.txt"
     write_mesh_text(tmesh, path)
@@ -399,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--neigs", type=int, default=10)
         p.add_argument("--backend", default="dense",
                        choices=("dense", "lanczos"))
-        p.add_argument("--sigma", type=float, default=1.0)
+        p.add_argument("--sigma", type=float, default=DEFAULT_SHIFT)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--perturb", type=float, default=0.15)
         p.add_argument("--exact", default=None,

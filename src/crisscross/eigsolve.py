@@ -44,6 +44,11 @@ __all__ = [
 DENSE_CAP = 6000         # largest dense pencil; bigger ones need shift-invert
 TOL_ZERO = 1e-9          # kernel threshold, relative to the largest |lambda|
 CLUSTER_RTOL = 1e-8
+# Shift for the shift-invert solve and the kernel counts.  Every supported
+# domain lies inside (0, pi)^2, where the first Dirichlet eigenvalue is at
+# least 2 (Dirichlet eigenvalues decrease as the domain grows), so 1 sits
+# below lambda_1.
+DEFAULT_SHIFT = 1.0
 _REFLECTOR_BLOCK = 128  # dsytrd reflectors applied per dormqr call
 _SCHUR_BLOCK = 64       # right-hand sides per sparse solve of the Schur complement
 
@@ -303,7 +308,7 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
 
 
 def _solve_pencil(B, A, kernel_dim: int | None, n_eigs: int,
-                  backend: str = "dense", *, sigma: float = 1.0,
+                  backend: str = "dense", *, sigma: float = DEFAULT_SHIFT,
                   seed: int = 0) -> Spectrum:
     """The reported spectrum of a pencil with B positive semidefinite.
 
@@ -433,7 +438,7 @@ def _pencil(form: str, tmesh: TriMesh, k: int):
 
 
 def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
-               *, sigma: float = 1.0, seed: int = 0) -> Spectrum:
+               *, sigma: float = DEFAULT_SHIFT, seed: int = 0) -> Spectrum:
     """First nonzero eigenvalues of the div-div pencil on the vector space."""
     return _solve_pencil(*_pencil("fem2", tmesh, k), n_eigs, backend,
                          sigma=sigma, seed=seed)
@@ -450,7 +455,7 @@ def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
 
 
 def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
-                 *, sigma: float = 1.0, seed: int = 0) -> Spectrum:
+                 *, sigma: float = DEFAULT_SHIFT, seed: int = 0) -> Spectrum:
     """Dirichlet eigenvalues of the primal form (grad u, grad v) = l (u, v).
 
     The interior pencil has no kernel, so no eigenvalue lies below a valid

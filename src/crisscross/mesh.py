@@ -29,10 +29,6 @@ __all__ = [
     "write_mesh_text",
 ]
 
-# slot order of the four sub-triangles within a quad (v0..v3 counterclockwise)
-SLOT_NAMES = ("bottom", "left", "top", "right")
-
-
 class MeshError(ValueError):
     """Invalid mesh input or geometry."""
 

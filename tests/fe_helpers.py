@@ -1,14 +1,21 @@
 """Finite element functions for tests: node coordinates, pointwise
 evaluation, nodal interpolation, and the L2 projection onto the
-divergence-image space.  The library itself never evaluates or projects a
-function, so these live beside the tests that use them."""
+divergence-image space, and the divergence image on one quad.  The library
+itself never evaluates or projects a function, so these live beside the
+tests that use them."""
 
 import numpy as np
 
-from crisscross.assembly import _disc_mass_csr, _geometry, _require_exactness
-from crisscross.fespace import DofMap, WhBasis, build_disc_space
-from crisscross.mesh import TriMesh
-from crisscross.refelem import QuadRule, node_barycentric, tabulate_shapes
+from crisscross.assembly import (
+    _disc_mass_csr,
+    _geometry,
+    _require_exactness,
+    assemble_div_coupling,
+)
+from crisscross.audit import exactness_check
+from crisscross.fespace import DofMap, WhBasis, build_disc_space, build_vector_space
+from crisscross.mesh import TriMesh, criss_cross, single_quad_mesh
+from crisscross.refelem import QuadRule, node_barycentric, quad_rule, tabulate_shapes
 
 
 def dof_points(dmap: DofMap, tmesh: TriMesh) -> np.ndarray:
@@ -70,3 +77,26 @@ def l2_project_wh(f, wh: WhBasis, tmesh: TriMesh, rule: QuadRule) -> np.ndarray:
                        for q in range(wh.n_quads)])
     rhs = b_wh.reshape(wh.n_quads, m)
     return np.linalg.solve(blocks, rhs[..., None])[..., 0].ravel()
+
+
+def local_divergence_image(corners, k: int):
+    """div V_h^k on one criss-cross quad, against the discontinuous P_{k-1}
+    space: (rank, largest relative residual of the alternating centre
+    identity bottom - left + top - right = 0 over the basis divergences,
+    relative L2 distance of the checkerboard from the image)."""
+    tmesh = criss_cross(single_quad_mesh(corners))
+    rank = exactness_check(tmesh, k).rank_div
+    rule = quad_rule(2 * k)
+    disc = build_disc_space(tmesh, k - 1)
+    vspace = build_vector_space(tmesh, k)
+    G = _disc_mass_csr(tmesh, disc, rule).toarray()
+    # nodal P_{k-1} coefficients of the divergence of each basis field
+    div = np.linalg.solve(G, assemble_div_coupling(vspace, disc, tmesh,
+                                                   rule).toarray())
+    centre = div[[s * disc.n_local + 2 for s in range(4)]]  # vertex 2 per slot
+    residual = np.abs([1.0, -1.0, 1.0, -1.0] @ centre) / np.abs(div).max(axis=0)
+    L = np.linalg.cholesky(G)
+    U = np.linalg.svd(L.T @ div, full_matrices=False)[0][:, :rank]
+    cb = L.T @ np.repeat([-1.0, 1.0, -1.0, 1.0], disc.n_local)
+    dist = np.linalg.norm(cb - U @ (U.T @ cb)) / np.linalg.norm(cb)
+    return rank, float(residual.max()), float(dist)

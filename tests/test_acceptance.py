@@ -27,18 +27,14 @@ import time
 import numpy as np
 import pytest
 
-from crisscross.audit import (
-    dim_sigma,
-    exactness_check,
-    spurious_scan,
-    wh_local_audit,
-)
+from crisscross.audit import exactness_check, spurious_scan
 from crisscross.eigsolve import (
     cluster_eigenvalues,
     solve_fem1,
     solve_fem2,
     solve_primal,
 )
+from crisscross.fespace import dim_sigma
 from crisscross.mesh import (
     build_lshape_grid,
     build_rect_grid,
@@ -46,6 +42,8 @@ from crisscross.mesh import (
     perturb_quad_grid,
     single_quad_mesh,
 )
+
+from fe_helpers import local_divergence_image
 
 PI = math.pi
 TARGETS = np.array([2, 5, 5, 8, 10, 10, 13, 13, 17, 17], dtype=float)
@@ -217,13 +215,13 @@ def test_criterion_5_wh_characterization():
         while count < 50:
             corners = base + rng.uniform(-0.3, 0.3, size=(4, 2))
             try:
-                rep = wh_local_audit(corners, k, seed=count)
+                rank, resid, dist = local_divergence_image(corners, k)
             except ValueError:
                 continue  # nonconvex draw; resample
             count += 1
-            ok &= rep.rank == expected
-            worst_resid = max(worst_resid, rep.max_center_residual)
-            worst_dist = min(worst_dist, rep.checkerboard_distance)
+            ok &= rank == expected
+            worst_resid = max(worst_resid, resid)
+            worst_dist = min(worst_dist, dist)
     ok &= worst_resid < 1e-10 and worst_dist > 0.1
     assert report(
         5, ok,
@@ -247,15 +245,16 @@ def test_criterion_6_formulation_equivalence(desk_meshes):
 
 
 def test_criterion_7_spurious_demonstration():
-    scan1 = spurious_scan("square", 1, [4, 8])
-    scan2 = spurious_scan("square", 2, [4, 8])
-    scan3 = spurious_scan("square", 3, [4, 8])
-    ok = (not scan1.clean) and scan2.clean and scan3.clean
-    flagged = ", ".join(f"{lam:.4f}" for lam, _, _ in scan1.flags)
+    flags1, flags2, flags3 = (
+        spurious_scan([solve_fem2(square_mesh(n), k, 10).eigenvalues
+                       for n in (4, 8)], 10)
+        for k in (1, 2, 3))
+    ok = bool(flags1) and not flags2 and not flags3
+    flagged = ", ".join(f"{lam:.4f}" for lam, _, _ in flags1)
     assert report(
         7, ok,
         f"k=1 flags=[{flagged}] (nonempty), "
-        f"k=2 flags={len(scan2.flags)}, k=3 flags={len(scan3.flags)}",
+        f"k=2 flags={len(flags2)}, k=3 flags={len(flags3)}",
     )
 
 

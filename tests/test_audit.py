@@ -6,15 +6,9 @@ from numpy.testing import assert_allclose
 
 from crisscross import audit
 from crisscross.assembly import assemble_div_coupling, assemble_divdiv
-from crisscross.audit import (
-    dim_sigma,
-    exactness_check,
-    spurious_scan,
-    square_exact_spectrum,
-    wh_local_audit,
-)
-from crisscross.eigsolve import SolverError
-from crisscross.fespace import build_disc_space, build_vector_space
+from crisscross.audit import exactness_check, spurious_scan, square_exact_spectrum
+from crisscross.eigsolve import SolverError, solve_fem2
+from crisscross.fespace import build_disc_space, build_vector_space, dim_sigma
 from crisscross.mesh import (
     build_lshape_grid,
     build_rect_grid,
@@ -24,7 +18,7 @@ from crisscross.mesh import (
 )
 from crisscross.refelem import quad_rule, tabulate_shapes
 
-from fe_helpers import interpolate_vector
+from fe_helpers import interpolate_vector, local_divergence_image
 
 PI = math.pi
 
@@ -134,18 +128,18 @@ def test_exactness_rejects_k1():
 
 @pytest.mark.parametrize("k,rank", [(2, 11), (3, 23)])
 def test_wh_local_audit_unit_square(k, rank):
-    report = wh_local_audit(UNIT_SQUARE, k)
-    assert report.rank == rank == report.expected_rank
-    assert report.max_center_residual < 1e-10
-    assert report.checkerboard_distance > 0.1
-    assert report.passed
+    # the divergence image is the P_{k-1} space cut by one centre constraint
+    got_rank, residual, distance = local_divergence_image(UNIT_SQUARE, k)
+    assert got_rank == rank == 4 * k * (k + 1) // 2 - 1
+    assert residual < 1e-10
+    assert distance > 0.1
 
 
 def test_wh_local_audit_skewed_quad_k3():
-    report = wh_local_audit(SKEWED_QUAD, 3)
-    assert report.rank == 23
-    assert report.max_center_residual < 1e-10
-    assert report.passed
+    got_rank, residual, distance = local_divergence_image(SKEWED_QUAD, 3)
+    assert got_rank == 23
+    assert residual < 1e-10
+    assert distance > 0.1
 
 
 def test_wh_local_audit_random_quads():
@@ -154,8 +148,9 @@ def test_wh_local_audit_random_quads():
         corners = np.array(UNIT_SQUARE, dtype=float)
         corners += rng.uniform(-0.25, 0.25, size=(4, 2))
         for k in (2, 3):
-            report = wh_local_audit(corners, k, seed=trial)
-            assert report.passed, (trial, k)
+            rank, residual, distance = local_divergence_image(corners, k)
+            assert rank == 4 * k * (k + 1) // 2 - 1, (trial, k)
+            assert residual < 1e-10 and distance > 0.1, (trial, k)
 
 
 # ------------------------------------------- alternating condition, any k
@@ -212,22 +207,51 @@ def test_square_exact_spectrum_prefix():
     assert_allclose(square_exact_spectrum(13)[10:], [18, 20, 20])
 
 
+def square_flags(k):
+    spectra = [solve_fem2(criss_cross(build_rect_grid(0, 0, PI, PI, n, n)),
+                          k, 10).eigenvalues for n in (4, 8)]
+    return spurious_scan(spectra, 10)
+
+
 def test_spurious_scan_k1_flags_something():
-    report = spurious_scan("square", 1, [4, 8])
-    assert not report.clean
+    flags = square_flags(1)
     # the classical criss-cross failure: a value near 6 that stagnates
-    flagged_values = [lam for lam, _, _ in report.flags]
-    assert any(5.5 < lam < 6.5 for lam in flagged_values)
+    assert any(5.5 < lam < 6.5 for lam, _, _ in flags)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_spurious_scan_clean_for_k23(k):
-    report = spurious_scan("square", k, [4, 8])
-    assert report.clean
+    assert square_flags(k) == []
+
+
+def test_spurious_scan_flags_stagnating_value():
+    # 6.3 stays 1.3 from the exact set (5, 8) while the others converge
+    coarse = np.array([2.1, 5.2, 6.3])
+    fine = np.array([2.01, 5.05, 6.3])
+    assert spurious_scan([coarse, fine], 3) == [
+        (6.3, pytest.approx(1.3), pytest.approx(1.3))]
+
+
+def test_spurious_scan_passes_halving_distance():
+    # the coarse value 22.5 is 2.5 from 20 and 25; a fine value 1.0 away has
+    # more than halved its distance, one 1.3 away has not
+    coarse = np.array([2.3, 22.5])
+    assert spurious_scan([coarse, np.array([2.05, 21.0])], 2) == []
+    assert spurious_scan([coarse, np.array([2.05, 21.3])], 2) == [
+        (21.3, pytest.approx(1.3), pytest.approx(2.5))]
+
+
+def test_spurious_scan_passes_value_near_exact_set():
+    # stagnation within the gap of 0.5 around the exact set is not flagged
+    near = np.array([5.4])
+    assert spurious_scan([near, near], 2) == []
+    far = np.array([5.6])
+    assert spurious_scan([far, far], 2) == [
+        (5.6, pytest.approx(0.6), pytest.approx(0.6))]
 
 
 def test_spurious_scan_validates_inputs():
     with pytest.raises(ValueError):
-        spurious_scan("lshape", 2, [4, 8])
+        spurious_scan([np.array([2.0, 5.0])], 2)
     with pytest.raises(ValueError):
-        spurious_scan("square", 2, [4])
+        spurious_scan([], 2)

@@ -299,6 +299,37 @@ def test_cmd_audit_lshape_k3(capsys):
     assert "euler_residual=0 ok=True" in out
 
 
+def test_cmd_audit_scans_the_square_only(capsys):
+    # the exact spectrum is known for the square alone
+    assert main(["audit", "--domain", "lshape", "--levels", "1,2"]) == 0
+    out = capsys.readouterr().out
+    assert "exactness: PASS" in out and "spurious" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--form", "primal", "--levels", "2"],
+    ["audit", "--form", "fem1", "--backend", "lanczos", "--levels", "2"],
+    ["compare", "--form", "fem1", "--levels", "2"],
+    ["compare", "--form", "primal", "--levels", "2"],
+], ids=["audit-primal", "audit-fem1-lanczos", "compare-fem1",
+        "compare-primal"])
+def test_audit_and_compare_refuse_other_forms(capsys, argv):
+    # both run fem2 (compare adds primal) whatever --form says
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{argv[0]} runs --form fem2 only" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["converge", "audit", "compare", "mesh"])
+@pytest.mark.parametrize("flag", ["--export-mesh", "--export-matrices"])
+def test_exports_outside_eig_refused(tmp_path, capsys, command, flag):
+    stem = tmp_path / "x"
+    assert main([command, "--levels", "1,2", flag, str(stem)]) == 2
+    assert "belong to eig" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cmd_audit_honours_backend(capsys):
     # levels 20 has 6 562 unknowns, above the dense cap
     assert main(["audit", "--degree", "2", "--levels", "4,20",
@@ -308,13 +339,13 @@ def test_cmd_audit_honours_backend(capsys):
 
 
 def test_cmd_audit_uncertified_scan_warns_on_stderr(capsys, monkeypatch):
-    import crisscross.audit as audit
+    import crisscross.cli as cli
 
     def doubtful(tmesh, k, n_eigs, backend, *, sigma, seed):
         return Spectrum(eigenvalues=np.array([2.0, 5.0]), zero_count=0,
                         backend="lanczos", converged=False, inertia=None)
 
-    monkeypatch.setattr(audit, "solve_fem2", doubtful)
+    monkeypatch.setattr(cli, "solve_fem2", doubtful)
     assert main(["audit", "--degree", "2", "--levels", "2,4", "--neigs", "2",
                  "--backend", "lanczos"]) == 0
     captured = capsys.readouterr()

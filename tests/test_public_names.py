@@ -11,9 +11,19 @@ MODULES = ("mesh", "refelem", "fespace", "assembly", "eigsolve", "audit", "cli")
 
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_resolves(name):
+    # each module exports only names it defines, not names it imports
     module = importlib.import_module(f"crisscross.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing
+    defined = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert sorted(set(module.__all__) - defined) == []
 
 
 def test_package_imports_resolve():
