@@ -94,20 +94,48 @@ class StudyConfig:
                               "dense or --form fem2")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive and finite")
+        if self.expect_rate is not None and len(self.expect_rate) != 2:
+            raise ConfigError("--expect-rate must be a lo:hi pair")
+        if self.exact and self.domain != "lshape":
+            raise ConfigError("--exact needs --domain lshape")
+        if (self.perturb != StudyConfig.perturb
+                and self.domain != "square-perturbed"):
+            raise ConfigError("--perturb needs --domain square-perturbed")
         return self
 
 
+# The StudyConfig fields each command reads: its only options, and the only
+# ones _validate lets differ from their defaults.  mesh --degree (read by
+# nothing) and compare --form (fem2 only) stay for the benchmark driver.
+_SOLVE_FIELDS = ("domain", "degree", "levels", "n_eigs", "backend", "sigma",
+                 "seed", "perturb")
+COMMANDS = {
+    "eig": ("eigenvalue table on one mesh", _SOLVE_FIELDS + (
+        "formulation", "exact", "out", "export_mesh", "export_matrices")),
+    "converge": ("refinement study with rates", _SOLVE_FIELDS + (
+        "formulation", "exact", "expect_rate", "out")),
+    "audit": ("complex exactness audit and spurious scan", _SOLVE_FIELDS),
+    "compare": ("mixed versus primal eigenvalues",
+                _SOLVE_FIELDS + ("formulation", "out")),
+    "mesh": ("write a mesh in the plain-text format",
+             ("domain", "degree", "levels", "seed", "perturb", "out")),
+}
+
+
 def _validate(config: StudyConfig, command: str) -> None:
-    """Validate the config and refuse settings ``command`` would ignore:
-    exports outside ``eig``, and a form other than fem2 in ``audit`` and
-    ``compare``, which solve fem2 (``compare`` adds primal)."""
-    if command in ("audit", "compare") and config.formulation != "fem2":
-        raise ConfigError(f"{command} runs --form fem2 only, not "
+    """Validate the config and refuse a field ``command`` does not read, set
+    away from its default, and a form other than fem2 in ``compare``."""
+    default = StudyConfig()
+    for name, (flag, _) in _OPTIONS.items():
+        if (name not in COMMANDS[command][1]
+                and getattr(config, name) != getattr(default, name)):
+            raise ConfigError(f"{command} does not read {flag}")
+    if command == "compare" and config.formulation != "fem2":
+        raise ConfigError(f"compare runs --form fem2 only, not "
                           f"{config.formulation!r}")
-    if command != "eig" and (config.export_mesh or config.export_matrices):
-        raise ConfigError(f"{command} writes no exports; --export-mesh and "
-                          "--export-matrices belong to eig")
     config.validate()
+    if command in ("eig", "compare", "mesh") and len(config.levels) != 1:
+        raise ConfigError(f"{command} expects exactly one level")
 
 
 @dataclass
@@ -231,8 +259,6 @@ def _export_artifacts(config: StudyConfig, tmesh) -> None:
 def cmd_eig(config: StudyConfig) -> tuple[StudyReport, int]:
     """Single-level eigenvalue table with errors against known targets."""
     _validate(config, "eig")
-    if len(config.levels) != 1:
-        raise ConfigError("eig expects exactly one level")
     row, tmesh = _run_level(config, config.levels[0])
     _export_artifacts(config, tmesh)
     report = StudyReport(config, [row])
@@ -288,6 +314,10 @@ def cmd_audit(config: StudyConfig) -> int:
     """Exactness audit (k = 2, 3) on the first level, and spurious scan
     (square, >= 2 levels) of the fem2 spectra solved on every level."""
     _validate(config, "audit")
+    scan = config.domain == "square" and len(config.levels) >= 2
+    if config.degree == 1 and not scan:
+        raise ConfigError("audit --degree 1 has only the spurious scan, "
+                          "which needs two or more square levels")
     ok = True
     first = build_mesh(config, config.levels[0])
     if config.degree in (2, 3):
@@ -296,7 +326,7 @@ def cmd_audit(config: StudyConfig) -> int:
             print("exactness:", line)
         print("exactness:", "PASS" if report.passed else "FAIL")
         ok &= report.passed
-    if config.domain == "square" and len(config.levels) >= 2:
+    if scan:
         levels = []
         for i, n in enumerate(config.levels):
             tmesh = build_mesh(config, n) if i else first
@@ -322,8 +352,6 @@ def cmd_compare(config: StudyConfig) -> tuple[StudyReport, int]:
     _validate(config, "compare")
     if config.degree not in (2, 3):
         raise ConfigError("compare requires degree 2 or 3")
-    if len(config.levels) != 1:
-        raise ConfigError("compare expects exactly one level")
     n = config.levels[0]
     tmesh = build_mesh(config, n)
     t0 = time.perf_counter()
@@ -357,11 +385,27 @@ def cmd_mesh(config: StudyConfig) -> int:
     return EXIT_OK
 
 
-def _parse_levels(text: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise ConfigError(f"bad levels {text!r}") from None
+# flag and argparse settings of each field, in --help order; the defaults
+# are StudyConfig's, and _config_from_args splits the lists
+_OPTIONS = {
+    "domain": ("--domain", dict(choices=DOMAINS)),
+    "degree": ("--degree", dict(type=int)),
+    "formulation": ("--form", dict(choices=FORMS)),
+    "levels": ("--levels", dict(default="8",
+                                help="comma-separated subdivision counts")),
+    "n_eigs": ("--neigs", dict(type=int)),
+    "backend": ("--backend", dict(choices=("dense", "lanczos"))),
+    "sigma": ("--sigma", dict(type=float)),
+    "seed": ("--seed", dict(type=int)),
+    "perturb": ("--perturb", dict(type=float)),
+    "exact": ("--exact", dict(help="comma-separated exact targets")),
+    "expect_rate": ("--expect-rate",
+                    dict(help="lo:hi window for the first-mode rate")),
+    "out": ("--out", dict(help="CSV path (mesh: mesh text path)")),
+    "export_mesh": ("--export-mesh", dict()),
+    "export_matrices": ("--export-matrices",
+                        dict(help="path stem for MatrixMarket files")),
+}
 
 
 # glibc's malloc raises its mmap threshold to the size of each large block
@@ -385,82 +429,49 @@ def _fix_mmap_threshold() -> None:
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its parse errors as ConfigError, for main's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crisscross",
         description="Laplace eigenvalues with Lagrange elements on "
                     "criss-cross meshes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("eig", "eigenvalue table on one mesh"),
-        ("converge", "refinement study with rates"),
-        ("audit", "complex exactness audit and spurious scan"),
-        ("compare", "mixed versus primal eigenvalues"),
-        ("mesh", "write a mesh in the plain-text format"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--domain", default="square", choices=DOMAINS)
-        p.add_argument("--degree", type=int, default=2)
-        p.add_argument("--form", default="fem2", choices=FORMS)
-        p.add_argument("--levels", default="8",
-                       help="comma-separated subdivision counts")
-        p.add_argument("--neigs", type=int, default=10)
-        p.add_argument("--backend", default="dense",
-                       choices=("dense", "lanczos"))
-        p.add_argument("--sigma", type=float, default=DEFAULT_SHIFT)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--perturb", type=float, default=0.15)
-        p.add_argument("--exact", default=None,
-                       help="comma-separated exact targets")
-        p.add_argument("--expect-rate", default=None,
-                       help="lo:hi window for the first-mode rate")
-        p.add_argument("--out", default=None, help="CSV output path")
-        p.add_argument("--export-mesh", default=None)
-        p.add_argument("--export-matrices", default=None,
-                       help="path stem for MatrixMarket files")
+    default = StudyConfig()
+    for command, (helptext, fields) in COMMANDS.items():
+        p = sub.add_parser(command, help=helptext)
+        for name, (flag, settings) in _OPTIONS.items():
+            if name in fields:
+                p.add_argument(flag, dest=name, **{
+                    "default": getattr(default, name), **settings})
     return parser
 
 
 def _config_from_args(args) -> StudyConfig:
-    exact = None
-    if args.exact:
-        try:
-            exact = [float(tok) for tok in args.exact.split(",") if tok]
-        except ValueError:
-            raise ConfigError(f"bad exact targets {args.exact!r}") from None
-    expect_rate = None
-    if args.expect_rate:
-        try:
-            lo, hi = (float(t) for t in args.expect_rate.split(":"))
-        except ValueError:
-            raise ConfigError(f"bad rate window {args.expect_rate!r}") from None
-        expect_rate = (lo, hi)
-    return StudyConfig(
-        domain=args.domain,
-        degree=args.degree,
-        formulation=args.form,
-        levels=_parse_levels(args.levels),
-        n_eigs=args.neigs,
-        backend=args.backend,
-        sigma=args.sigma,
-        seed=args.seed,
-        perturb=args.perturb,
-        exact=exact,
-        expect_rate=expect_rate,
-        out=args.out,
-        export_mesh=args.export_mesh,
-        export_matrices=args.export_matrices,
-    )
+    values = {k: v for k, v in vars(args).items() if k != "command"}
+    for name, kind, sep in (("levels", int, ","), ("exact", float, ","),
+                            ("expect_rate", float, ":")):
+        text = values.get(name)
+        if isinstance(text, str):
+            try:
+                values[name] = [kind(tok) for tok in text.split(sep) if tok]
+            except ValueError:
+                raise ConfigError(f"bad {name} {text!r}") from None
+    return StudyConfig(**values)
 
 
 def main(argv=None) -> int:
     _fix_mmap_threshold()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _config_from_args(args)
         if args.command == "eig":
             report, code = cmd_eig(config)
@@ -476,7 +487,8 @@ def main(argv=None) -> int:
             report.write(config.out)
         return code
     except ValueError as exc:
-        # ConfigError, MeshError, and argument errors from the modules
+        # ConfigError (parse errors too), MeshError, and argument errors
+        # from the modules
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -81,7 +81,6 @@ class WhBasis:
     local_basis: np.ndarray   # (4*n_disc_local, n_local) shared coefficient matrix
     constraint_indices: np.ndarray  # (4,) local disc indices of center values
     constraint_signs: np.ndarray    # (4,) alternating signs
-    eliminated_index: int     # disc index expressed through the others
     restriction: sp.csr_matrix  # (T*n_disc_local, n_dofs) block diagonal
 
     @property
@@ -192,7 +191,6 @@ def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
     """
     if k not in (2, 3):
         raise ValueError("the divergence-image basis is built for k in {2, 3}")
-    km1 = k - 1
     n_disc = k * (k + 1) // 2            # nodes of P_{k-1} per triangle
     m = 4 * n_disc
     Q = tmesh.n_quads
@@ -221,17 +219,7 @@ def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
         basis[j, col] = 1.0
         basis[elim, col] = ell[j]       # solves ell . column = 0
 
-    rows = np.repeat(np.arange(Q) * m, m * (m - 1)) + np.tile(
-        np.repeat(np.arange(m), m - 1), Q
-    )
-    cols = np.repeat(np.arange(Q) * (m - 1), m * (m - 1)) + np.tile(
-        np.tile(np.arange(m - 1), m), Q
-    )
-    data = np.tile(basis.ravel(), Q)
-    restriction = sp.csr_matrix(
-        (data, (rows, cols)), shape=(tmesh.n_triangles * n_disc, Q * (m - 1))
-    )
-    restriction.eliminate_zeros()
+    restriction = sp.kron(sp.identity(Q), sp.csr_matrix(basis), format="csr")
 
     return WhBasis(
         degree=k,
@@ -242,6 +230,5 @@ def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
         local_basis=basis,
         constraint_indices=cidx,
         constraint_signs=signs,
-        eliminated_index=elim,
         restriction=restriction,
     )

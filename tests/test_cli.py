@@ -1,8 +1,12 @@
+import argparse
 import ctypes
+import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import scipy.io
 import scipy.sparse as sp
 
 import crisscross
+import crisscross.cli as cli
 from crisscross.cli import (
     ConfigError,
     StudyConfig,
@@ -116,6 +121,113 @@ def test_main_gives_large_arrays_their_own_mapping():
     assert run.stdout.splitlines()[-1] == "True"
 
 
+def test_parse_errors_exit_2(capsys):
+    # argparse's errors take main's exit-2 path instead of SystemExit
+    for argv, flag in (
+        (["eig", "--no-such-option"], "--no-such-option"),
+        (["eig", "--domain", "disk"], "--domain"),
+        (["eig", "--degree", "two"], "--degree"),
+        (["solve"], "command"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and flag in captured.err
+        assert captured.out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["eig", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+
+
+# The fields each command does not read, with a non-default value and that
+# value on the command line.
+UNREAD = {
+    "eig": ("expect_rate",),
+    "converge": ("export_mesh", "export_matrices"),
+    "audit": ("formulation", "exact", "expect_rate", "out", "export_mesh",
+              "export_matrices"),
+    "compare": ("exact", "expect_rate", "export_mesh", "export_matrices"),
+    "mesh": ("formulation", "n_eigs", "backend", "sigma", "exact",
+             "expect_rate", "export_mesh", "export_matrices"),
+}
+NON_DEFAULT = {
+    "formulation": ("--form", "primal", "primal"),
+    "n_eigs": ("--neigs", 5, "5"),
+    "backend": ("--backend", "lanczos", "lanczos"),
+    "sigma": ("--sigma", 0.5, "0.5"),
+    "exact": ("--exact", [1.0], "1.0"),
+    "expect_rate": ("--expect-rate", (3.9, 4.1), "3.9:4.1"),
+    "out": ("--out", "x.csv", "x.csv"),
+    "export_mesh": ("--export-mesh", "m.txt", "m.txt"),
+    "export_matrices": ("--export-matrices", "mat", "mat"),
+}
+UNREAD_PAIRS = [(cmd, name) for cmd, names in UNREAD.items() for name in names]
+
+
+def _subparser_flags() -> dict:
+    sub, = (a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {cmd: {flag for a in p._actions if a.dest != "help"
+                  for flag in a.option_strings}
+            for cmd, p in sub.choices.items()}
+
+
+def test_each_command_registers_the_options_it_reads():
+    flags = _subparser_flags()
+    assert {cmd: len(f) for cmd, f in flags.items()} == {
+        "eig": 13, "converge": 12, "audit": 8, "compare": 10, "mesh": 6}
+    every = flags["eig"] | flags["converge"]
+    assert len(every) == len(dataclasses.fields(StudyConfig)) == 14
+    for cmd, names in UNREAD.items():
+        assert flags[cmd] == every - {NON_DEFAULT[n][0] for n in names}, cmd
+
+
+@pytest.mark.parametrize("command, name", UNREAD_PAIRS)
+def test_validate_refuses_fields_the_command_does_not_read(command, name):
+    flag, value, _ = NON_DEFAULT[name]
+    config = StudyConfig(levels=[1], **{name: value})
+    with pytest.raises(ConfigError, match=f"{command} does not read {flag}"):
+        cli._validate(config, command)
+
+
+@pytest.mark.parametrize("command, name", UNREAD_PAIRS)
+def test_cli_refuses_options_the_command_does_not_read(
+        tmp_path, monkeypatch, capsys, command, name):
+    flag, _, text = NON_DEFAULT[name]
+    monkeypatch.chdir(tmp_path)          # mesh writes mesh.txt by default
+    assert main([command, "--levels", "1", flag, text]) == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_argvs_parse_and_validate(monkeypatch):
+    # the benchmark driver's commands must stay valid; mesh --degree and
+    # compare --form are kept for them
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    if not run_py.exists():
+        pytest.skip("perfbench/ is absent")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends to it
+    had_check = "check" in sys.modules
+    spec = importlib.util.spec_from_file_location("bench_run", run_py)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    if not had_check:
+        sys.modules.pop("check", None)
+    argvs = []
+    for workload in run.WORKLOADS:
+        for seed in (1, 2, 3):
+            for cfg in run.workload(workload, seed):
+                suffix = run.output_suffix(cfg)
+                argvs.append(run.to_argv(cfg, suffix and "out" + suffix))
+    assert len(argvs) == 345
+    parser = _build_parser()
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        cli._validate(cli._config_from_args(args), args.command)
+
+
 # ---------------------------------------------------------------- eig
 
 
@@ -203,6 +315,38 @@ def test_exported_pencil_reproduces_the_table(tmp_path, capsys, form, names):
     w = spec.eigenvalues[spec.zero_count:][:len(lambdas)]
     np.testing.assert_allclose(w, lambdas, rtol=1e-12, atol=0)
     capsys.readouterr()
+
+
+def test_mesh_refuses_several_levels(tmp_path, capsys):
+    # mesh writes one mesh; it used to write the first level's and exit 0
+    out = tmp_path / "m.txt"
+    assert main(["mesh", "--levels", "2,4", "--out", str(out)]) == 2
+    assert "mesh expects exactly one level" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_off_lshape_refused(tmp_path, capsys):
+    # the square's targets are known; --exact used to be ignored there
+    out = tmp_path / "e.csv"
+    for argv in (["eig", "--levels", "2"], ["converge", "--levels", "1,2"]):
+        assert main(argv + ["--exact", "9,9,9", "--out", str(out)]) == 2
+        assert "--exact needs --domain lshape" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError):
+        StudyConfig(domain="square-perturbed", exact=[9.0]).validate()
+    StudyConfig(domain="lshape", exact=[9.0]).validate()
+
+
+def test_perturb_off_perturbed_square_refused(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    for argv in (["eig", "--levels", "2", "--out", str(out)],
+                 ["mesh", "--domain", "lshape", "--levels", "2",
+                  "--out", str(out)]):
+        assert main(argv + ["--perturb", "0.2"]) == 2
+        assert "--perturb needs --domain square-perturbed" in (
+            capsys.readouterr().err)
+    assert not out.exists()
+    StudyConfig(domain="square-perturbed", perturb=0.2).validate()
 
 
 def test_mesh_subcommand(tmp_path, capsys):
@@ -306,18 +450,23 @@ def test_cmd_audit_scans_the_square_only(capsys):
     assert "exactness: PASS" in out and "spurious" not in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["audit", "--form", "primal", "--levels", "2"],
-    ["audit", "--form", "fem1", "--backend", "lanczos", "--levels", "2"],
-    ["compare", "--form", "fem1", "--levels", "2"],
-    ["compare", "--form", "primal", "--levels", "2"],
+@pytest.mark.parametrize("argv, message", [
+    (["audit", "--form", "primal", "--levels", "2"],
+     "unrecognized arguments: --form"),
+    (["audit", "--form", "fem1", "--backend", "lanczos", "--levels", "2"],
+     "unrecognized arguments: --form"),
+    (["compare", "--form", "fem1", "--levels", "2"],
+     "compare runs --form fem2 only"),
+    (["compare", "--form", "primal", "--levels", "2"],
+     "compare runs --form fem2 only"),
 ], ids=["audit-primal", "audit-fem1-lanczos", "compare-fem1",
         "compare-primal"])
-def test_audit_and_compare_refuse_other_forms(capsys, argv):
-    # both run fem2 (compare adds primal) whatever --form says
+def test_audit_and_compare_refuse_other_forms(capsys, argv, message):
+    # both run fem2 (compare adds primal): audit has no --form, and
+    # compare's must be fem2
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"{argv[0]} runs --form fem2 only" in captured.err
+    assert message in captured.err
     assert captured.out == ""
 
 
@@ -326,8 +475,21 @@ def test_audit_and_compare_refuse_other_forms(capsys, argv):
 def test_exports_outside_eig_refused(tmp_path, capsys, command, flag):
     stem = tmp_path / "x"
     assert main([command, "--levels", "1,2", flag, str(stem)]) == 2
-    assert "belong to eig" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--degree", "1", "--levels", "8"],
+    ["audit", "--domain", "lshape", "--degree", "1", "--levels", "2,4"],
+], ids=["one-level", "lshape"])
+def test_audit_with_nothing_to_check_refused(capsys, argv):
+    # degree 1 has no exactness check, and the spurious scan needs two or
+    # more square levels; these used to print nothing and exit 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "two or more square levels" in captured.err
+    assert captured.out == ""
 
 
 def test_cmd_audit_honours_backend(capsys):
