@@ -1,6 +1,7 @@
 """Element-loop assembly of the mass, stiffness, div-div, and divergence
 coupling forms into canonical CSR matrices (duplicates summed, column
-indices sorted)."""
+indices sorted).  Each form is integrated with ``quad_rule(2 * k)``, k the
+degree of its Lagrange space, which is exact for every one of them."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 
 from .fespace import DiscSpace, DofMap, WhBasis, build_disc_space
 from .mesh import TriMesh
-from .refelem import QuadRule, tabulate_shapes
+from .refelem import QuadRule, quad_rule, tabulate_shapes
 
 __all__ = [
     "assemble_scalar_mass",
@@ -45,14 +46,6 @@ def _physical_gradients(tmesh: TriMesh, degree: int, rule: QuadRule):
     return vals, grads
 
 
-def _require_exactness(rule: QuadRule, needed: int) -> None:
-    if rule.exactness_degree < needed:
-        raise ValueError(
-            f"quadrature of exactness {rule.exactness_degree} is too weak; "
-            f"this form needs degree {needed}"
-        )
-
-
 def _canonical(mat, symmetric: bool = False) -> sp.csr_matrix:
     """CSR with duplicates summed and sorted column indices per row.  A
     matrix flagged symmetric is checked against its transpose.  Sums that
@@ -78,10 +71,9 @@ def _scatter(element: np.ndarray, row_dofs: np.ndarray, col_dofs: np.ndarray,
     return _canonical(coo, symmetric)
 
 
-def assemble_scalar_mass(space: DofMap, tmesh: TriMesh,
-                         rule: QuadRule) -> sp.csr_matrix:
+def assemble_scalar_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix of the scalar Lagrange space."""
-    _require_exactness(rule, 2 * space.degree)
+    rule = quad_rule(2 * space.degree)
     area, _ = _geometry(tmesh)
     vals, _ = tabulate_shapes(space.degree, rule.points)
     element = np.einsum("q,t,qi,qj->tij", rule.weights, area, vals, vals)
@@ -89,10 +81,9 @@ def assemble_scalar_mass(space: DofMap, tmesh: TriMesh,
                     space.n_dofs, space.n_dofs, symmetric=True)
 
 
-def assemble_scalar_stiffness(space: DofMap, tmesh: TriMesh,
-                              rule: QuadRule) -> sp.csr_matrix:
+def assemble_scalar_stiffness(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """Dirichlet-form stiffness matrix (grad u, grad v) of the scalar space."""
-    _require_exactness(rule, 2 * (space.degree - 1))
+    rule = quad_rule(2 * space.degree)
     area, _ = _geometry(tmesh)
     _, grads = _physical_gradients(tmesh, space.degree, rule)
     element = np.einsum("q,t,tqid,tqjd->tij", rule.weights, area, grads, grads)
@@ -107,12 +98,11 @@ def _vector_div_table(tmesh: TriMesh, degree: int, rule: QuadRule):
     return grads.reshape(T, P, 2 * n)
 
 
-def assemble_vector_mass(space: DofMap, tmesh: TriMesh,
-                         rule: QuadRule) -> sp.csr_matrix:
+def assemble_vector_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix of the vector space; SPD, block of the scalar mass."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    _require_exactness(rule, 2 * space.degree)
+    rule = quad_rule(2 * space.degree)
     area, _ = _geometry(tmesh)
     vals, _ = tabulate_shapes(space.degree, rule.points)
     scalar_el = np.einsum("q,t,qi,qj->tij", rule.weights, area, vals, vals)
@@ -124,13 +114,12 @@ def assemble_vector_mass(space: DofMap, tmesh: TriMesh,
                     space.n_dofs, space.n_dofs, symmetric=True)
 
 
-def assemble_divdiv(space: DofMap, tmesh: TriMesh,
-                    rule: QuadRule) -> sp.csr_matrix:
+def assemble_divdiv(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """(div u, div v) matrix of the vector space; symmetric positive
     semidefinite with a large kernel of divergence-free fields."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    _require_exactness(rule, 2 * (space.degree - 1))
+    rule = quad_rule(2 * space.degree)
     area, _ = _geometry(tmesh)
     div = _vector_div_table(tmesh, space.degree, rule)
     element = np.einsum("q,t,tqa,tqb->tab", rule.weights, area, div, div)
@@ -138,8 +127,8 @@ def assemble_divdiv(space: DofMap, tmesh: TriMesh,
                     space.n_dofs, space.n_dofs, symmetric=True)
 
 
-def assemble_div_coupling(vspace: DofMap, testspace, tmesh: TriMesh,
-                          rule: QuadRule) -> sp.csr_matrix:
+def assemble_div_coupling(vspace: DofMap, testspace,
+                          tmesh: TriMesh) -> sp.csr_matrix:
     """Coupling D with D[i, j] = (div phi_j, q_i).
 
     The test space is either the full discontinuous P_{k-1} space or the
@@ -158,8 +147,7 @@ def assemble_div_coupling(vspace: DofMap, testspace, tmesh: TriMesh,
         disc = testspace
     else:
         raise TypeError("testspace must be a WhBasis or DiscSpace")
-    _require_exactness(rule, vspace.degree - 1 + disc.degree)
-
+    rule = quad_rule(2 * vspace.degree)
     area, _ = _geometry(tmesh)
     div = _vector_div_table(tmesh, vspace.degree, rule)
     test_vals, _ = tabulate_shapes(disc.degree, rule.points)
@@ -173,7 +161,6 @@ def assemble_div_coupling(vspace: DofMap, testspace, tmesh: TriMesh,
 
 def _disc_mass_csr(tmesh: TriMesh, disc: DiscSpace,
                    rule: QuadRule) -> sp.csr_matrix:
-    _require_exactness(rule, 2 * disc.degree)
     area, _ = _geometry(tmesh)
     vals, _ = tabulate_shapes(disc.degree, rule.points)
     ref_mass = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
@@ -182,14 +169,14 @@ def _disc_mass_csr(tmesh: TriMesh, disc: DiscSpace,
                     disc.n_dofs, symmetric=True)
 
 
-def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh,
-                     rule: QuadRule) -> sp.csr_matrix:
+def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix of the divergence-image basis (block diagonal per quad)."""
     disc = build_disc_space(tmesh, wh.degree - 1)
-    G = _disc_mass_csr(tmesh, disc, rule)
+    G = _disc_mass_csr(tmesh, disc, quad_rule(2 * wh.degree))
     return _canonical(wh.restriction.T @ G @ wh.restriction, symmetric=True)
 
 
 def write_matrix_market(mat, path) -> None:
     """Export a sparse or dense matrix in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(path, sp.coo_matrix(mat))
+    with open(path, "wb") as fh:   # mmwrite(path) ignores a failed open
+        scipy.io.mmwrite(fh, sp.coo_matrix(mat))

@@ -486,9 +486,9 @@ def main(argv=None) -> int:
         if config.out:
             report.write(config.out)
         return code
-    except ValueError as exc:
-        # ConfigError (parse errors too), MeshError, and argument errors
-        # from the modules
+    except (ValueError, OSError) as exc:
+        # ConfigError (parse errors too), MeshError, argument errors from
+        # the modules, and output paths that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -27,7 +27,6 @@ from .fespace import (
     dim_sigma,
 )
 from .mesh import TriMesh
-from .refelem import quad_rule
 
 __all__ = [
     "SolverError",
@@ -350,18 +349,17 @@ def _solve_pencil(B, A, kernel_dim: int | None, n_eigs: int,
                    residuals=residual_norms(B, A, w, v))
 
 
-def _schur_complement(A: sp.csr_matrix, D: sp.csr_matrix, tol: float = 1e-12,
-                      max_refine: int = 3) -> np.ndarray:
+def _schur_complement(A: sp.csr_matrix, D: sp.csr_matrix) -> np.ndarray:
     """D A^-1 D^T, symmetrized, for A symmetric positive definite.
 
     A is factored by ``_factor_symmetric``; a factor without negative pivots
     certifies that it is positive definite, and any other factor raises
-    ``SolverError``.  The right-hand sides D^T are solved, refined to ``tol``
-    relative residual and multiplied by D in blocks of ``_SCHUR_BLOCK``
-    columns, so A^-1 D^T is never held whole.  SuperLU updates every
-    right-hand side row by row; a block of them stays in cache where all of
-    them do not.  Each column is solved on its own, as in one solve of all
-    columns, and blocks refined to ``tol`` leave the whole within ``tol``.
+    ``SolverError``.  The right-hand sides D^T are solved, unrefined (one
+    solve of a vector mass leaves residuals at rounding level), and
+    multiplied by D in blocks of ``_SCHUR_BLOCK`` columns, so A^-1 D^T is
+    never held whole.  SuperLU updates every right-hand side row by row; a
+    block of them stays in cache where all of them do not.  Each column is
+    solved on its own, as in one solve of all columns.
     """
     try:
         lu = _factor_symmetric(A.tocsc())
@@ -379,15 +377,7 @@ def _schur_complement(A: sp.csr_matrix, D: sp.csr_matrix, tol: float = 1e-12,
     S = np.empty((n, n), order="F")   # column blocks are contiguous
     for j0 in range(0, n, _SCHUR_BLOCK):
         j1 = min(j0 + _SCHUR_BLOCK, n)
-        rhs = Dt[:, j0:j1].toarray(order="F")
-        x = lu.solve(rhs)
-        scale = np.linalg.norm(rhs)
-        for _ in range(max_refine):
-            r = rhs - A @ x
-            if np.linalg.norm(r) <= tol * scale:
-                break
-            x = x + lu.solve(r)
-        S[:, j0:j1] = D @ x
+        S[:, j0:j1] = D @ lu.solve(Dt[:, j0:j1].toarray(order="F"))
     S += S.T
     S *= 0.5
     return S
@@ -406,33 +396,30 @@ def _pencil(form: str, tmesh: TriMesh, k: int):
     if form == "fem2":
         if k not in (1, 2, 3):
             raise ValueError("the div-div formulation supports k in {1, 2, 3}")
-        rule = quad_rule(2 * k)
         space = build_vector_space(tmesh, k)
         kernel_dim = None
         if k in (2, 3):
             kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
                                    tmesh.n_quads) - 1
-        return (assemble_divdiv(space, tmesh, rule),
-                assemble_vector_mass(space, tmesh, rule), kernel_dim)
+        return (assemble_divdiv(space, tmesh),
+                assemble_vector_mass(space, tmesh), kernel_dim)
     if form == "fem1":
         if k not in (2, 3):
             raise ValueError("the mixed formulation needs the pressure basis, "
                              "k in {2, 3}")
-        rule = quad_rule(2 * k)
         vspace = build_vector_space(tmesh, k)
         wh = build_wh_space(tmesh, k)
-        A = assemble_vector_mass(vspace, tmesh, rule)
-        D = assemble_div_coupling(vspace, wh, tmesh, rule)
-        M = assemble_wh_mass(wh, tmesh, rule)
+        A = assemble_vector_mass(vspace, tmesh)
+        D = assemble_div_coupling(vspace, wh, tmesh)
+        M = assemble_wh_mass(wh, tmesh)
         return _schur_complement(A, D), M, 0
     if form == "primal":
         if k not in (1, 2, 3):
             raise ValueError("the primal formulation supports k in {1, 2, 3}")
-        rule = quad_rule(2 * k)
         space = build_scalar_space(tmesh, k)
         interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
-        K = assemble_scalar_stiffness(space, tmesh, rule)
-        M = assemble_scalar_mass(space, tmesh, rule)
+        K = assemble_scalar_stiffness(space, tmesh)
+        M = assemble_scalar_mass(space, tmesh)
         return K[interior][:, interior], M[interior][:, interior], 0
     raise ValueError(f"unknown formulation {form!r}")
 
@@ -465,15 +452,15 @@ def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
                          sigma=sigma, seed=seed)
 
 
-def cluster_eigenvalues(eigenvalues: np.ndarray,
-                        rtol: float = CLUSTER_RTOL) -> list:
+def cluster_eigenvalues(eigenvalues: np.ndarray) -> list:
     """Group near-coincident eigenvalues (multiplicity clusters).
 
     Returns a list of (value, multiplicity) with value the cluster mean.
     """
     clusters = []
     for lam in np.asarray(eigenvalues, dtype=float):
-        if clusters and abs(lam - clusters[-1][0]) <= rtol * max(1.0, abs(lam)):
+        tol = CLUSTER_RTOL * max(1.0, abs(lam))
+        if clusters and abs(lam - clusters[-1][0]) <= tol:
             val, count = clusters[-1]
             clusters[-1] = ((val * count + lam) / (count + 1), count + 1)
         else:

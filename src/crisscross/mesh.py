@@ -258,8 +258,6 @@ def perturb_quad_grid(mesh: QuadMesh, amplitude: float, seed: int) -> QuadMesh:
         raise MeshError("amplitude must lie in [0, 0.5)")
     if not _is_rect_grid(mesh):
         raise MeshError("perturbation requires an axis-aligned rectangular grid")
-    if amplitude == 0.0:
-        return _make_quad_mesh(mesh.vertices.copy(), mesh.quads.copy())
 
     boundary = np.zeros(mesh.n_vertices, dtype=bool)
     for a, b in mesh.boundary_edges:
@@ -324,6 +322,8 @@ def criss_cross(qmesh: QuadMesh) -> TriMesh:
     if counts.max() > 2:
         raise MeshError("non-manifold triangulation")
     is_boundary = counts == 1
+    # quad edges are the edges between two quad vertices; spokes end at a centre
+    n_quad_edges = int(np.count_nonzero(edges[:, 1] < nv))
 
     mesh = TriMesh(
         vertices=vertices,
@@ -333,7 +333,7 @@ def criss_cross(qmesh: QuadMesh) -> TriMesh:
         tri_edges=tri_edges,
         parent_quad=parent,
         n_quad_vertices=nv,
-        n_quad_edges=len(_edge_counts(qmesh.quads)),
+        n_quad_edges=n_quad_edges,
         n_quads=qmesh.n_quads,
     )
     _validate_trimesh(mesh, qmesh)

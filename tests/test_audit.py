@@ -16,7 +16,7 @@ from crisscross.mesh import (
     perturb_quad_grid,
     single_quad_mesh,
 )
-from crisscross.refelem import quad_rule, tabulate_shapes
+from crisscross.refelem import tabulate_shapes
 
 from fe_helpers import interpolate_vector, local_divergence_image
 
@@ -43,12 +43,11 @@ def test_dim_sigma_values():
 def dense_counts(tmesh, k, rtol=1e-9):
     """Oracle: SVD rank of the divergence coupling D and eigvalsh nullity
     of the div-div matrix B, both dense."""
-    rule = quad_rule(2 * k)
     vspace = build_vector_space(tmesh, k)
-    D = assemble_div_coupling(vspace, build_disc_space(tmesh, k - 1), tmesh,
-                              rule).toarray()
+    D = assemble_div_coupling(vspace, build_disc_space(tmesh, k - 1),
+                              tmesh).toarray()
     s = np.linalg.svd(D, compute_uv=False)
-    evals = np.linalg.eigvalsh(assemble_divdiv(vspace, tmesh, rule).toarray())
+    evals = np.linalg.eigvalsh(assemble_divdiv(vspace, tmesh).toarray())
     return (int(np.count_nonzero(s > rtol * s[0])),
             int(np.count_nonzero(np.abs(evals) <= rtol * np.abs(evals).max())))
 

@@ -349,6 +349,24 @@ def test_perturb_off_perturbed_square_refused(tmp_path, capsys):
     StudyConfig(domain="square-perturbed", perturb=0.2).validate()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eig", "--levels", "1", "--out", "{missing}/x.csv"],
+    ["converge", "--levels", "1,2", "--out", "{missing}/x.csv"],
+    ["compare", "--levels", "1", "--out", "{missing}/x.csv"],
+    ["mesh", "--levels", "1", "--out", "{missing}/m.txt"],
+    ["eig", "--levels", "1", "--export-mesh", "{missing}/m.txt"],
+    ["eig", "--levels", "1", "--export-matrices", "{missing}/mat"],
+], ids=["eig-out", "converge-out", "compare-out", "mesh-out", "export-mesh",
+        "export-matrices"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    # a path in a missing directory used to end in a traceback and exit 1
+    missing = tmp_path / "missing"
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not missing.exists()
+
+
 def test_mesh_subcommand(tmp_path, capsys):
     out = tmp_path / "m.txt"
     assert main(["mesh", "--domain", "lshape", "--levels", "2",

@@ -31,9 +31,9 @@ from crisscross.mesh import (
     build_lshape_grid,
     build_rect_grid,
     criss_cross,
+    perturb_quad_grid,
     single_quad_mesh,
 )
-from crisscross.refelem import quad_rule
 
 PI = math.pi
 
@@ -348,10 +348,9 @@ def test_schur_factor_rejects_non_spd_matrix(matrix):
 def test_schur_complement_in_blocks_matches_one_solve():
     # 368 pressure dofs: five full blocks of right-hand sides and a partial one
     tmesh, k = square_tri(4), 3
-    rule = quad_rule(2 * k)
     vspace = build_vector_space(tmesh, k)
-    A = assemble_vector_mass(vspace, tmesh, rule)
-    D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh, rule)
+    A = assemble_vector_mass(vspace, tmesh)
+    D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh)
     assert D.shape[0] == 368
     X = _factor_symmetric(A.tocsc()).solve(D.T.toarray())
     expected = D @ X
@@ -359,6 +358,25 @@ def test_schur_complement_in_blocks_matches_one_solve():
     S = _schur_complement(A, D)
     assert np.array_equal(S, S.T)
     assert_allclose(S, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("domain", ["square-perturbed", "lshape"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_schur_complement_without_refinement_matches_dense_solve(domain, k):
+    # one sparse solve per block, unrefined, meets a dense LU solve of the
+    # vector mass, also on the most distorted quads the perturbation allows
+    if domain == "lshape":
+        tmesh = criss_cross(build_lshape_grid(4))
+    else:
+        tmesh = criss_cross(perturb_quad_grid(
+            build_rect_grid(0, 0, PI, PI, 6, 6), 0.49, seed=0))
+    vspace = build_vector_space(tmesh, k)
+    A = assemble_vector_mass(vspace, tmesh)
+    D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh)
+    expected = D @ np.linalg.solve(A.toarray(), D.T.toarray())
+    expected = 0.5 * (expected + expected.T)
+    S = _schur_complement(A, D)
+    assert_allclose(S, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_fem1_requires_pressure_degree():
@@ -429,12 +447,11 @@ def test_residual_certificate_inequality():
     import scipy.sparse.linalg as spla
     from crisscross.assembly import assemble_divdiv, assemble_vector_mass
     from crisscross.fespace import build_vector_space
-    from crisscross.refelem import quad_rule
 
     tmesh = square_tri(2)
     vspace = build_vector_space(tmesh, 2)
-    A = assemble_vector_mass(vspace, tmesh, quad_rule(4))
-    B = assemble_divdiv(vspace, tmesh, quad_rule(4))
+    A = assemble_vector_mass(vspace, tmesh)
+    B = assemble_divdiv(vspace, tmesh)
     spec = solve_fem2(tmesh, 2, 8)
     norm_a = spla.norm(A, 1)
     norm_b = spla.norm(B, 1)
