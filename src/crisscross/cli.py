@@ -195,18 +195,23 @@ def _exact_targets(config: StudyConfig) -> np.ndarray | None:
     return None
 
 
-def _solve(config: StudyConfig, tmesh):
+def _solve(config: StudyConfig, tmesh, *, table: bool = False):
     """The spectrum of the configured form; warns on stderr when the solver
-    could not certify it."""
+    could not certify it and, for a ``table`` of ``n_eigs`` rows, when the
+    pencil has fewer nonzero eigenvalues than that."""
     if config.formulation == "fem1":
         spec = solve_fem1(tmesh, config.degree, config.n_eigs)
     else:
         solve = solve_fem2 if config.formulation == "fem2" else solve_primal
         spec = solve(tmesh, config.degree, config.n_eigs, config.backend,
                      sigma=config.sigma, seed=config.seed)
-    if spec.doubts:
+    doubts = spec.doubts
+    if table and len(spec.eigenvalues) < config.n_eigs:
+        doubts.append(f"{len(spec.eigenvalues)} of {config.n_eigs} "
+                      "requested eigenvalues")
+    if doubts:
         print(f"warning: {config.formulation} k={config.degree} on "
-              f"{tmesh.n_quads} quads: " + "; ".join(spec.doubts),
+              f"{tmesh.n_quads} quads: " + "; ".join(doubts),
               file=sys.stderr)
     return spec
 
@@ -215,7 +220,7 @@ def _run_level(config: StudyConfig, n: int):
     """One level's table row, and the mesh it was solved on."""
     t0 = time.perf_counter()
     tmesh = build_mesh(config, n)
-    spec = _solve(config, tmesh)
+    spec = _solve(config, tmesh, table=True)
     runtime = time.perf_counter() - t0
     lambdas = spec.eigenvalues[: config.n_eigs]
     exact = _exact_targets(config)

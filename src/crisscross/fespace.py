@@ -77,15 +77,10 @@ class WhBasis:
     n_dofs: int
     n_local: int              # per-quad dimension, 4*k*(k+1)/2 - 1
     n_disc_local: int         # nodes of P_{k-1} per triangle
-    quad_tris: np.ndarray     # (Q, 4) triangle indices in slot order
     local_basis: np.ndarray   # (4*n_disc_local, n_local) shared coefficient matrix
     constraint_indices: np.ndarray  # (4,) local disc indices of center values
     constraint_signs: np.ndarray    # (4,) alternating signs
     restriction: sp.csr_matrix  # (T*n_disc_local, n_dofs) block diagonal
-
-    @property
-    def n_quads(self) -> int:
-        return len(self.quad_tris)
 
 
 def dim_sigma(k: int, n_quad_vertices: int, n_quad_edges: int, n_quads: int) -> int:
@@ -195,12 +190,8 @@ def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
     m = 4 * n_disc
     Q = tmesh.n_quads
 
-    # triangles of each quad in slot order; construction stores them
-    # contiguously, quad-major
-    quad_tris = np.arange(4 * Q, dtype=np.int64).reshape(Q, 4)
-    expected_slots = np.tile(np.arange(4), Q)
-    if not np.array_equal(tmesh.parent_quad[:, 1], expected_slots):
-        raise ValueError("triangulation is not in quad-major slot order")
+    # the triangulation is quad-major (triangle t is slot t % 4 of quad
+    # t // 4), so the restriction is block diagonal with one block per quad
     centers = tmesh.n_quad_vertices + np.arange(Q)
     if not np.array_equal(tmesh.triangles[:, 2], np.repeat(centers, 4)):
         raise ValueError("center vertex is not local vertex 2 of each triangle")
@@ -226,7 +217,6 @@ def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
         n_dofs=Q * (m - 1),
         n_local=m - 1,
         n_disc_local=n_disc,
-        quad_tris=quad_tris,
         local_basis=basis,
         constraint_indices=cidx,
         constraint_signs=signs,

@@ -43,13 +43,10 @@ class QuadMesh:
         Vertex coordinates.
     quads : (Q, 4) int array
         Vertex indices of each quad, counterclockwise.
-    boundary_edges : frozenset of (int, int)
-        Sorted vertex-index pairs of edges on the domain boundary.
     """
 
     vertices: np.ndarray
     quads: np.ndarray
-    boundary_edges: frozenset
 
     @property
     def n_vertices(self) -> int:
@@ -72,8 +69,9 @@ class TriMesh:
 
     Vertices are the quad-mesh vertices followed by one center per quad
     (center of quad ``q`` has index ``n_quad_vertices + q``).  Triangles are
-    stored quad-major in slot order bottom, left, top, right; the center is
-    always local vertex 2 of each triangle.
+    stored quad-major: triangle ``t`` is slot ``t % 4`` of quad ``t // 4``,
+    the slots being bottom, left, top, right.  The center is always local
+    vertex 2 of each triangle.
     """
 
     vertices: np.ndarray        # (V, 2)
@@ -81,7 +79,6 @@ class TriMesh:
     edges: np.ndarray           # (E, 2) int, each row sorted, rows lexsorted
     edge_is_boundary: np.ndarray  # (E,) bool
     tri_edges: np.ndarray       # (T, 3) edge index of local edges (0,1),(0,2),(1,2)
-    parent_quad: np.ndarray     # (T, 2) int: (quad index, slot 0..3)
     n_quad_vertices: int
     n_quad_edges: int
     n_quads: int
@@ -124,29 +121,13 @@ class MeshStats:
     n_edges: int
     n_triangles: int
     n_quads: int
-    euler_check: bool
-
-
-def _edge_counts(quads: np.ndarray) -> dict:
-    counts: dict = {}
-    for quad in quads:
-        for i in range(4):
-            a, b = int(quad[i]), int(quad[(i + 1) % 4])
-            key = (a, b) if a < b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def _make_quad_mesh(vertices: np.ndarray, quads: np.ndarray) -> QuadMesh:
-    """Assemble a QuadMesh, deriving boundary edges and validating topology."""
-    vertices = np.ascontiguousarray(vertices, dtype=float)
-    quads = np.ascontiguousarray(quads, dtype=np.int64)
-    counts = _edge_counts(quads)
-    bad = [e for e, c in counts.items() if c > 2]
-    if bad:
-        raise MeshError(f"non-manifold quad mesh: edge {bad[0]} shared by >2 quads")
-    boundary = frozenset(e for e, c in counts.items() if c == 1)
-    mesh = QuadMesh(vertices, quads, boundary)
+    """Assemble a QuadMesh and check that its quads are convex.  An edge
+    shared by more than two quads is refused by :func:`criss_cross`."""
+    mesh = QuadMesh(np.ascontiguousarray(vertices, dtype=float),
+                    np.ascontiguousarray(quads, dtype=np.int64))
     _validate_convexity(mesh)
     return mesh
 
@@ -193,18 +174,9 @@ def build_rect_grid(x0: float, y0: float, x1: float, y1: float,
     ys = np.linspace(y0, y1, ny + 1)
     xv, yv = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    quads = np.array(
-        [
-            (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
-            for j in range(ny)
-            for i in range(nx)
-        ],
-        dtype=np.int64,
-    )
+    # lower-left vertex of each quad, row by row
+    v0 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    quads = np.column_stack([v0, v0 + 1, v0 + nx + 2, v0 + nx + 1])
     return _make_quad_mesh(vertices, quads)
 
 
@@ -218,13 +190,9 @@ def build_lshape_grid(n: int) -> QuadMesh:
         raise MeshError("need at least one subdivision per half-side")
     m = 2 * n
     full = build_rect_grid(0.0, 0.0, math.pi, math.pi, m, m)
-    keep = [
-        j * m + i
-        for j in range(m)
-        for i in range(m)
-        if not (i >= n and j >= n)
-    ]
-    quads = full.quads[keep]
+    keep = np.ones((m, m), dtype=bool)   # [row j, column i] of the full grid
+    keep[n:, n:] = False
+    quads = full.quads[keep.ravel()]
     used = np.unique(quads)
     remap = -np.ones(full.n_vertices, dtype=np.int64)
     remap[used] = np.arange(len(used))
@@ -259,17 +227,17 @@ def perturb_quad_grid(mesh: QuadMesh, amplitude: float, seed: int) -> QuadMesh:
     if not _is_rect_grid(mesh):
         raise MeshError("perturbation requires an axis-aligned rectangular grid")
 
+    # quad edges as sorted vertex pairs; boundary edges belong to one quad
+    pairs = np.stack([mesh.quads, np.roll(mesh.quads, -1, axis=1)], axis=2)
+    edges, counts = np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0,
+                              return_counts=True)
     boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    for a, b in mesh.boundary_edges:
-        boundary[a] = boundary[b] = True
-
+    boundary[edges[counts == 1]] = True
+    length = np.linalg.norm(mesh.vertices[edges[:, 1]]
+                            - mesh.vertices[edges[:, 0]], axis=1)
     min_edge = np.full(mesh.n_vertices, np.inf)
-    for quad in mesh.quads:
-        for i in range(4):
-            a, b = quad[i], quad[(i + 1) % 4]
-            length = float(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b]))
-            min_edge[a] = min(min_edge[a], length)
-            min_edge[b] = min(min_edge[b], length)
+    np.minimum.at(min_edge, edges[:, 0], length)
+    np.minimum.at(min_edge, edges[:, 1], length)
 
     amp = amplitude
     for _ in range(4):
@@ -308,9 +276,6 @@ def criss_cross(qmesh: QuadMesh) -> TriMesh:
     tris[1::4] = np.column_stack([q[:, 3], q[:, 0], cid])
     tris[2::4] = np.column_stack([q[:, 2], q[:, 3], cid])
     tris[3::4] = np.column_stack([q[:, 1], q[:, 2], cid])
-    parent = np.empty((4 * qmesh.n_quads, 2), dtype=np.int64)
-    parent[:, 0] = np.repeat(np.arange(qmesh.n_quads), 4)
-    parent[:, 1] = np.tile(np.arange(4), qmesh.n_quads)
 
     # edge table: unique sorted vertex pairs over local edges (0,1),(0,2),(1,2)
     local = np.stack([tris[:, [0, 1]], tris[:, [0, 2]], tris[:, [1, 2]]], axis=1)
@@ -320,6 +285,8 @@ def criss_cross(qmesh: QuadMesh) -> TriMesh:
     )
     tri_edges = tri_edges_flat.reshape(-1, 3)
     if counts.max() > 2:
+        # each quad edge is one triangle edge, so this also refuses a quad
+        # edge shared by more than two quads
         raise MeshError("non-manifold triangulation")
     is_boundary = counts == 1
     # quad edges are the edges between two quad vertices; spokes end at a centre
@@ -331,7 +298,6 @@ def criss_cross(qmesh: QuadMesh) -> TriMesh:
         edges=edges,
         edge_is_boundary=is_boundary,
         tri_edges=tri_edges,
-        parent_quad=parent,
         n_quad_vertices=nv,
         n_quad_edges=n_quad_edges,
         n_quads=qmesh.n_quads,
@@ -390,12 +356,12 @@ def mesh_stats(tmesh: TriMesh) -> MeshStats:
         n_edges=tmesh.n_edges,
         n_triangles=tmesh.n_triangles,
         n_quads=tmesh.n_quads,
-        euler_check=_euler_residuals(tmesh) == (0, 0),
     )
 
 
 def format_mesh_text(tmesh: TriMesh) -> str:
-    """Plain-text mesh format: header, counts, vertices, triangles, parents."""
+    """Plain-text mesh format: header, counts, vertices, triangles, and the
+    (quad, slot) parent of each triangle, ``(t // 4, t % 4)``."""
     lines = ["crisscross-mesh v1", "indexing 0-based"]
     lines.append(
         f"{tmesh.n_vertices} {tmesh.n_edges} {tmesh.n_triangles} {tmesh.n_quads}"
@@ -404,8 +370,7 @@ def format_mesh_text(tmesh: TriMesh) -> str:
         lines.append(f"{x:.17g} {y:.17g}")
     for a, b, c in tmesh.triangles:
         lines.append(f"{a} {b} {c}")
-    for q, s in tmesh.parent_quad:
-        lines.append(f"{q} {s}")
+    lines.extend(f"{t // 4} {t % 4}" for t in range(tmesh.n_triangles))
     return "\n".join(lines) + "\n"
 
 

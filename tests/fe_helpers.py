@@ -73,8 +73,8 @@ def l2_project_wh(f, wh: WhBasis, tmesh: TriMesh, rule: QuadRule) -> np.ndarray:
             @ wh.restriction).tocsr()
     m = wh.n_local
     blocks = np.stack([gram[q * m:(q + 1) * m, q * m:(q + 1) * m].toarray()
-                       for q in range(wh.n_quads)])
-    rhs = b_wh.reshape(wh.n_quads, m)
+                       for q in range(tmesh.n_quads)])
+    rhs = b_wh.reshape(tmesh.n_quads, m)
     return np.linalg.solve(blocks, rhs[..., None])[..., 0].ravel()
 
 

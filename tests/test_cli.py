@@ -602,6 +602,21 @@ def test_uncertified_spectrum_warns_on_stderr(tmp_path, capsys, monkeypatch):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_short_table_warns_on_stderr(tmp_path, capsys):
+    # primal k=1 on one quad has one interior unknown, hence one eigenvalue;
+    # the dense table stays short and exits 0, but says so on stderr
+    out = tmp_path / "short.csv"
+    assert main(["eig", "--levels", "1", "--degree", "1", "--form", "primal",
+                 "--neigs", "6", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: primal k=1 on 1 quads: 1 of 6 requested eigenvalues"]
+    assert "warning" not in captured.out
+    lines = out.read_text().splitlines()
+    assert lines[0] == "level,h,index,lambda_h,exact,abs_error,rate"
+    assert len(lines) == 2 and lines[1].split(",")[2] == "1"
+
+
 def test_cmd_compare_square_modes_converge(tmp_path, capsys):
     # mixed and primal track the same targets; the mode-1 gap is tiny
     config = StudyConfig(domain="square", degree=2, levels=[8], n_eigs=4)

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 
 from crisscross.mesh import (
     MeshError,
+    _euler_residuals,
+    _make_quad_mesh,
     build_lshape_grid,
     build_rect_grid,
     criss_cross,
@@ -43,7 +45,7 @@ def test_rect_grid_single_cell():
     mesh = build_rect_grid(0, 0, PI, PI, 1, 1)
     assert mesh.n_vertices == 4
     assert mesh.n_quads == 1
-    assert len(mesh.boundary_edges) == 4
+    assert np.count_nonzero(criss_cross(mesh).edge_is_boundary) == 4
 
 
 def test_rect_grid_invalid_inputs():
@@ -125,10 +127,15 @@ def test_trapezoid_center_on_both_diagonals():
 
 
 def test_parent_slots():
-    tmesh = criss_cross(build_rect_grid(0, 0, 1, 1, 2, 1))
-    assert tmesh.parent_quad.shape == (8, 2)
-    assert list(tmesh.parent_quad[:, 0]) == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert list(tmesh.parent_quad[:, 1]) == [0, 1, 2, 3, 0, 1, 2, 3]
+    qmesh = build_rect_grid(0, 0, 1, 1, 2, 1)
+    tmesh = criss_cross(qmesh)
+    assert tmesh.n_triangles == 8
+    # triangle 4q + s holds quad q's slot-s edge and its centre; slots are
+    # bottom (v0,v1), left (v3,v0), top (v2,v3), right (v1,v2)
+    for q, quad in enumerate(qmesh.quads):
+        for s, (a, b) in enumerate(((0, 1), (3, 0), (2, 3), (1, 2))):
+            tri = tmesh.triangles[4 * q + s]
+            assert list(tri) == [quad[a], quad[b], tmesh.n_quad_vertices + q]
     # slot 0 is the bottom triangle: its non-center vertices have y = 0
     for t in (0, 4):
         tri = tmesh.triangles[t]
@@ -137,7 +144,7 @@ def test_parent_slots():
 
 def test_center_is_local_vertex_2():
     tmesh = criss_cross(build_rect_grid(0, 0, 1, 1, 3, 2))
-    centers = tmesh.n_quad_vertices + tmesh.parent_quad[:, 0]
+    centers = tmesh.n_quad_vertices + np.arange(tmesh.n_triangles) // 4
     assert np.array_equal(tmesh.triangles[:, 2], centers)
 
 
@@ -155,7 +162,7 @@ def test_perturb_validates_convexity():
     out = perturb_quad_grid(mesh, 0.2, seed=42)
     tmesh = criss_cross(out)  # would raise if any invariant broke
     assert tmesh.n_quads == 64
-    assert mesh_stats(tmesh).euler_check
+    assert _euler_residuals(tmesh) == (0, 0)
 
 
 def test_perturb_deterministic():
@@ -171,11 +178,24 @@ def test_perturb_keeps_boundary_and_area():
     mesh = build_rect_grid(0, 0, PI, PI, 5, 5)
     out = perturb_quad_grid(mesh, 0.25, seed=3)
     on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    for a, b in mesh.boundary_edges:
-        on_boundary[a] = on_boundary[b] = True
+    on_boundary[criss_cross(mesh).boundary_vertices()] = True
     assert np.array_equal(out.vertices[on_boundary], mesh.vertices[on_boundary])
     assert np.any(out.vertices[~on_boundary] != mesh.vertices[~on_boundary])
     assert_allclose(out.quad_areas().sum(), PI * PI, rtol=1e-12)
+
+
+def test_perturb_lshape_pins_exactly_the_boundary():
+    mesh = build_lshape_grid(3)
+    boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    boundary[criss_cross(mesh).boundary_vertices()] = True
+    # the re-entrant corner (pi/2, pi/2) is a boundary vertex
+    corner = np.flatnonzero(np.all(np.isclose(mesh.vertices, PI / 2), axis=1))
+    assert len(corner) == 1 and boundary[corner[0]]
+    assert np.count_nonzero(~boundary) == 16
+    for seed in range(4):
+        out = perturb_quad_grid(mesh, 0.3, seed)
+        moved = np.any(out.vertices != mesh.vertices, axis=1)
+        assert np.array_equal(moved, ~boundary)
 
 
 def test_perturb_rejects_bad_inputs():
@@ -198,7 +218,7 @@ def test_single_square_stats():
     # right isosceles triangle: diameter 1, inradius 2A/P with A=1/4, P=1+sqrt(2)
     expected = 1.0 / (2 * 0.25 / (1 + math.sqrt(2)))
     assert_allclose(stats.shape_regularity, expected, rtol=1e-14)
-    assert stats.euler_check
+    assert _euler_residuals(tmesh) == (0, 0)
 
 
 def test_euler_check_various_meshes():
@@ -207,7 +227,7 @@ def test_euler_check_various_meshes():
         criss_cross(build_lshape_grid(2)),
         criss_cross(perturb_quad_grid(build_rect_grid(0, 0, 1, 1, 4, 4), 0.2, 11)),
     ):
-        assert mesh_stats(tmesh).euler_check
+        assert _euler_residuals(tmesh) == (0, 0)
 
 
 def test_area_conservation():
@@ -228,6 +248,16 @@ def test_singular_vertex_spokes():
             u, v = p[i] - c, p[j] - c
             cross = abs(u[0] * v[1] - u[1] * v[0])
             assert cross < 1e-12
+
+
+def test_edge_of_three_quads_refused():
+    # three convex quads on the edge (0, 1): one below it, two above
+    vertices = [(0, 0), (1, 0), (1, 1), (0, 1), (1, -1), (0, -1), (1, 2),
+                (0, 2)]
+    quads = [[0, 1, 2, 3], [1, 0, 5, 4], [0, 1, 6, 7]]
+    with pytest.raises(MeshError, match="non-manifold"):
+        criss_cross(_make_quad_mesh(np.array(vertices, dtype=float),
+                                    np.array(quads)))
 
 
 def test_interior_edges_shared_by_two_triangles():
