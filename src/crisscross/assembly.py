@@ -5,6 +5,8 @@ degree of its Lagrange space, which is exact for every one of them."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
@@ -18,6 +20,7 @@ __all__ = [
     "assemble_scalar_stiffness",
     "assemble_vector_mass",
     "assemble_divdiv",
+    "assemble_orthonormal_div",
     "assemble_div_coupling",
     "assemble_wh_mass",
     "write_matrix_market",
@@ -38,9 +41,23 @@ def _geometry(tmesh: TriMesh):
     return 0.5 * det, Jinv
 
 
+@lru_cache(maxsize=64)
+def _tabulated(degree: int, points: bytes):
+    vals, grads = tabulate_shapes(degree, np.frombuffer(points).reshape(-1, 3))
+    vals.flags.writeable = grads.flags.writeable = False
+    return vals, grads
+
+
+def _shapes(degree: int, rule: QuadRule):
+    """``tabulate_shapes`` at the rule points, read-only.  Every assembly on
+    one degree and rule reads the same table, so it is tabulated once per
+    process."""
+    return _tabulated(degree, np.asarray(rule.points, dtype=float).tobytes())
+
+
 def _physical_gradients(tmesh: TriMesh, degree: int, rule: QuadRule):
     """Shape values (P, n) and physical gradients (T, P, n, 2) at rule points."""
-    vals, ref_grads = tabulate_shapes(degree, rule.points)
+    vals, ref_grads = _shapes(degree, rule)
     _, Jinv = _geometry(tmesh)
     grads = np.einsum("qne,ted->tqnd", ref_grads, Jinv)
     return vals, grads
@@ -75,7 +92,7 @@ def assemble_scalar_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix of the scalar Lagrange space."""
     rule = quad_rule(2 * space.degree)
     area, _ = _geometry(tmesh)
-    vals, _ = tabulate_shapes(space.degree, rule.points)
+    vals, _ = _shapes(space.degree, rule)
     element = np.einsum("q,t,qi,qj->tij", rule.weights, area, vals, vals)
     return _scatter(element, space.cell_dofs, space.cell_dofs,
                     space.n_dofs, space.n_dofs, symmetric=True)
@@ -104,7 +121,7 @@ def assemble_vector_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
         raise ValueError("expected a vector dof map")
     rule = quad_rule(2 * space.degree)
     area, _ = _geometry(tmesh)
-    vals, _ = tabulate_shapes(space.degree, rule.points)
+    vals, _ = _shapes(space.degree, rule)
     scalar_el = np.einsum("q,t,qi,qj->tij", rule.weights, area, vals, vals)
     T, n, _ = scalar_el.shape
     element = np.zeros((T, 2 * n, 2 * n))
@@ -125,6 +142,35 @@ def assemble_divdiv(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     element = np.einsum("q,t,tqa,tqb->tab", rule.weights, area, div, div)
     return _scatter(element, space.cell_dofs, space.cell_dofs,
                     space.n_dofs, space.n_dofs, symmetric=True)
+
+
+def assemble_orthonormal_div(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
+    """Divergence D of the vector space into an L2-orthonormal discontinuous
+    P_{k-1} basis, so that D^T D is the div-div matrix.
+
+    Row i of triangle t's block is (div phi_a, psi_i)_t.  The reference
+    nodal P_{k-1} basis (the constant for k = 1) is orthonormalised through
+    the Cholesky factor L of its reference mass, psi = N L^-T, and scaled by
+    1/sqrt|t| on the physical triangle, which leaves sqrt|t| on each row.
+    div phi_a lies in P_{k-1} on every triangle, so the rows of a column are
+    its coordinates and D^T D = (div phi_a, div phi_b).
+    """
+    if space.kind != "vector2":
+        raise ValueError("expected a vector dof map")
+    k = space.degree
+    rule = quad_rule(2 * k)
+    area, _ = _geometry(tmesh)
+    div = _vector_div_table(tmesh, k, rule)
+    vals = (np.ones((len(rule.weights), 1)) if k == 1
+            else _shapes(k - 1, rule)[0])
+    chol = np.linalg.cholesky(np.einsum("q,qi,qj->ij", rule.weights, vals, vals))
+    psi = np.linalg.solve(chol, vals.T).T
+    element = np.einsum("q,qm,t,tqa->tma", rule.weights, psi, np.sqrt(area),
+                        div)
+    m = psi.shape[1]
+    rows = np.arange(tmesh.n_triangles * m).reshape(-1, m)
+    return _scatter(element, rows, space.cell_dofs, rows.size, space.n_dofs,
+                    symmetric=False)
 
 
 def assemble_div_coupling(vspace: DofMap, testspace,
@@ -150,7 +196,7 @@ def assemble_div_coupling(vspace: DofMap, testspace,
     rule = quad_rule(2 * vspace.degree)
     area, _ = _geometry(tmesh)
     div = _vector_div_table(tmesh, vspace.degree, rule)
-    test_vals, _ = tabulate_shapes(disc.degree, rule.points)
+    test_vals, _ = _shapes(disc.degree, rule)
     element = np.einsum("q,t,qm,tqa->tma", rule.weights, area, test_vals, div)
     D = _scatter(element, disc.cell_dofs, vspace.cell_dofs,
                  disc.n_dofs, vspace.n_dofs, symmetric=False)
@@ -162,7 +208,7 @@ def assemble_div_coupling(vspace: DofMap, testspace,
 def _disc_mass_csr(tmesh: TriMesh, disc: DiscSpace,
                    rule: QuadRule) -> sp.csr_matrix:
     area, _ = _geometry(tmesh)
-    vals, _ = tabulate_shapes(disc.degree, rule.points)
+    vals, _ = _shapes(disc.degree, rule)
     ref_mass = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
     element = area[:, None, None] * ref_mass
     return _scatter(element, disc.cell_dofs, disc.cell_dofs, disc.n_dofs,

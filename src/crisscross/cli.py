@@ -360,8 +360,8 @@ def cmd_compare(config: StudyConfig) -> tuple[StudyReport, int]:
     n = config.levels[0]
     tmesh = build_mesh(config, n)
     t0 = time.perf_counter()
-    mixed = _solve(config, tmesh)
-    primal = _solve(replace(config, formulation="primal"), tmesh)
+    mixed = _solve(config, tmesh, table=True)
+    primal = _solve(replace(config, formulation="primal"), tmesh, table=True)
     runtime = time.perf_counter() - t0
     h = mesh_stats(tmesh).h
     m = min(len(mixed.eigenvalues), len(primal.eigenvalues))

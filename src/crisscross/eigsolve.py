@@ -10,11 +10,12 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .assembly import (
     assemble_div_coupling,
     assemble_divdiv,
+    assemble_orthonormal_div,
     assemble_scalar_mass,
     assemble_scalar_stiffness,
     assemble_vector_mass,
@@ -49,7 +50,6 @@ CLUSTER_RTOL = 1e-8
 # below lambda_1.
 DEFAULT_SHIFT = 1.0
 _REFLECTOR_BLOCK = 128  # dsytrd reflectors applied per dormqr call
-_SCHUR_BLOCK = 64       # right-hand sides per sparse solve of the Schur complement
 
 
 class SolverError(RuntimeError):
@@ -63,7 +63,8 @@ class Spectrum:
     ``vectors`` holds eigenvectors for the reported window only: the
     columns of ``dense_gevp`` start at eigenvalue ``zero_count`` although
     its ``eigenvalues`` list the whole spectrum, and a reported spectrum's
-    columns align with its ``eigenvalues``.  ``residuals`` holds
+    columns align with its ``eigenvalues`` (for a dense solve, the Rayleigh
+    quotients of those columns).  ``residuals`` holds
     |B x - lambda A x| / |x| for the reported eigenpairs; ``zero_count`` is
     the number of eigenvalues classified as kernel and removed or listed
     first.
@@ -143,15 +144,25 @@ def _apply_reflectors(C: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> None:
         _lapack_check("dormqr", info)
 
 
-def dense_gevp(B, A, n_eigs: int | None = None) -> Spectrum:
+def _check_dense_size(n: int, lanczos: bool = True) -> None:
+    """Refuse a dense solve of more than ``DENSE_CAP`` unknowns, pointing to
+    the shift-invert backend when the form has one."""
+    if n > DENSE_CAP:
+        hint = "; use the shift-invert backend" if lanczos else ""
+        raise SolverError(
+            f"dense solve of size {n} exceeds the cap {DENSE_CAP}{hint}")
+
+
+def dense_gevp(B, A=None, n_eigs: int | None = None) -> Spectrum:
     """Every eigenvalue of B x = lambda A x with A symmetric positive
     definite, and the eigenvectors of the reported window.
 
     One LAPACK reduction: ``dpotrf`` factors A = L L^T and is the
     positive-definiteness check (its ``info`` names the first leading minor
     that is not positive definite), ``dsygst`` forms L^-1 B L^-T and
-    ``dsytrd`` reduces that to Q T Q^T with T tridiagonal.  ``dsterf`` gives
-    all N eigenvalues of T, ascending, so the kernel is counted against
+    ``dsytrd`` reduces that to Q T Q^T with T tridiagonal.  ``A=None`` is
+    the identity: B is reduced directly and L is never formed.  ``dsterf``
+    gives all N eigenvalues of T, ascending, so the kernel is counted against
     ``TOL_ZERO`` relative to the largest magnitude over the whole spectrum.
     Eigenvectors are computed only for the window [zero_count, zero_count +
     n_eigs), clipped at N (every nonzero eigenvalue when ``n_eigs`` is
@@ -162,21 +173,16 @@ def dense_gevp(B, A, n_eigs: int | None = None) -> Spectrum:
     caller's matrices are never modified; they are its only N x N arrays.
     """
     n = B.shape[0]
-    if B.shape != (n, n) or A.shape != (n, n):
+    if B.shape != (n, n) or (A is not None and A.shape != (n, n)):
         raise SolverError("pencil matrices must be square and of equal size")
-    if n > DENSE_CAP:
-        raise SolverError(
-            f"dense solve of size {n} exceeds the cap {DENSE_CAP}; use the "
-            "shift-invert backend"
-        )
-    L, info = lapack.dpotrf(_owned_fortran(A), lower=1, clean=0, overwrite_a=1)
-    if info > 0:
-        raise SolverError(
-            f"matrix A is not positive definite (leading minor of order {info})"
-        )
-    _lapack_check("dpotrf", info)
-    C, info = lapack.dsygst(_owned_fortran(B), L, lower=1, overwrite_a=1)
-    _lapack_check("dsygst", info)
+    _check_dense_size(n)
+    L = None
+    if A is None:
+        C = _owned_fortran(B)
+    else:
+        L = _cholesky(_owned_fortran(A))
+        C, info = lapack.dsygst(_owned_fortran(B), L, lower=1, overwrite_a=1)
+        _lapack_check("dsygst", info)
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     _lapack_check("dsytrd_lwork", info)
     C, d, e, tau, info = lapack.dsytrd(C, lower=1, lwork=int(lwork),
@@ -196,9 +202,67 @@ def dense_gevp(B, A, n_eigs: int | None = None) -> Spectrum:
             raise SolverError(f"tridiagonal eigenvectors failed: {exc}") from exc
         v = np.array(y, order="F")
         _apply_reflectors(C, tau, v)
-        v, info = lapack.dtrtrs(L, v, lower=1, trans=1, overwrite_b=1)
-        _lapack_check("dtrtrs", info)
+        if L is not None:
+            v, info = lapack.dtrtrs(L, v, lower=1, trans=1, overwrite_b=1)
+            _lapack_check("dtrtrs", info)
     return Spectrum(eigenvalues=w, zero_count=zeros, backend="dense", vectors=v)
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of the mass M, computed in place by
+    ``dpotrf``; a matrix that is not positive definite raises
+    ``SolverError`` naming the first leading minor that is not."""
+    L, info = lapack.dpotrf(M, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise SolverError(f"matrix A is not positive definite "
+                          f"(leading minor of order {info})")
+    _lapack_check("dpotrf", info)
+    return L
+
+
+def _vector_mass_schur(A, D) -> tuple[np.ndarray, np.ndarray]:
+    """S = D A^-1 D^T for the interleaved vector mass A = M (x) I_2, and the
+    lower Cholesky factor L of the scalar mass M.
+
+    Component c of the vector dofs owns the rows and columns c::2 of A and
+    the columns c::2 of D, so S = sum_c D_c M^-1 D_c^T.  ``dpotrf`` factors
+    M = L L^T and is the positive-definiteness check; then per component
+    ``dtrsm`` forms X = L^-1 D_c^T and ``dsyrk`` adds X^T X to the lower
+    triangle of S, which is mirrored at the end, so S is exactly symmetric.
+    The arrays are L (n_s^2), one X (n_s x n_d) at a time and S (n_d^2);
+    the mirror buffers one more n_d^2.
+    """
+    n_s, n = A.shape[0] // 2, D.shape[0]
+    A, D = sp.coo_matrix(A), sp.coo_matrix(D)
+    even = (A.row % 2 == 0) & (A.col % 2 == 0)
+    L = _cholesky(_dense(A.row[even] // 2, A.col[even] // 2, A.data[even],
+                         (n_s, n_s)))
+    S = np.zeros((n, n), order="F")
+    for c in (0, 1):
+        mine = D.col % 2 == c
+        X = _dense(D.col[mine] // 2, D.row[mine], D.data[mine], (n_s, n))
+        X = blas.dtrsm(1.0, L, X, lower=1, overwrite_b=1)
+        S = blas.dsyrk(1.0, X, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
+        del X
+    S += S.T                 # the upper triangle held zeros
+    S.flat[::n + 1] *= 0.5   # exact: the diagonal was doubled
+    return S, L
+
+
+def _dense(rows, cols, data, shape) -> np.ndarray:
+    """The Fortran-ordered dense matrix of the triplets, duplicates summed."""
+    M = np.zeros(shape, order="F")
+    np.add.at(M, (rows, cols), data)
+    return M
+
+
+def _mass_solve(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """A^-1 R for A = M (x) I_2 and M = L L^T: the rows of both components
+    are solved as one block of 2m columns."""
+    n, m = R.shape
+    X, info = lapack.dpotrs(L, R.reshape(n // 2, 2 * m), lower=1)
+    _lapack_check("dpotrs", info)
+    return X.reshape(n, m)
 
 
 def _count_zeros(w: np.ndarray) -> int:
@@ -306,9 +370,31 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
                     inertia=inertia, factor_nnz=int(lu.nnz))
 
 
+def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
+    """The zero count of the whole dense spectrum of (B, A) and the
+    A-orthonormal eigenvectors of the window of ``n_eigs`` after the kernel.
+
+    ``div`` is a matrix D with B = D^T D, for A the vector mass M (x) I_2.
+    Then B x = lambda A x and D x = y give C y = lambda y with
+    C = D A^-1 D^T (``_vector_mass_schur``), so the nonzero spectrum is C's
+    and only C is reduced (``dense_gevp`` with the identity mass).  The
+    N - n_d eigenvalues that C has not are zero, and x = A^-1 D^T y /
+    sqrt(lambda) is A-orthonormal for an orthonormal y.
+    """
+    if div is None:
+        spec = dense_gevp(B, A, n_eigs)
+        return spec.zero_count, spec.vectors
+    C, L = _vector_mass_schur(A, div)
+    spec = dense_gevp(C, None, n_eigs)
+    y = spec.vectors
+    lam = spec.eigenvalues[spec.zero_count:spec.zero_count + y.shape[1]]
+    x = _mass_solve(L, div.T @ y) / np.sqrt(lam)
+    return B.shape[0] - div.shape[0] + spec.zero_count, x
+
+
 def _solve_pencil(B, A, kernel_dim: int | None, n_eigs: int,
-                  backend: str = "dense", *, sigma: float = DEFAULT_SHIFT,
-                  seed: int = 0) -> Spectrum:
+                  backend: str = "dense", *, div=None,
+                  sigma: float = DEFAULT_SHIFT, seed: int = 0) -> Spectrum:
     """The reported spectrum of a pencil with B positive semidefinite.
 
     The one place that picks the backend, splits off the kernel, truncates
@@ -319,16 +405,24 @@ def _solve_pencil(B, A, kernel_dim: int | None, n_eigs: int,
     a larger count means sigma is not below lambda_1 and the smallest
     eigenvalues would be missing from the table.  A dense solve must find
     exactly that many zeros, or the table would start with a kernel value or
-    skip an eigenvalue.
+    skip an eigenvalue.  A dense solve counts the zeros on every eigenvalue
+    of its tridiagonal reduction, but reports the Rayleigh quotients
+    x^T B x / x^T A x of its window vectors, ascending, which are more
+    accurate than the tridiagonal's eigenvalues; with ``div`` it reduces
+    only the divergence space (``_dense_window``).
     """
     if backend == "dense":
-        spec = dense_gevp(B, A, n_eigs)
-        if kernel_dim is not None and spec.zero_count != kernel_dim:
+        zeros, v = _dense_window(B, A, n_eigs, div)
+        if kernel_dim is not None and zeros != kernel_dim:
             raise SolverError(
-                f"kernel check failed: {spec.zero_count} eigenvalues are zero "
+                f"kernel check failed: {zeros} eigenvalues are zero "
                 f"to the tolerance {TOL_ZERO:g}, but the kernel has dimension "
                 f"{kernel_dim}"
             )
+        w = np.einsum("ij,ij->j", v, B @ v) / np.einsum("ij,ij->j", v, A @ v)
+        order = np.argsort(w, kind="stable")
+        w, v = w[order], v.take(order, axis=1)
+        spec = Spectrum(eigenvalues=w, zero_count=zeros, backend="dense")
     elif backend == "lanczos":
         spec = shift_invert_lanczos(B, A, sigma, n_eigs, seed=seed)
         if None not in (spec.inertia, kernel_dim) and spec.inertia != kernel_dim:
@@ -337,50 +431,27 @@ def _solve_pencil(B, A, kernel_dim: int | None, n_eigs: int,
                 f"eigenvalues lie below the shift, but the kernel has "
                 f"dimension {kernel_dim}; choose sigma below lambda_1"
             )
+        zeros = _count_zeros(spec.eigenvalues)
+        w = spec.eigenvalues[zeros:zeros + n_eigs]
+        # a copy, so the returned Spectrum does not keep dropped columns alive
+        v = spec.vectors[:, zeros:zeros + n_eigs].copy()
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    zeros = _count_zeros(spec.eigenvalues)
-    w = spec.eigenvalues[zeros:zeros + n_eigs]
-    v = spec.vectors   # dense: already the window [zeros, zeros + n_eigs)
-    if backend == "lanczos":
-        # a copy, so the returned Spectrum does not keep dropped columns alive
-        v = v[:, zeros:zeros + n_eigs].copy()
     return replace(spec, eigenvalues=w, vectors=v, zero_count=zeros,
                    residuals=residual_norms(B, A, w, v))
 
 
-def _schur_complement(A: sp.csr_matrix, D: sp.csr_matrix) -> np.ndarray:
-    """D A^-1 D^T, symmetrized, for A symmetric positive definite.
-
-    A is factored by ``_factor_symmetric``; a factor without negative pivots
-    certifies that it is positive definite, and any other factor raises
-    ``SolverError``.  The right-hand sides D^T are solved, unrefined (one
-    solve of a vector mass leaves residuals at rounding level), and
-    multiplied by D in blocks of ``_SCHUR_BLOCK`` columns, so A^-1 D^T is
-    never held whole.  SuperLU updates every right-hand side row by row; a
-    block of them stays in cache where all of them do not.  Each column is
-    solved on its own, as in one solve of all columns.
-    """
-    try:
-        lu = _factor_symmetric(A.tocsc())
-    except RuntimeError as exc:
-        raise SolverError(f"matrix is not positive definite ({exc})") from exc
-    negative = _inertia(lu)
-    if negative != 0:
-        found = ("an off-diagonal pivot" if negative is None
-                 else f"{negative} negative pivots")
-        raise SolverError(
-            f"matrix is not positive definite ({found} in its symmetric factor)"
-        )
-    Dt = D.T.tocsc()
-    n = D.shape[0]
-    S = np.empty((n, n), order="F")   # column blocks are contiguous
-    for j0 in range(0, n, _SCHUR_BLOCK):
-        j1 = min(j0 + _SCHUR_BLOCK, n)
-        S[:, j0:j1] = D @ lu.solve(Dt[:, j0:j1].toarray(order="F"))
-    S += S.T
-    S *= 0.5
-    return S
+def _fem2_pencil(tmesh: TriMesh, k: int):
+    """The vector space of ``fem2``, its pencil and its kernel dimension."""
+    if k not in (1, 2, 3):
+        raise ValueError("the div-div formulation supports k in {1, 2, 3}")
+    space = build_vector_space(tmesh, k)
+    kernel_dim = None
+    if k in (2, 3):
+        kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
+                               tmesh.n_quads) - 1
+    return (space, assemble_divdiv(space, tmesh),
+            assemble_vector_mass(space, tmesh), kernel_dim)
 
 
 def _pencil(form: str, tmesh: TriMesh, k: int):
@@ -389,30 +460,24 @@ def _pencil(form: str, tmesh: TriMesh, k: int):
     ``fem2`` is the div-div and vector mass pair on every vector dof.  The
     discrete complex is exact, so its kernel is curl Sigma_h, of dimension
     dim Sigma_h - 1, for k = 2, 3; for k = 1 no law is known (None).
-    ``fem1`` is the pressure Schur complement D A^-1 D^T (dense) and the
-    pressure mass, ``primal`` the stiffness and mass on the interior dofs;
-    neither has a kernel.
+    ``fem1`` is the pressure Schur complement D A^-1 D^T (dense, refused
+    above ``DENSE_CAP`` before it is built) and the pressure mass,
+    ``primal`` the stiffness and mass on the interior dofs; neither has a
+    kernel.
     """
     if form == "fem2":
-        if k not in (1, 2, 3):
-            raise ValueError("the div-div formulation supports k in {1, 2, 3}")
-        space = build_vector_space(tmesh, k)
-        kernel_dim = None
-        if k in (2, 3):
-            kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
-                                   tmesh.n_quads) - 1
-        return (assemble_divdiv(space, tmesh),
-                assemble_vector_mass(space, tmesh), kernel_dim)
+        return _fem2_pencil(tmesh, k)[1:]
     if form == "fem1":
         if k not in (2, 3):
             raise ValueError("the mixed formulation needs the pressure basis, "
                              "k in {2, 3}")
-        vspace = build_vector_space(tmesh, k)
         wh = build_wh_space(tmesh, k)
+        _check_dense_size(wh.n_dofs, lanczos=False)
+        vspace = build_vector_space(tmesh, k)
         A = assemble_vector_mass(vspace, tmesh)
         D = assemble_div_coupling(vspace, wh, tmesh)
         M = assemble_wh_mass(wh, tmesh)
-        return _schur_complement(A, D), M, 0
+        return _vector_mass_schur(A, D)[0], M, 0
     if form == "primal":
         if k not in (1, 2, 3):
             raise ValueError("the primal formulation supports k in {1, 2, 3}")
@@ -426,8 +491,18 @@ def _pencil(form: str, tmesh: TriMesh, k: int):
 
 def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
                *, sigma: float = DEFAULT_SHIFT, seed: int = 0) -> Spectrum:
-    """First nonzero eigenvalues of the div-div pencil on the vector space."""
-    return _solve_pencil(*_pencil("fem2", tmesh, k), n_eigs, backend,
+    """First nonzero eigenvalues of the div-div pencil on the vector space.
+
+    The dense backend, capped at the vector dimension, reduces only the
+    divergence space: B = D^T D with D the divergence into an orthonormal
+    discontinuous P_{k-1} basis (``assemble_orthonormal_div``).
+    """
+    space, B, A, kernel_dim = _fem2_pencil(tmesh, k)
+    div = None
+    if backend == "dense":
+        _check_dense_size(space.n_dofs)
+        div = assemble_orthonormal_div(space, tmesh)
+    return _solve_pencil(B, A, kernel_dim, n_eigs, backend, div=div,
                          sigma=sigma, seed=seed)
 
 

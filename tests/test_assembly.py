@@ -11,12 +11,14 @@ from crisscross.assembly import (
     _scatter,
     assemble_div_coupling,
     assemble_divdiv,
+    assemble_orthonormal_div,
     assemble_scalar_mass,
     assemble_scalar_stiffness,
     assemble_vector_mass,
     assemble_wh_mass,
     write_matrix_market,
 )
+from crisscross.cli import StudyConfig, build_mesh
 from crisscross.eigsolve import _pencil
 from crisscross.fespace import (
     build_disc_space,
@@ -169,6 +171,20 @@ def test_coupling_and_wh_mass_match_dense_oracle(k):
                     atol=1e-12)
     assert_allclose(M.toarray(), dense_gram_oracle(tmesh, wh, "wh_mass"),
                     atol=1e-12)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape", "square-perturbed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orthonormal_div_factors_divdiv(domain, k):
+    # div V_h lies in discontinuous P_{k-1} (the constants for k = 1), so its
+    # coordinates in an orthonormal basis give D^T D = (div u, div v)
+    for n in (1, 2, 5):
+        tmesh = build_mesh(StudyConfig(domain=domain), n)
+        space = build_vector_space(tmesh, k)
+        D = assemble_orthonormal_div(space, tmesh)
+        B = assemble_divdiv(space, tmesh)
+        assert D.shape == (tmesh.n_triangles * k * (k + 1) // 2, space.n_dofs)
+        assert abs(D.T @ D - B).max() <= 1e-13 * abs(B).max()
 
 
 # ------------------------------------------------ structural properties

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 import crisscross
 import crisscross.cli as cli
+from crisscross import eigsolve
 from crisscross.cli import (
     ConfigError,
     StudyConfig,
@@ -352,7 +353,7 @@ def test_perturb_off_perturbed_square_refused(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["eig", "--levels", "1", "--out", "{missing}/x.csv"],
     ["converge", "--levels", "1,2", "--out", "{missing}/x.csv"],
-    ["compare", "--levels", "1", "--out", "{missing}/x.csv"],
+    ["compare", "--levels", "2", "--out", "{missing}/x.csv"],
     ["mesh", "--levels", "1", "--out", "{missing}/m.txt"],
     ["eig", "--levels", "1", "--export-mesh", "{missing}/m.txt"],
     ["eig", "--levels", "1", "--export-matrices", "{missing}/mat"],
@@ -617,6 +618,18 @@ def test_short_table_warns_on_stderr(tmp_path, capsys):
     assert len(lines) == 2 and lines[1].split(",")[2] == "1"
 
 
+def test_short_compare_table_warns_on_stderr(tmp_path, capsys):
+    # one quad has 11 mixed but 5 primal eigenvalues at k=2: the table keeps
+    # the 5 rows both sides have, and stderr names the short side
+    out = tmp_path / "short.csv"
+    assert main(["compare", "--levels", "1", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: primal k=2 on 1 quads: 5 of 10 requested eigenvalues"]
+    assert len(captured.out.splitlines()) == 2 + 5
+    assert len(out.read_text().splitlines()) == 1 + 5
+
+
 def test_cmd_compare_square_modes_converge(tmp_path, capsys):
     # mixed and primal track the same targets; the mode-1 gap is tiny
     config = StudyConfig(domain="square", degree=2, levels=[8], n_eigs=4)
@@ -633,6 +646,19 @@ def test_solver_failure_exit_code(capsys):
     code = main(["eig", "--degree", "3", "--levels", "16", "--neigs", "2"])
     assert code == 3
     assert "shift-invert" in capsys.readouterr().err
+
+
+def test_fem1_dense_cap_refused_before_the_schur_build(capsys, monkeypatch):
+    # 16 quads carry 16 * 23 = 368 pressure unknowns at k=3; fem1 has no
+    # shift-invert backend to point to
+    def not_built(*args):
+        raise AssertionError("Schur complement built past the cap")
+
+    monkeypatch.setattr(eigsolve, "DENSE_CAP", 367)
+    monkeypatch.setattr(eigsolve, "_vector_mass_schur", not_built)
+    assert main(["eig", "--form", "fem1", "--degree", "3", "--levels", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err == "solver error: dense solve of size 368 exceeds the cap 367\n"
 
 
 def test_lapack_failure_exits_as_solver_error(tmp_path, capsys, monkeypatch):

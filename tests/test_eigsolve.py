@@ -7,17 +7,21 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from crisscross import eigsolve
-from crisscross.assembly import assemble_div_coupling, assemble_vector_mass
+from crisscross.assembly import (
+    assemble_div_coupling,
+    assemble_orthonormal_div,
+    assemble_vector_mass,
+)
 from crisscross.cli import StudyConfig, build_mesh
 from crisscross.eigsolve import (
     SolverError,
     _count_zeros,
     _factor_shifted,
     _factor_symmetric,
-    _schur_complement,
     _shifted,
     _pencil,
     _solve_pencil,
+    _vector_mass_schur,
     cluster_eigenvalues,
     dense_gevp,
     residual_norms,
@@ -173,6 +177,19 @@ def test_dense_gevp_leaves_caller_arrays_unchanged():
     B0, A0 = B.copy(), A.copy()
     dense_gevp(B, A)
     assert np.array_equal(B, B0) and np.array_equal(A, A0)
+
+
+def test_dense_gevp_identity_mass():
+    # A=None reduces B itself, and the window vectors are orthonormal
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    B = Q @ np.diag([0.0, 0.0, 1.0, 3.0, 4.0]) @ Q.T
+    spec = dense_gevp(B, None, 2)
+    assert spec.zero_count == 2
+    assert_allclose(spec.eigenvalues, [0, 0, 1, 3, 4], atol=1e-14)
+    v = spec.vectors
+    assert_allclose(v.T @ v, np.eye(2), atol=1e-14)
+    assert_allclose(B @ v, v * [1.0, 3.0], atol=1e-14)
 
 
 def test_dense_gevp_size_cap(monkeypatch):
@@ -341,30 +358,36 @@ def test_fem1_dimension_is_wh_dimension():
     np.array([[1.0, 1.0], [1.0, 1.0]]),     # singular
 ], ids=["indefinite", "zero-diagonal", "singular"])
 def test_schur_factor_rejects_non_spd_matrix(matrix):
+    # the vector mass is the scalar one on each interleaved component
+    A = sp.csr_matrix(np.kron(matrix, np.eye(2)))
     with pytest.raises(SolverError, match="not positive definite"):
-        _schur_complement(sp.csr_matrix(matrix), sp.csr_matrix(np.eye(2)))
+        _vector_mass_schur(A, sp.csr_matrix(np.eye(4)))
 
 
-def test_schur_complement_in_blocks_matches_one_solve():
-    # 368 pressure dofs: five full blocks of right-hand sides and a partial one
+@pytest.mark.parametrize("coupling", ["wh", "orthonormal"])
+def test_vector_mass_schur_matches_sparse_solve(coupling):
+    # potrf on the scalar mass, one trsm and one syrk per component, against
+    # one SuperLU solve of the whole vector mass
     tmesh, k = square_tri(4), 3
     vspace = build_vector_space(tmesh, k)
     A = assemble_vector_mass(vspace, tmesh)
-    D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh)
-    assert D.shape[0] == 368
-    X = _factor_symmetric(A.tocsc()).solve(D.T.toarray())
-    expected = D @ X
-    expected = 0.5 * (expected + expected.T)
-    S = _schur_complement(A, D)
+    if coupling == "wh":
+        D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh)
+    else:
+        D = assemble_orthonormal_div(vspace, tmesh)
+    expected = D @ _factor_symmetric(A.tocsc()).solve(D.T.toarray())
+    S, L = _vector_mass_schur(A, D)
     assert np.array_equal(S, S.T)
     assert_allclose(S, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+    L = np.tril(L)   # dpotrf leaves the upper triangle as it found it
+    assert_allclose(L @ L.T, A[0::2, 0::2].toarray(), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("domain", ["square-perturbed", "lshape"])
 @pytest.mark.parametrize("k", [2, 3])
 def test_schur_complement_without_refinement_matches_dense_solve(domain, k):
-    # one sparse solve per block, unrefined, meets a dense LU solve of the
-    # vector mass, also on the most distorted quads the perturbation allows
+    # the Cholesky solve, unrefined, meets a dense LU solve of the vector
+    # mass, also on the most distorted quads the perturbation allows
     if domain == "lshape":
         tmesh = criss_cross(build_lshape_grid(4))
     else:
@@ -375,8 +398,69 @@ def test_schur_complement_without_refinement_matches_dense_solve(domain, k):
     D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh)
     expected = D @ np.linalg.solve(A.toarray(), D.T.toarray())
     expected = 0.5 * (expected + expected.T)
-    S = _schur_complement(A, D)
+    S = _vector_mass_schur(A, D)[0]
     assert_allclose(S, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape", "square-perturbed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_divergence_route_matches_full_pencil(domain, k):
+    # C = D A^-1 D^T carries the nonzero spectrum of (B, A); the n_v - n_d
+    # eigenvalues it lacks are zero, and for k = 2, 3 C adds one zero per
+    # quad: the centre of each is a singular vertex, where the divergence
+    # image loses the alternating value
+    for n in (1, 2, 5):
+        tmesh = build_mesh(StudyConfig(domain=domain), n)
+        B, A = _pencil("fem2", tmesh, k)[:2]
+        D = assemble_orthonormal_div(build_vector_space(tmesh, k), tmesh)
+        full = dense_gevp(B, A, 0)
+        out = _solve_pencil(B, A, None, 20, div=D)
+        assert out.zero_count == full.zero_count
+        lam = full.eigenvalues[full.zero_count:]
+        assert_allclose(out.eigenvalues, lam[:len(out.eigenvalues)], rtol=1e-11)
+        assert out.residuals.max() < 1e-11
+        reduced = dense_gevp(_vector_mass_schur(A, D)[0], None, 0)
+        assert reduced.zero_count + B.shape[0] - D.shape[0] == full.zero_count
+        if k in (2, 3):
+            assert reduced.zero_count == tmesh.n_quads
+        assert_allclose(reduced.eigenvalues[reduced.zero_count:], lam,
+                        rtol=0, atol=1e-11 * lam.max())
+
+
+def test_dense_fem2_reduces_only_the_divergence_space(monkeypatch):
+    # rebinds the module attribute as the benchmark's tracer does: a fall-back
+    # to the full pencil would show as one 1090 x 1090 call
+    shapes = []
+
+    def traced(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return dense_gevp(*args, **kwargs)
+
+    monkeypatch.setattr(eigsolve, "dense_gevp", traced)
+    spec = solve_fem2(square_tri(8), 2, 10)
+    assert shapes == [(768, 768)]
+    assert spec.zero_count == 386 and len(spec.eigenvalues) == 10
+
+
+def test_fem2_dense_cap_counts_the_vector_space(monkeypatch):
+    # 290 vector unknowns reduce to a 192 x 192 matrix; the cap stays on 290
+    monkeypatch.setattr(eigsolve, "DENSE_CAP", 289)
+    with pytest.raises(SolverError, match="size 290 exceeds the cap 289; use "
+                                          "the shift-invert backend"):
+        solve_fem2(square_tri(4), 2, 3)
+
+
+@pytest.mark.parametrize("solve, k, n", [
+    (solve_fem2, 2, 12), (solve_fem2, 3, 8), (solve_primal, 2, 8),
+], ids=["fem2-k2-n12", "fem2-k3-n8", "primal-k2-n8"])
+def test_dense_window_reports_rayleigh_quotients(solve, k, n):
+    # the reduced tridiagonal's eigenvalues are off by up to 1e-12; the
+    # Rayleigh quotients of the window vectors meet Lanczos at rounding
+    tmesh = square_tri(n)
+    dense = solve(tmesh, k, 10)
+    lanczos = solve(tmesh, k, 10, backend="lanczos")
+    assert np.all(np.diff(dense.eigenvalues) >= 0)
+    assert_allclose(dense.eigenvalues, lanczos.eigenvalues, rtol=1e-13)
 
 
 def test_fem1_requires_pressure_degree():
