@@ -1,7 +1,10 @@
 """Element-loop assembly of the mass, stiffness, div-div, and divergence
 coupling forms into canonical CSR matrices (duplicates summed, column
 indices sorted).  Each form is integrated with ``quad_rule(2 * k)``, k the
-degree of its Lagrange space, which is exact for every one of them."""
+degree of its Lagrange space, which is exact for every one of them.  The
+divergence is integrated once, into per-triangle blocks (``_div_blocks``),
+and the div-div matrix and both divergence couplings are linear maps of
+those blocks."""
 
 from __future__ import annotations
 
@@ -63,29 +66,33 @@ def _physical_gradients(tmesh: TriMesh, degree: int, rule: QuadRule):
     return vals, grads
 
 
-def _canonical(mat, symmetric: bool = False) -> sp.csr_matrix:
-    """CSR with duplicates summed and sorted column indices per row.  A
-    matrix flagged symmetric is checked against its transpose.  Sums that
-    cancel stay stored as zeros, so every matrix assembled on one dof map
-    stores that map's element graph, and a sparse factor is ordered on it."""
+def _canonical(mat) -> sp.csr_matrix:
+    """CSR with duplicates summed and sorted column indices per row.  Sums
+    that cancel stay stored as zeros, so every matrix assembled on one dof
+    map stores that map's element graph, and a sparse factor is ordered on
+    it."""
     csr = mat.tocsr()
     csr.sum_duplicates()
     csr.sort_indices()
-    if symmetric:
-        diff = (csr - csr.T).tocoo()
-        scale = max(np.abs(csr.data).max(initial=0.0), 1e-300)
-        if diff.nnz and np.abs(diff.data).max() > 1e-12 * scale:
-            raise ValueError("matrix flagged symmetric is not symmetric")
     return csr
 
 
 def _scatter(element: np.ndarray, row_dofs: np.ndarray, col_dofs: np.ndarray,
              n_rows: int, n_cols: int, symmetric: bool) -> sp.csr_matrix:
+    """Sum the element matrices into CSR.  An assembly flagged symmetric
+    scatters each element matrix on one dof list to both sides, so it is
+    symmetric when every element matrix is; those are checked against their
+    transposes."""
+    if symmetric:
+        asym = element - element.transpose(0, 2, 1)
+        if (np.abs(asym, out=asym).max(initial=0.0)
+                > 1e-12 * np.abs(element).max(initial=0.0)):
+            raise ValueError("matrix flagged symmetric is not symmetric")
     T, nr, nc = element.shape
     rows = np.repeat(row_dofs, nc, axis=1).ravel()
     cols = np.tile(col_dofs, (1, nr)).ravel()
     coo = sp.coo_matrix((element.ravel(), (rows, cols)), shape=(n_rows, n_cols))
-    return _canonical(coo, symmetric)
+    return _canonical(coo)
 
 
 def assemble_scalar_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
@@ -108,13 +115,6 @@ def assemble_scalar_stiffness(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
                     space.n_dofs, space.n_dofs, symmetric=True)
 
 
-def _vector_div_table(tmesh: TriMesh, degree: int, rule: QuadRule):
-    """Divergence of the interleaved vector basis at rule points, (T, P, 2n)."""
-    _, grads = _physical_gradients(tmesh, degree, rule)
-    T, P, n, _ = grads.shape
-    return grads.reshape(T, P, 2 * n)
-
-
 def assemble_vector_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix of the vector space; SPD, block of the scalar mass."""
     if space.kind != "vector2":
@@ -131,45 +131,54 @@ def assemble_vector_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
                     space.n_dofs, space.n_dofs, symmetric=True)
 
 
+def _div_blocks(tmesh: TriMesh, k: int):
+    """Per-triangle coordinates E of the divergence of every vector basis
+    field in an L2-orthonormal P_{k-1} basis, (T, m, 2n), and the lower
+    Cholesky factor L of the reference P_{k-1} mass (m x m).
+
+    The reference nodal P_{k-1} basis N (the constant for k = 1) is
+    orthonormalised as psi = N L^-T and scaled by 1/sqrt|t| on triangle t,
+    so E_t[i, a] = (div phi_a, psi_i)_t.  The maps are affine, so the
+    divergence is the reference gradient table times the inverse Jacobian:
+    it is integrated against psi once, on the reference triangle, and
+    E_t = sqrt|t| (that integral) J_t^-1.  div V_h lies in P_{k-1} on every
+    triangle, so the columns of E_t are the divergences in full, and
+    E_t^T E_t is triangle t's div-div matrix.
+    """
+    rule = quad_rule(2 * k)
+    area, Jinv = _geometry(tmesh)
+    _, ref_grads = _shapes(k, rule)
+    test = (np.ones((len(rule.weights), 1)) if k == 1
+            else _shapes(k - 1, rule)[0])
+    L = np.linalg.cholesky(np.einsum("q,qi,qj->ij", rule.weights, test, test))
+    psi_w = np.linalg.solve(L, (rule.weights[:, None] * test).T)  # w_q psi_i
+    ref = np.einsum("iq,qae->iae", psi_w, ref_grads)
+    E = np.einsum("iae,ted->tiad", ref, np.sqrt(area)[:, None, None] * Jinv)
+    return E.reshape(len(area), len(L), -1), L
+
+
 def assemble_divdiv(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
-    """(div u, div v) matrix of the vector space; symmetric positive
-    semidefinite with a large kernel of divergence-free fields."""
+    """(div u, div v) matrix of the vector space, sum_t E_t^T E_t over the
+    divergence blocks (``_div_blocks``); symmetric positive semidefinite with
+    a large kernel of divergence-free fields.  It is scattered on the vector
+    element graph, the stored pattern of the vector mass."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    rule = quad_rule(2 * space.degree)
-    area, _ = _geometry(tmesh)
-    div = _vector_div_table(tmesh, space.degree, rule)
-    element = np.einsum("q,t,tqa,tqb->tab", rule.weights, area, div, div)
+    E, _ = _div_blocks(tmesh, space.degree)
+    element = np.einsum("tia,tib->tab", E, E)
     return _scatter(element, space.cell_dofs, space.cell_dofs,
                     space.n_dofs, space.n_dofs, symmetric=True)
 
 
 def assemble_orthonormal_div(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """Divergence D of the vector space into an L2-orthonormal discontinuous
-    P_{k-1} basis, so that D^T D is the div-div matrix.
-
-    Row i of triangle t's block is (div phi_a, psi_i)_t.  The reference
-    nodal P_{k-1} basis (the constant for k = 1) is orthonormalised through
-    the Cholesky factor L of its reference mass, psi = N L^-T, and scaled by
-    1/sqrt|t| on the physical triangle, which leaves sqrt|t| on each row.
-    div phi_a lies in P_{k-1} on every triangle, so the rows of a column are
-    its coordinates and D^T D = (div phi_a, div phi_b).
-    """
+    P_{k-1} basis, the divergence blocks E (``_div_blocks``) stacked by
+    triangle, so that D^T D is the div-div matrix."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    k = space.degree
-    rule = quad_rule(2 * k)
-    area, _ = _geometry(tmesh)
-    div = _vector_div_table(tmesh, k, rule)
-    vals = (np.ones((len(rule.weights), 1)) if k == 1
-            else _shapes(k - 1, rule)[0])
-    chol = np.linalg.cholesky(np.einsum("q,qi,qj->ij", rule.weights, vals, vals))
-    psi = np.linalg.solve(chol, vals.T).T
-    element = np.einsum("q,qm,t,tqa->tma", rule.weights, psi, np.sqrt(area),
-                        div)
-    m = psi.shape[1]
-    rows = np.arange(tmesh.n_triangles * m).reshape(-1, m)
-    return _scatter(element, rows, space.cell_dofs, rows.size, space.n_dofs,
+    E, _ = _div_blocks(tmesh, space.degree)
+    rows = np.arange(E.shape[0] * E.shape[1]).reshape(E.shape[:2])
+    return _scatter(E, rows, space.cell_dofs, rows.size, space.n_dofs,
                     symmetric=False)
 
 
@@ -179,7 +188,9 @@ def assemble_div_coupling(vspace: DofMap, testspace,
 
     The test space is either the full discontinuous P_{k-1} space or the
     constrained divergence-image basis (rows compressed through its
-    restriction matrix).
+    restriction matrix).  The nodal basis is N = sqrt|t| psi L^T in the
+    orthonormal one of ``_div_blocks``, so triangle t's block is
+    sqrt|t| L E_t.
     """
     if vspace.kind != "vector2":
         raise ValueError("expected a vector dof map")
@@ -193,11 +204,9 @@ def assemble_div_coupling(vspace: DofMap, testspace,
         disc = testspace
     else:
         raise TypeError("testspace must be a WhBasis or DiscSpace")
-    rule = quad_rule(2 * vspace.degree)
+    E, L = _div_blocks(tmesh, vspace.degree)
     area, _ = _geometry(tmesh)
-    div = _vector_div_table(tmesh, vspace.degree, rule)
-    test_vals, _ = _shapes(disc.degree, rule)
-    element = np.einsum("q,t,qm,tqa->tma", rule.weights, area, test_vals, div)
+    element = np.sqrt(area)[:, None, None] * (L @ E)
     D = _scatter(element, disc.cell_dofs, vspace.cell_dofs,
                  disc.n_dofs, vspace.n_dofs, symmetric=False)
     if isinstance(testspace, WhBasis):
@@ -219,7 +228,7 @@ def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix of the divergence-image basis (block diagonal per quad)."""
     disc = build_disc_space(tmesh, wh.degree - 1)
     G = _disc_mass_csr(tmesh, disc, quad_rule(2 * wh.degree))
-    return _canonical(wh.restriction.T @ G @ wh.restriction, symmetric=True)
+    return _canonical(wh.restriction.T @ G @ wh.restriction)
 
 
 def write_matrix_market(mat, path) -> None:

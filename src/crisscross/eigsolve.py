@@ -225,35 +225,24 @@ def _vector_mass_schur(A, D) -> tuple[np.ndarray, np.ndarray]:
     lower Cholesky factor L of the scalar mass M.
 
     Component c of the vector dofs owns the rows and columns c::2 of A and
-    the columns c::2 of D, so S = sum_c D_c M^-1 D_c^T.  ``dpotrf`` factors
-    M = L L^T and is the positive-definiteness check; then per component
-    ``dtrsm`` forms X = L^-1 D_c^T and ``dsyrk`` adds X^T X to the lower
-    triangle of S, which is mirrored at the end, so S is exactly symmetric.
-    The arrays are L (n_s^2), one X (n_s x n_d) at a time and S (n_d^2);
-    the mirror buffers one more n_d^2.
+    the columns c::2 of D, so M = A[0::2, 0::2] and S = sum_c D_c M^-1 D_c^T.
+    ``dpotrf`` factors M = L L^T and is the positive-definiteness check; then
+    per component ``dtrsm`` forms X = L^-1 D_c^T and ``dsyrk`` adds X^T X to
+    the lower triangle of S, which is mirrored at the end, so S is exactly
+    symmetric.  The arrays are L (n_s^2), one X (n_s x n_d) at a time and S
+    (n_d^2); the mirror buffers one more n_d^2.
     """
-    n_s, n = A.shape[0] // 2, D.shape[0]
-    A, D = sp.coo_matrix(A), sp.coo_matrix(D)
-    even = (A.row % 2 == 0) & (A.col % 2 == 0)
-    L = _cholesky(_dense(A.row[even] // 2, A.col[even] // 2, A.data[even],
-                         (n_s, n_s)))
+    L = _cholesky(A[0::2, 0::2].toarray(order="F"))
+    n = D.shape[0]
     S = np.zeros((n, n), order="F")
     for c in (0, 1):
-        mine = D.col % 2 == c
-        X = _dense(D.col[mine] // 2, D.row[mine], D.data[mine], (n_s, n))
-        X = blas.dtrsm(1.0, L, X, lower=1, overwrite_b=1)
+        X = blas.dtrsm(1.0, L, D[:, c::2].T.toarray(order="F"), lower=1,
+                       overwrite_b=1)
         S = blas.dsyrk(1.0, X, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
         del X
     S += S.T                 # the upper triangle held zeros
     S.flat[::n + 1] *= 0.5   # exact: the diagonal was doubled
     return S, L
-
-
-def _dense(rows, cols, data, shape) -> np.ndarray:
-    """The Fortran-ordered dense matrix of the triplets, duplicates summed."""
-    M = np.zeros(shape, order="F")
-    np.add.at(M, (rows, cols), data)
-    return M
 
 
 def _mass_solve(L: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -150,27 +150,33 @@ def test_stiffness_matches_dense_oracle(k):
     assert_allclose(K, dense_gram_oracle(tmesh, dmap, "stiffness"), atol=1e-12)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+# The oracle is the only integration of the divergence that does not go
+# through the divergence blocks of assembly, so the divergence forms are
+# checked on every degree and on a distorted mesh.
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_vector_mass_and_divdiv_match_dense_oracle(k):
-    tmesh = unit_square_tri()
-    dmap = build_vector_space(tmesh, k)
-    A = assemble_vector_mass(dmap, tmesh).toarray()
-    B = assemble_divdiv(dmap, tmesh).toarray()
-    assert_allclose(A, dense_gram_oracle(tmesh, dmap, "mass"), atol=1e-12)
-    assert_allclose(B, dense_gram_oracle(tmesh, dmap, "divdiv"), atol=1e-12)
+    for tmesh in (unit_square_tri(), small_perturbed_tri()):
+        dmap = build_vector_space(tmesh, k)
+        A = assemble_vector_mass(dmap, tmesh).toarray()
+        B = assemble_divdiv(dmap, tmesh).toarray()
+        assert_allclose(A, dense_gram_oracle(tmesh, dmap, "mass"), atol=1e-12)
+        assert_allclose(B, dense_gram_oracle(tmesh, dmap, "divdiv"),
+                        atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_coupling_and_wh_mass_match_dense_oracle(k):
-    tmesh = small_perturbed_tri()
-    vspace = build_vector_space(tmesh, k)
-    wh = build_wh_space(tmesh, k)
-    D = assemble_div_coupling(vspace, build_disc_space(tmesh, k - 1), tmesh)
-    M = assemble_wh_mass(wh, tmesh)
-    assert_allclose(D.toarray(), dense_gram_oracle(tmesh, vspace, "coupling"),
-                    atol=1e-12)
-    assert_allclose(M.toarray(), dense_gram_oracle(tmesh, wh, "wh_mass"),
-                    atol=1e-12)
+    for tmesh in (small_perturbed_tri(), unit_square_tri()):
+        vspace = build_vector_space(tmesh, k)
+        wh = build_wh_space(tmesh, k)
+        D = assemble_div_coupling(vspace, build_disc_space(tmesh, k - 1),
+                                  tmesh)
+        M = assemble_wh_mass(wh, tmesh)
+        assert_allclose(D.toarray(),
+                        dense_gram_oracle(tmesh, vspace, "coupling"),
+                        atol=1e-12)
+        assert_allclose(M.toarray(), dense_gram_oracle(tmesh, wh, "wh_mass"),
+                        atol=1e-12)
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape", "square-perturbed"])

@@ -442,6 +442,17 @@ def test_dense_fem2_reduces_only_the_divergence_space(monkeypatch):
     assert spec.zero_count == 386 and len(spec.eigenvalues) == 10
 
 
+def test_lanczos_fem2_builds_no_orthonormal_divergence(monkeypatch):
+    # D-hat serves only the dense reduction; building it for the shift-invert
+    # path as well raised the peak memory of the fine-mesh solves
+    def refused(*args, **kwargs):
+        raise AssertionError("the Lanczos path built the orthonormal divergence")
+
+    monkeypatch.setattr(eigsolve, "assemble_orthonormal_div", refused)
+    spec = solve_fem2(square_tri(8), 2, 5, backend="lanczos")
+    assert spec.inertia == 386 and len(spec.eigenvalues) == 5
+
+
 def test_fem2_dense_cap_counts_the_vector_space(monkeypatch):
     # 290 vector unknowns reduce to a 192 x 192 matrix; the cap stays on 290
     monkeypatch.setattr(eigsolve, "DENSE_CAP", 289)
