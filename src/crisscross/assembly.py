@@ -1,14 +1,17 @@
 """Element-loop assembly of the mass, stiffness, div-div, and divergence
 coupling forms into canonical CSR matrices (duplicates summed, column
-indices sorted).  Each form is integrated with ``quad_rule(2 * k)``, k the
-degree of its Lagrange space, which is exact for every one of them.  The
-divergence is integrated once, into per-triangle blocks (``_div_blocks``),
-and the div-div matrix and both divergence couplings are linear maps of
-those blocks."""
+indices sorted).  Each matrix is summed through a scatter plan of its
+element graph (``_scatter_plan``), so sums that cancel stay stored as
+zeros and the stored pattern never depends on the values.  Each form is
+integrated with ``quad_rule(2 * k)``, k the degree of its Lagrange space,
+which is exact for every one of them.  The divergence is integrated once,
+into per-triangle blocks (``_div_blocks``), and the div-div matrix and both
+divergence couplings are linear maps of those blocks."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.io
@@ -23,6 +26,7 @@ __all__ = [
     "assemble_scalar_stiffness",
     "assemble_vector_mass",
     "assemble_divdiv",
+    "assemble_divdiv_pencil",
     "assemble_orthonormal_div",
     "assemble_div_coupling",
     "assemble_wh_mass",
@@ -66,43 +70,86 @@ def _physical_gradients(tmesh: TriMesh, degree: int, rule: QuadRule):
     return vals, grads
 
 
-def _canonical(mat) -> sp.csr_matrix:
-    """CSR with duplicates summed and sorted column indices per row.  Sums
-    that cancel stay stored as zeros, so every matrix assembled on one dof
-    map stores that map's element graph, and a sparse factor is ordered on
-    it."""
-    csr = mat.tocsr()
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return csr
+class _ScatterPlan(NamedTuple):
+    """Where the entries of a batch of element matrices land in CSR.
+
+    ``indptr`` and ``indices`` are the canonical pattern (sorted column
+    indices, no duplicates) of every (row, column) pair the elements touch,
+    and ``positions[e]`` is the slot in ``data`` of ravelled element entry
+    e.  Matrices assembled through one plan share its ``indptr`` and
+    ``indices`` arrays, and sums that cancel stay stored as zeros, so each
+    stores the element graph itself and a sparse factor is ordered on it.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    positions: np.ndarray
+    shape: tuple
 
 
-def _scatter(element: np.ndarray, row_dofs: np.ndarray, col_dofs: np.ndarray,
-             n_rows: int, n_cols: int, symmetric: bool) -> sp.csr_matrix:
-    """Sum the element matrices into CSR.  An assembly flagged symmetric
-    scatters each element matrix on one dof list to both sides, so it is
-    symmetric when every element matrix is; those are checked against their
-    transposes."""
+def _scatter_plan(row_dofs: np.ndarray, col_dofs: np.ndarray,
+                  shape: tuple) -> _ScatterPlan:
+    """The plan of the element graph that couples rows ``row_dofs[t]``
+    (T, nr) with columns ``col_dofs[t]`` (T, nc) on each element t.  One
+    sort of the (row, column) keys gives the pattern; the sorted copy is
+    reused for the slots, so the plan peaks at about four integers per
+    element entry and keeps one."""
+    n_rows, n_cols = shape
+    rows = np.asarray(row_dofs, dtype=np.int64)[:, :, None]  # keys pass 2**31
+    keys = (rows * n_cols + col_dofs[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pairs = keys[first]
+    slots = np.cumsum(first, out=keys)
+    slots -= 1
+    positions = np.empty_like(order)
+    positions[order] = slots
+    del keys, slots, order
+    index = np.int32 if max(n_rows, n_cols, len(pairs)) < 2**31 else np.int64
+    indptr = np.searchsorted(pairs, np.arange(n_rows + 1) * n_cols)
+    return _ScatterPlan(indptr.astype(index), (pairs % n_cols).astype(index),
+                        positions, (n_rows, n_cols))
+
+
+def _assemble(plan: _ScatterPlan, element: np.ndarray,
+              symmetric: bool = False) -> sp.csr_matrix:
+    """Sum the element matrices into CSR on the plan's pattern.  An assembly
+    flagged symmetric scatters each element matrix on one dof list to both
+    sides, so it is symmetric when every element matrix is; those are
+    checked against their transposes."""
     if symmetric:
+        # antisymmetric, so its largest entry is its largest magnitude
         asym = element - element.transpose(0, 2, 1)
-        if (np.abs(asym, out=asym).max(initial=0.0)
-                > 1e-12 * np.abs(element).max(initial=0.0)):
+        scale = max(element.max(initial=0.0), -element.min(initial=0.0))
+        if asym.max(initial=0.0) > 1e-12 * scale:
             raise ValueError("matrix flagged symmetric is not symmetric")
-    T, nr, nc = element.shape
-    rows = np.repeat(row_dofs, nc, axis=1).ravel()
-    cols = np.tile(col_dofs, (1, nr)).ravel()
-    coo = sp.coo_matrix((element.ravel(), (rows, cols)), shape=(n_rows, n_cols))
-    return _canonical(coo)
+        del asym
+    data = np.bincount(plan.positions, weights=element.ravel(),
+                       minlength=len(plan.indices))
+    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=plan.shape)
+
+
+def _graph_plan(space) -> _ScatterPlan:
+    """The plan of a space's own element graph (dofs coupled to dofs)."""
+    return _scatter_plan(space.cell_dofs, space.cell_dofs,
+                         (space.n_dofs, space.n_dofs))
+
+
+def _mass_elements(space, tmesh: TriMesh) -> np.ndarray:
+    """Element mass matrices of a nodal space, (T, n, n)."""
+    rule = quad_rule(2 * space.degree)
+    area, _ = _geometry(tmesh)
+    vals, _ = _shapes(space.degree, rule)
+    return np.einsum("q,t,qi,qj->tij", rule.weights, area, vals, vals)
 
 
 def assemble_scalar_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix of the scalar Lagrange space."""
-    rule = quad_rule(2 * space.degree)
-    area, _ = _geometry(tmesh)
-    vals, _ = _shapes(space.degree, rule)
-    element = np.einsum("q,t,qi,qj->tij", rule.weights, area, vals, vals)
-    return _scatter(element, space.cell_dofs, space.cell_dofs,
-                    space.n_dofs, space.n_dofs, symmetric=True)
+    return _assemble(_graph_plan(space), _mass_elements(space, tmesh),
+                     symmetric=True)
 
 
 def assemble_scalar_stiffness(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
@@ -111,24 +158,26 @@ def assemble_scalar_stiffness(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     area, _ = _geometry(tmesh)
     _, grads = _physical_gradients(tmesh, space.degree, rule)
     element = np.einsum("q,t,tqid,tqjd->tij", rule.weights, area, grads, grads)
-    return _scatter(element, space.cell_dofs, space.cell_dofs,
-                    space.n_dofs, space.n_dofs, symmetric=True)
+    return _assemble(_graph_plan(space), element, symmetric=True)
 
 
-def assemble_vector_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
-    """L2 mass matrix of the vector space; SPD, block of the scalar mass."""
+def _vector_mass_elements(space: DofMap, tmesh: TriMesh) -> np.ndarray:
+    """Element vector mass matrices, the scalar ones on each interleaved
+    component."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    rule = quad_rule(2 * space.degree)
-    area, _ = _geometry(tmesh)
-    vals, _ = _shapes(space.degree, rule)
-    scalar_el = np.einsum("q,t,qi,qj->tij", rule.weights, area, vals, vals)
+    scalar_el = _mass_elements(space, tmesh)
     T, n, _ = scalar_el.shape
     element = np.zeros((T, 2 * n, 2 * n))
     element[:, 0::2, 0::2] = scalar_el
     element[:, 1::2, 1::2] = scalar_el
-    return _scatter(element, space.cell_dofs, space.cell_dofs,
-                    space.n_dofs, space.n_dofs, symmetric=True)
+    return element
+
+
+def assemble_vector_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
+    """L2 mass matrix of the vector space; SPD, block of the scalar mass."""
+    return _assemble(_graph_plan(space), _vector_mass_elements(space, tmesh),
+                     symmetric=True)
 
 
 def _div_blocks(tmesh: TriMesh, k: int):
@@ -157,17 +206,32 @@ def _div_blocks(tmesh: TriMesh, k: int):
     return E.reshape(len(area), len(L), -1), L
 
 
+def _divdiv_elements(space: DofMap, tmesh: TriMesh) -> np.ndarray:
+    """Element div-div matrices E_t^T E_t from the divergence blocks."""
+    if space.kind != "vector2":
+        raise ValueError("expected a vector dof map")
+    E, _ = _div_blocks(tmesh, space.degree)
+    return np.einsum("tia,tib->tab", E, E)
+
+
 def assemble_divdiv(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """(div u, div v) matrix of the vector space, sum_t E_t^T E_t over the
     divergence blocks (``_div_blocks``); symmetric positive semidefinite with
     a large kernel of divergence-free fields.  It is scattered on the vector
     element graph, the stored pattern of the vector mass."""
-    if space.kind != "vector2":
-        raise ValueError("expected a vector dof map")
-    E, _ = _div_blocks(tmesh, space.degree)
-    element = np.einsum("tia,tib->tab", E, E)
-    return _scatter(element, space.cell_dofs, space.cell_dofs,
-                    space.n_dofs, space.n_dofs, symmetric=True)
+    return _assemble(_graph_plan(space), _divdiv_elements(space, tmesh),
+                     symmetric=True)
+
+
+def assemble_divdiv_pencil(space: DofMap, tmesh: TriMesh):
+    """The div-div matrix and the vector mass, (B, A), scattered through one
+    plan of the vector element graph: B and A share one ``indptr`` and one
+    ``indices`` array, so B - sigma A is a difference of their ``data``.
+    The plan's element positions are dropped on return."""
+    plan = _graph_plan(space)
+    B = _assemble(plan, _divdiv_elements(space, tmesh), symmetric=True)
+    return B, _assemble(plan, _vector_mass_elements(space, tmesh),
+                        symmetric=True)
 
 
 def assemble_orthonormal_div(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
@@ -178,8 +242,22 @@ def assemble_orthonormal_div(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
         raise ValueError("expected a vector dof map")
     E, _ = _div_blocks(tmesh, space.degree)
     rows = np.arange(E.shape[0] * E.shape[1]).reshape(E.shape[:2])
-    return _scatter(E, rows, space.cell_dofs, rows.size, space.n_dofs,
-                    symmetric=False)
+    plan = _scatter_plan(rows, space.cell_dofs, (rows.size, space.n_dofs))
+    return _assemble(plan, E)
+
+
+def _restricted(R: sp.spmatrix, X: sp.csr_matrix) -> sp.csr_matrix:
+    """R^T X on the symbolic pattern of the product: every stored R[i, w]
+    meets every stored X[i, j], and those products are summed through a
+    scatter plan, so sums that cancel stay stored and the pattern is that of
+    |R|^T |X| whatever the values."""
+    R = R.tocoo()
+    counts = np.diff(X.indptr)[R.row]
+    at = np.arange(counts.sum()) + np.repeat(
+        X.indptr[R.row] - (np.cumsum(counts) - counts), counts)
+    plan = _scatter_plan(np.repeat(R.col, counts)[:, None],
+                         X.indices[at][:, None], (R.shape[1], X.shape[1]))
+    return _assemble(plan, np.repeat(R.data, counts) * X.data[at])
 
 
 def assemble_div_coupling(vspace: DofMap, testspace,
@@ -188,9 +266,9 @@ def assemble_div_coupling(vspace: DofMap, testspace,
 
     The test space is either the full discontinuous P_{k-1} space or the
     constrained divergence-image basis (rows compressed through its
-    restriction matrix).  The nodal basis is N = sqrt|t| psi L^T in the
-    orthonormal one of ``_div_blocks``, so triangle t's block is
-    sqrt|t| L E_t.
+    restriction matrix, on the symbolic pattern of the product).  The nodal
+    basis is N = sqrt|t| psi L^T in the orthonormal one of ``_div_blocks``,
+    so triangle t's block is sqrt|t| L E_t.
     """
     if vspace.kind != "vector2":
         raise ValueError("expected a vector dof map")
@@ -207,10 +285,11 @@ def assemble_div_coupling(vspace: DofMap, testspace,
     E, L = _div_blocks(tmesh, vspace.degree)
     area, _ = _geometry(tmesh)
     element = np.sqrt(area)[:, None, None] * (L @ E)
-    D = _scatter(element, disc.cell_dofs, vspace.cell_dofs,
-                 disc.n_dofs, vspace.n_dofs, symmetric=False)
+    plan = _scatter_plan(disc.cell_dofs, vspace.cell_dofs,
+                         (disc.n_dofs, vspace.n_dofs))
+    D = _assemble(plan, element)
     if isinstance(testspace, WhBasis):
-        return _canonical(testspace.restriction.T @ D)
+        return _restricted(testspace.restriction, D)
     return D
 
 
@@ -220,15 +299,17 @@ def _disc_mass_csr(tmesh: TriMesh, disc: DiscSpace,
     vals, _ = _shapes(disc.degree, rule)
     ref_mass = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
     element = area[:, None, None] * ref_mass
-    return _scatter(element, disc.cell_dofs, disc.cell_dofs, disc.n_dofs,
-                    disc.n_dofs, symmetric=True)
+    return _assemble(_graph_plan(disc), element, symmetric=True)
 
 
 def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh) -> sp.csr_matrix:
-    """L2 mass matrix of the divergence-image basis (block diagonal per quad)."""
+    """L2 mass matrix R^T G R of the divergence-image basis (block diagonal
+    per quad), G the mass of the discontinuous P_{k-1} space, on the
+    symbolic pattern of the product."""
     disc = build_disc_space(tmesh, wh.degree - 1)
     G = _disc_mass_csr(tmesh, disc, quad_rule(2 * wh.degree))
-    return _canonical(wh.restriction.T @ G @ wh.restriction)
+    R = wh.restriction
+    return _restricted(R, _restricted(R, G).T.tocsr())   # G^T = G
 
 
 def write_matrix_market(mat, path) -> None:

@@ -14,7 +14,7 @@ from scipy.linalg import blas, lapack
 
 from .assembly import (
     assemble_div_coupling,
-    assemble_divdiv,
+    assemble_divdiv_pencil,
     assemble_orthonormal_div,
     assemble_scalar_mass,
     assemble_scalar_stiffness,
@@ -49,7 +49,7 @@ CLUSTER_RTOL = 1e-8
 # least 2 (Dirichlet eigenvalues decrease as the domain grows), so 1 sits
 # below lambda_1.
 DEFAULT_SHIFT = 1.0
-_REFLECTOR_BLOCK = 128  # dsytrd reflectors applied per dormqr call
+_BLOCK = 128  # columns per step of the blocked dense loops
 
 
 class SolverError(RuntimeError):
@@ -101,15 +101,17 @@ def residual_norms(B, A, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.nda
     return np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
 
 
-def _owned_fortran(m) -> np.ndarray:
+def _owned_fortran(m, copy: bool = True) -> np.ndarray:
     """A Fortran-ordered copy of a sparse or dense matrix that LAPACK may
-    overwrite in place.  Infinite or NaN entries raise ``ValueError``; the
-    check reads the sparse ``data`` or the caller's array, not the copy."""
+    overwrite in place; with ``copy`` False a dense Fortran-ordered float
+    array is returned itself.  Infinite or NaN entries raise ``ValueError``;
+    the check reads the sparse ``data`` or the caller's array, not the
+    copy."""
     if not np.isfinite(m.data if sp.issparse(m) else np.asarray(m)).all():
         raise ValueError("array must not contain infs or NaNs")
     if sp.issparse(m):
         return m.toarray(order="F")
-    return np.array(m, dtype=float, order="F")
+    return np.array(m, dtype=float, order="F", copy=True if copy else None)
 
 
 def _lapack_check(name: str, info: int) -> None:
@@ -132,13 +134,13 @@ def _apply_reflectors(C: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> None:
 
     Reflector j acts on rows j+1 and below, so the slice C[1:, :n-1] is the
     QR factor ``dormqr`` expects.  Passing that slice whole would make f2py
-    copy N^2 doubles; column blocks copy at most N x _REFLECTOR_BLOCK, and
+    copy N^2 doubles; column blocks copy at most N x _BLOCK, and
     the last block goes first because Q Z = Q_first (... (Q_last Z)).
     """
     n, m = Z.shape
     lwork = 64 * (m + 65)   # blocked dormqr: NB <= 64 columns plus its T
-    for j0 in reversed(range(0, n - 1, _REFLECTOR_BLOCK)):
-        j1 = min(j0 + _REFLECTOR_BLOCK, n - 1)
+    for j0 in reversed(range(0, n - 1, _BLOCK)):
+        j1 = min(j0 + _BLOCK, n - 1)
         Z[j0 + 1:], _, info = lapack.dormqr("L", "N", C[j0 + 1:, j0:j1],
                                             tau[j0:j1], Z[j0 + 1:], lwork)
         _lapack_check("dormqr", info)
@@ -153,7 +155,8 @@ def _check_dense_size(n: int, lanczos: bool = True) -> None:
             f"dense solve of size {n} exceeds the cap {DENSE_CAP}{hint}")
 
 
-def dense_gevp(B, A=None, n_eigs: int | None = None) -> Spectrum:
+def dense_gevp(B, A=None, n_eigs: int | None = None, *,
+               _overwrite_b: bool = False) -> Spectrum:
     """Every eigenvalue of B x = lambda A x with A symmetric positive
     definite, and the eigenvectors of the reported window.
 
@@ -171,17 +174,19 @@ def dense_gevp(B, A=None, n_eigs: int | None = None) -> Spectrum:
 
     The solve works on its own Fortran-ordered copies of B and A, so the
     caller's matrices are never modified; they are its only N x N arrays.
+    ``_overwrite_b`` is this module's own path for a dense Fortran-ordered
+    B it built and no longer needs (``_dense_window``): that B is reduced
+    in place, and only its lower triangle is read.
     """
     n = B.shape[0]
     if B.shape != (n, n) or (A is not None and A.shape != (n, n)):
         raise SolverError("pencil matrices must be square and of equal size")
     _check_dense_size(n)
     L = None
-    if A is None:
-        C = _owned_fortran(B)
-    else:
+    C = _owned_fortran(B, copy=not _overwrite_b)
+    if A is not None:
         L = _cholesky(_owned_fortran(A))
-        C, info = lapack.dsygst(_owned_fortran(B), L, lower=1, overwrite_a=1)
+        C, info = lapack.dsygst(C, L, lower=1, overwrite_a=1)
         _lapack_check("dsygst", info)
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     _lapack_check("dsytrd_lwork", info)
@@ -228,9 +233,9 @@ def _vector_mass_schur(A, D) -> tuple[np.ndarray, np.ndarray]:
     the columns c::2 of D, so M = A[0::2, 0::2] and S = sum_c D_c M^-1 D_c^T.
     ``dpotrf`` factors M = L L^T and is the positive-definiteness check; then
     per component ``dtrsm`` forms X = L^-1 D_c^T and ``dsyrk`` adds X^T X to
-    the lower triangle of S, which is mirrored at the end, so S is exactly
-    symmetric.  The arrays are L (n_s^2), one X (n_s x n_d) at a time and S
-    (n_d^2); the mirror buffers one more n_d^2.
+    the lower triangle of S, which is mirrored in place at the end, one
+    block of columns at a time, so S is exactly symmetric.  The arrays are
+    L (n_s^2), one X (n_s x n_d) at a time and S (n_d^2).
     """
     L = _cholesky(A[0::2, 0::2].toarray(order="F"))
     n = D.shape[0]
@@ -240,8 +245,10 @@ def _vector_mass_schur(A, D) -> tuple[np.ndarray, np.ndarray]:
                        overwrite_b=1)
         S = blas.dsyrk(1.0, X, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
         del X
-    S += S.T                 # the upper triangle held zeros
-    S.flat[::n + 1] *= 0.5   # exact: the diagonal was doubled
+    for j in range(0, n, _BLOCK):   # the upper triangle held zeros
+        S[j:j + _BLOCK, j + _BLOCK:] = S[j + _BLOCK:, j:j + _BLOCK].T
+        diagonal = S[j:j + _BLOCK, j:j + _BLOCK]
+        diagonal += np.tril(diagonal, -1).T
     return S, L
 
 
@@ -303,22 +310,27 @@ def _shifted(B, A, sigma: float) -> sp.csc_matrix:
                            np.concatenate([B.col, A.col]))), shape=B.shape)
 
 
+def _factor_at(B, A, sigma: float):
+    """Symmetric factor of B - sigma A (``_shifted``, released once
+    factored); a singular shifted matrix raises ``SolverError``."""
+    try:
+        return _factor_symmetric(_shifted(B, A, sigma))
+    except RuntimeError as exc:
+        raise SolverError(
+            f"factorization of (B - sigma*A) failed for sigma={sigma}; "
+            "try a different shift"
+        ) from exc
+
+
 def _factor_shifted(B, A, sigma: float):
     """Symmetric factor of B - sigma A and the count of pencil eigenvalues
     below sigma.
 
     With A positive definite the negative pivots of the factor count the
     eigenvalues of B x = lambda A x below sigma; the count is None when the
-    factor is no congruence.  The shifted matrix (``_shifted``) is released
-    before the count reads the factor's U.
+    factor is no congruence.
     """
-    try:
-        lu = _factor_symmetric(_shifted(B, A, sigma))
-    except RuntimeError as exc:
-        raise SolverError(
-            f"factorization of (B - sigma*A) failed for sigma={sigma}; "
-            "try a different shift"
-        ) from exc
+    lu = _factor_at(B, A, sigma)
     return lu, _inertia(lu)
 
 
@@ -332,14 +344,17 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
     entirely.  The restarted Lanczos iteration keeps the Krylov basis fully
     orthogonal and starts from a seeded deterministic vector.
 
-    B - sigma A is factored once (``_factor_shifted``) and that factor is
-    the shift-invert operator; ``inertia`` holds the factor's count of
-    eigenvalues below sigma, or None when it is uncertified.
+    B - sigma A is factored once (``_factor_at``) and that factor is the
+    shift-invert operator; ``inertia`` holds the factor's count of
+    eigenvalues below sigma, or None when it is uncertified.  The count is
+    read after the iteration: reading the pivots makes scipy copy L and U
+    out of the factor, and those copies then no longer sit beside ARPACK's
+    workspace.  The caller checks the count before it reports anything.
     """
     n = B.shape[0]
     if n_eigs < 1 or n_eigs > n - 2:
         raise SolverError(f"cannot compute {n_eigs} eigenvalues of size-{n} pencil")
-    lu, inertia = _factor_shifted(B, A, sigma)
+    lu = _factor_at(B, A, sigma)
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
@@ -356,7 +371,7 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
     order = np.argsort(w)
     return Spectrum(eigenvalues=w[order], zero_count=0, backend="lanczos",
                     vectors=v[:, order], converged=converged,
-                    inertia=inertia, factor_nnz=int(lu.nnz))
+                    inertia=_inertia(lu), factor_nnz=int(lu.nnz))
 
 
 def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
@@ -366,15 +381,16 @@ def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
     ``div`` is a matrix D with B = D^T D, for A the vector mass M (x) I_2.
     Then B x = lambda A x and D x = y give C y = lambda y with
     C = D A^-1 D^T (``_vector_mass_schur``), so the nonzero spectrum is C's
-    and only C is reduced (``dense_gevp`` with the identity mass).  The
-    N - n_d eigenvalues that C has not are zero, and x = A^-1 D^T y /
-    sqrt(lambda) is A-orthonormal for an orthonormal y.
+    and only C is reduced, in place (``dense_gevp`` with the identity mass
+    and ``_overwrite_b``).  The N - n_d eigenvalues that C has not are zero,
+    and x = A^-1 D^T y / sqrt(lambda) is A-orthonormal for an orthonormal y.
     """
     if div is None:
         spec = dense_gevp(B, A, n_eigs)
         return spec.zero_count, spec.vectors
     C, L = _vector_mass_schur(A, div)
-    spec = dense_gevp(C, None, n_eigs)
+    spec = dense_gevp(C, None, n_eigs, _overwrite_b=True)
+    del C   # now dsytrd's reflectors
     y = spec.vectors
     lam = spec.eigenvalues[spec.zero_count:spec.zero_count + y.shape[1]]
     x = _mass_solve(L, div.T @ y) / np.sqrt(lam)
@@ -430,8 +446,17 @@ def _solve_pencil(B, A, kernel_dim: int | None, n_eigs: int,
                    residuals=residual_norms(B, A, w, v))
 
 
-def _fem2_pencil(tmesh: TriMesh, k: int):
-    """The vector space of ``fem2``, its pencil and its kernel dimension."""
+def _fem2_pencil(tmesh: TriMesh, k: int, dense: bool = False):
+    """The ``fem2`` pencil (B, A), its kernel dimension, and for the dense
+    route the orthonormal divergence D (None otherwise).
+
+    B and A share one element graph (``assemble_divdiv_pencil``), which
+    the shifted factor is ordered on.  The dense route reduces only the
+    divergence space and factors no shifted matrix: it builds D, capped at
+    the vector dimension first, and takes B as the sparse product D^T D,
+    which only its Rayleigh quotients and residuals read, so the divergence
+    is integrated once per solve.
+    """
     if k not in (1, 2, 3):
         raise ValueError("the div-div formulation supports k in {1, 2, 3}")
     space = build_vector_space(tmesh, k)
@@ -439,8 +464,12 @@ def _fem2_pencil(tmesh: TriMesh, k: int):
     if k in (2, 3):
         kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
                                tmesh.n_quads) - 1
-    return (space, assemble_divdiv(space, tmesh),
-            assemble_vector_mass(space, tmesh), kernel_dim)
+    if not dense:
+        return (*assemble_divdiv_pencil(space, tmesh), kernel_dim, None)
+    _check_dense_size(space.n_dofs)
+    div = assemble_orthonormal_div(space, tmesh)
+    B = div.T @ div
+    return B, assemble_vector_mass(space, tmesh), kernel_dim, div
 
 
 def _pencil(form: str, tmesh: TriMesh, k: int):
@@ -455,7 +484,7 @@ def _pencil(form: str, tmesh: TriMesh, k: int):
     kernel.
     """
     if form == "fem2":
-        return _fem2_pencil(tmesh, k)[1:]
+        return _fem2_pencil(tmesh, k)[:3]
     if form == "fem1":
         if k not in (2, 3):
             raise ValueError("the mixed formulation needs the pressure basis, "
@@ -486,11 +515,7 @@ def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
     divergence space: B = D^T D with D the divergence into an orthonormal
     discontinuous P_{k-1} basis (``assemble_orthonormal_div``).
     """
-    space, B, A, kernel_dim = _fem2_pencil(tmesh, k)
-    div = None
-    if backend == "dense":
-        _check_dense_size(space.n_dofs)
-        div = assemble_orthonormal_div(space, tmesh)
+    B, A, kernel_dim, div = _fem2_pencil(tmesh, k, backend == "dense")
     return _solve_pencil(B, A, kernel_dim, n_eigs, backend, div=div,
                          sigma=sigma, seed=seed)
 

@@ -1,8 +1,10 @@
 """Finite element functions for tests: node coordinates, pointwise
 evaluation, nodal interpolation, and the L2 projection onto the
-divergence-image space, and the divergence image on one quad.  The library
-itself never evaluates or projects a function, so these live beside the
-tests that use them."""
+divergence-image space, and the divergence image on one quad; and the
+traced peak memory of one call.  The library itself never evaluates or
+projects a function, so these live beside the tests that use them."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -99,3 +101,20 @@ def local_divergence_image(corners, k: int):
     cb = L.T @ np.repeat([-1.0, 1.0, -1.0, 1.0], disc.n_local)
     dist = np.linalg.norm(cb - U @ (U.T @ cb)) / np.linalg.norm(cb)
     return rank, float(residual.max()), float(dist)
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes it held above what was
+    allocated before it, as tracemalloc counts them (numpy arrays
+    included)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()

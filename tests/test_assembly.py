@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from crisscross.assembly import (
-    _canonical,
-    _scatter,
+    _assemble,
+    _scatter_plan,
     assemble_div_coupling,
     assemble_divdiv,
     assemble_orthonormal_div,
@@ -34,7 +34,7 @@ from crisscross.mesh import (
 )
 from crisscross.refelem import quad_rule, tabulate_shapes
 
-from fe_helpers import interpolate_vector, l2_project_wh
+from fe_helpers import interpolate_vector, l2_project_wh, traced_peak
 
 PI = math.pi
 
@@ -381,7 +381,7 @@ def test_sparse_matrix_dedup_and_sort():
     element = np.array([1.0, 2.0, 5.0, -1.0]).reshape(4, 1, 1)
     rows = np.array([[0], [0], [2], [1]])
     cols = np.array([[1], [1], [0], [2]])
-    mat = _scatter(element, rows, cols, 3, 3, symmetric=False)
+    mat = _assemble(_scatter_plan(rows, cols, (3, 3)), element)
     dense = mat.toarray()
     assert dense[0, 1] == 3.0
     assert dense[2, 0] == 5.0
@@ -391,12 +391,21 @@ def test_sparse_matrix_dedup_and_sort():
         assert np.all(np.diff(row_cols) > 0)
 
 
+def test_scatter_plan_keys_of_32_bit_dofs_do_not_wrap():
+    # the row-major key row * n_cols + col exceeds 2**31 here; scipy hands
+    # out 32-bit index arrays, and a 32-bit key would wrap around
+    dofs = np.array([[70_000]], dtype=np.int32)
+    mat = _assemble(_scatter_plan(dofs, dofs, (70_001, 70_001)),
+                    np.ones((1, 1, 1)))
+    assert mat.nnz == 1 and mat[70_000, 70_000] == 1.0
+
+
 def test_canonical_keeps_cancelled_entries():
     # (0,1) and (1,0) each come twice with opposite signs; the sums are
     # stored zeros, so the pattern stays that of the element graph
-    triplets = sp.coo_matrix(([1.0, -1.0, 2.0, -2.0, 4.0],
-                              ([0, 0, 1, 1, 2], [1, 1, 0, 0, 2])), shape=(3, 3))
-    mat = _canonical(triplets)
+    rows, cols = np.array([[0, 0, 1, 1, 2]]).T, np.array([[1, 1, 0, 0, 2]]).T
+    triplets = np.array([1.0, -1.0, 2.0, -2.0, 4.0]).reshape(5, 1, 1)
+    mat = _assemble(_scatter_plan(rows, cols, (3, 3)), triplets)
     assert mat.nnz == 3
     assert mat[0, 1] == 0.0 and mat[1, 0] == 0.0 and mat[2, 2] == 4.0
     assert mat.has_canonical_format
@@ -413,13 +422,58 @@ def test_pencil_matrices_share_one_pattern(form, k):
     assert np.array_equal(B.indices, A.indices)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pencil_matrices_share_pattern_arrays(k):
+    # one scatter plan: B and A hold one pattern in memory, not two copies
+    B, A = _pencil("fem2", build_mesh(StudyConfig(), 3), k)[:2]
+    assert np.shares_memory(B.indices, A.indices)
+    assert np.shares_memory(B.indptr, A.indptr)
+    assert not np.shares_memory(B.data, A.data)
+
+
+def test_fem2_pencil_assembly_peak_memory():
+    # a COO build per matrix peaked at 4.26 times the bytes of B plus A on
+    # this mesh; the one plan and a bincount per matrix peak near twice
+    tmesh = build_mesh(StudyConfig(), 16)
+    _pencil("fem2", tmesh, 2)           # shape tables are cached per process
+    (B, A, _), peak = traced_peak(lambda: _pencil("fem2", tmesh, 2))
+    size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+               for m in (B, A))
+    assert peak < 3.0 * size
+
+
+@pytest.mark.parametrize("domain, n", [
+    ("square", 3), ("lshape", 2), ("square-perturbed", 3),
+])
+@pytest.mark.parametrize("k", [2, 3])
+def test_wh_coupling_stores_the_symbolic_product_pattern(domain, n, k):
+    # R^T D keeps every product of stored entries, also where the values
+    # cancel, so its pattern does not depend on rounding
+    def stored(m):
+        m = sp.csr_matrix(m)
+        return sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), m.shape)
+
+    tmesh = build_mesh(StudyConfig(domain=domain), n)
+    vspace, wh = build_vector_space(tmesh, k), build_wh_space(tmesh, k)
+    D = assemble_div_coupling(vspace, build_disc_space(tmesh, k - 1), tmesh)
+    R = wh.restriction
+    coupling = assemble_div_coupling(vspace, wh, tmesh)
+    symbolic = (stored(R).T @ stored(D)).tocsr()
+    symbolic.sort_indices()
+    assert coupling.has_canonical_format
+    assert np.array_equal(coupling.indptr, symbolic.indptr)
+    assert np.array_equal(coupling.indices, symbolic.indices)
+    expected = (R.T @ D).toarray()
+    assert_allclose(coupling.toarray(), expected, rtol=0,
+                    atol=1e-15 * np.abs(expected).max())
+
+
 def test_sparse_matrix_symmetry_flag():
     dofs = np.array([[0, 1]])
-    _scatter(np.array([[[1.0, 0.5], [0.5, 1.0]]]), dofs, dofs, 2, 2,
-             symmetric=True)
+    plan = _scatter_plan(dofs, dofs, (2, 2))
+    _assemble(plan, np.array([[[1.0, 0.5], [0.5, 1.0]]]), symmetric=True)
     with pytest.raises(ValueError, match="symmetric"):
-        _scatter(np.array([[[0.0, 1.0], [2.0, 0.0]]]), dofs, dofs, 2, 2,
-                 symmetric=True)
+        _assemble(plan, np.array([[[0.0, 1.0], [2.0, 0.0]]]), symmetric=True)
 
 
 def test_assembled_matrices_are_symmetric_flagged():

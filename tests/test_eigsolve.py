@@ -16,6 +16,7 @@ from crisscross.cli import StudyConfig, build_mesh
 from crisscross.eigsolve import (
     SolverError,
     _count_zeros,
+    _dense_window,
     _factor_shifted,
     _factor_symmetric,
     _shifted,
@@ -38,6 +39,8 @@ from crisscross.mesh import (
     perturb_quad_grid,
     single_quad_mesh,
 )
+
+from fe_helpers import traced_peak
 
 PI = math.pi
 
@@ -179,6 +182,22 @@ def test_dense_gevp_leaves_caller_arrays_unchanged():
     assert np.array_equal(B, B0) and np.array_equal(A, A0)
 
 
+def test_dense_gevp_copies_a_fortran_ordered_caller_array():
+    # a dense Fortran-ordered B is what LAPACK could overwrite without a
+    # copy; only this module's own Schur matrix is reduced in place
+    rng = np.random.default_rng(4)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    B = np.asfortranarray(Q @ np.diag([0.0, 1.0, 2.0, 3.0, 4.0]) @ Q.T)
+    B0 = B.copy()
+    spec = dense_gevp(B, None, 2)
+    assert np.array_equal(B, B0)
+    scratch = B.copy(order="F")
+    in_place = dense_gevp(scratch, None, 2, _overwrite_b=True)
+    assert np.array_equal(in_place.eigenvalues, spec.eigenvalues)
+    assert np.array_equal(in_place.vectors, spec.vectors)
+    assert not np.array_equal(scratch, B0)
+
+
 def test_dense_gevp_identity_mass():
     # A=None reduces B itself, and the window vectors are orthonormal
     rng = np.random.default_rng(5)
@@ -303,6 +322,29 @@ def test_shift_above_first_eigenvalue_raises(solve):
     # lambda_1 ~ 2 on the square; sigma = 3 would drop it from the table
     with pytest.raises(SolverError, match=r"sigma=3\b.*kernel has dimension"):
         solve(square_tri(4), 2, 3, backend="lanczos", sigma=3.0)
+
+
+def test_lanczos_counts_pivots_after_the_iteration(monkeypatch):
+    # the pivot read copies L and U out of the factor; read after eigsh,
+    # those copies no longer sit beside ARPACK's workspace
+    events = []
+    eigsh, inertia = eigsolve.spla.eigsh, eigsolve._inertia
+
+    def traced_eigsh(*args, **kwargs):
+        events.append("eigsh")
+        return eigsh(*args, **kwargs)
+
+    def traced_inertia(lu):
+        events.append("inertia")
+        return inertia(lu)
+
+    monkeypatch.setattr(eigsolve.spla, "eigsh", traced_eigsh)
+    monkeypatch.setattr(eigsolve, "_inertia", traced_inertia)
+    spec = solve_fem2(square_tri(4), 2, 3, backend="lanczos")
+    assert events == ["eigsh", "inertia"]
+    assert spec.inertia == 114
+    with pytest.raises(SolverError, match="inertia check failed"):
+        solve_fem2(square_tri(4), 2, 3, backend="lanczos", sigma=3.0)
 
 
 def test_lanczos_excludes_kernel():
@@ -440,6 +482,19 @@ def test_dense_fem2_reduces_only_the_divergence_space(monkeypatch):
     spec = solve_fem2(square_tri(8), 2, 10)
     assert shapes == [(768, 768)]
     assert spec.zero_count == 386 and len(spec.eigenvalues) == 10
+
+
+def test_dense_fem2_window_peak_memory():
+    # L (n_s^2), one X (n_s x n_d) and C (n_d^2) are the only large arrays:
+    # C is mirrored and reduced in place, where a mirror temporary and the
+    # reduction's copy of C raised the peak to about n_s^2 + 2 n_d^2
+    tmesh = square_tri(8)
+    B, A = _pencil("fem2", tmesh, 2)[:2]
+    D = assemble_orthonormal_div(build_vector_space(tmesh, 2), tmesh)
+    n_s, n_d = A.shape[0] // 2, D.shape[0]
+    _dense_window(B, A, 10, D)
+    peak = traced_peak(lambda: _dense_window(B, A, 10, D))[1]
+    assert peak < 1.1 * 8 * (n_s * n_s + n_s * n_d + n_d * n_d)
 
 
 def test_lanczos_fem2_builds_no_orthonormal_divergence(monkeypatch):
