@@ -26,7 +26,6 @@ __all__ = [
     "assemble_scalar_stiffness",
     "assemble_vector_mass",
     "assemble_divdiv",
-    "assemble_divdiv_pencil",
     "assemble_orthonormal_div",
     "assemble_div_coupling",
     "assemble_wh_mass",
@@ -133,9 +132,41 @@ def _assemble(plan: _ScatterPlan, element: np.ndarray,
 
 
 def _graph_plan(space) -> _ScatterPlan:
-    """The plan of a space's own element graph (dofs coupled to dofs)."""
-    return _scatter_plan(space.cell_dofs, space.cell_dofs,
-                         (space.n_dofs, space.n_dofs))
+    """The plan of a space's own element graph (dofs coupled to dofs).
+
+    A vector map couples both components of any two coupled nodes, so its
+    graph is the node graph with every entry a 2 x 2 block, and the plan of
+    the node graph is expanded rather than a plan of four times the keys
+    sorted.  Node row r, of ``length[r]`` node columns q from slot
+    ``start[r]``, becomes vector rows 2r + a (a = 0, 1), from slot
+    4 start[r] + 2a length[r], each with columns 2q and 2q + 1 in turn; an
+    element entry at node slot p lands at 2p + c + 2 start[r] + 2a length[r]
+    for the components (a, c)."""
+    if not (isinstance(space, DofMap) and space.kind == "vector2"):
+        return _scatter_plan(space.cell_dofs, space.cell_dofs,
+                             (space.n_dofs, space.n_dofs))
+    nodes = space.cell_dofs[:, 0::2] // 2
+    T, n = nodes.shape
+    node = _scatter_plan(nodes, nodes, (space.n_dofs // 2,) * 2)
+    start = node.indptr.astype(np.int64)
+    length = np.diff(start)
+    indptr = np.empty(2 * len(length) + 1, dtype=np.int64)
+    indptr[0::2] = 4 * start
+    indptr[1::2] = 4 * start[:-1] + 2 * length
+    columns = np.repeat(2 * node.indices.astype(np.int64), 2)   # 2q, 2q + 1
+    columns[1::2] += 1
+    at = np.repeat(np.repeat(2 * start[:-1], 2) - indptr[:-1], np.diff(indptr))
+    at += np.arange(len(at))
+    indices = columns[at]
+    del columns, at
+    slots = np.repeat(2 * node.positions.reshape(T, n, n), 2, axis=2)
+    slots[:, :, 1::2] += 1                                       # 2p + c
+    row_start = (2 * start[nodes][:, :, None]
+                 + 2 * length[nodes][:, :, None] * np.arange(2))
+    positions = (slots[:, :, None, :] + row_start[:, :, :, None]).reshape(-1)
+    index = np.int32 if max(space.n_dofs, len(indices)) < 2**31 else np.int64
+    return _ScatterPlan(indptr.astype(index), indices.astype(index),
+                        positions, (space.n_dofs, space.n_dofs))
 
 
 def _mass_elements(space, tmesh: TriMesh) -> np.ndarray:
@@ -161,23 +192,17 @@ def assemble_scalar_stiffness(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     return _assemble(_graph_plan(space), element, symmetric=True)
 
 
-def _vector_mass_elements(space: DofMap, tmesh: TriMesh) -> np.ndarray:
-    """Element vector mass matrices, the scalar ones on each interleaved
-    component."""
+def assemble_vector_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
+    """L2 mass matrix of the vector space; SPD, block of the scalar mass."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
+    plan = _graph_plan(space)   # before the elements, which it outweighs
     scalar_el = _mass_elements(space, tmesh)
     T, n, _ = scalar_el.shape
     element = np.zeros((T, 2 * n, 2 * n))
     element[:, 0::2, 0::2] = scalar_el
     element[:, 1::2, 1::2] = scalar_el
-    return element
-
-
-def assemble_vector_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
-    """L2 mass matrix of the vector space; SPD, block of the scalar mass."""
-    return _assemble(_graph_plan(space), _vector_mass_elements(space, tmesh),
-                     symmetric=True)
+    return _assemble(plan, element, symmetric=True)
 
 
 def _div_blocks(tmesh: TriMesh, k: int):
@@ -206,41 +231,29 @@ def _div_blocks(tmesh: TriMesh, k: int):
     return E.reshape(len(area), len(L), -1), L
 
 
-def _divdiv_elements(space: DofMap, tmesh: TriMesh) -> np.ndarray:
-    """Element div-div matrices E_t^T E_t from the divergence blocks."""
+def assemble_divdiv(space: DofMap, tmesh: TriMesh,
+                    blocks: np.ndarray | None = None) -> sp.csr_matrix:
+    """(div u, div v) matrix of the vector space, sum_t E_t^T E_t over the
+    divergence blocks E (``_div_blocks``, or ``blocks`` when the caller has
+    them already); symmetric positive semidefinite with a large kernel of
+    divergence-free fields.  It is scattered on the vector element graph, so
+    its ``indices`` and ``indptr`` equal those of the vector mass."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    E, _ = _div_blocks(tmesh, space.degree)
-    return np.einsum("tia,tib->tab", E, E)
-
-
-def assemble_divdiv(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
-    """(div u, div v) matrix of the vector space, sum_t E_t^T E_t over the
-    divergence blocks (``_div_blocks``); symmetric positive semidefinite with
-    a large kernel of divergence-free fields.  It is scattered on the vector
-    element graph, the stored pattern of the vector mass."""
-    return _assemble(_graph_plan(space), _divdiv_elements(space, tmesh),
+    E = _div_blocks(tmesh, space.degree)[0] if blocks is None else blocks
+    return _assemble(_graph_plan(space), np.einsum("tia,tib->tab", E, E),
                      symmetric=True)
 
 
-def assemble_divdiv_pencil(space: DofMap, tmesh: TriMesh):
-    """The div-div matrix and the vector mass, (B, A), scattered through one
-    plan of the vector element graph: B and A share one ``indptr`` and one
-    ``indices`` array, so B - sigma A is a difference of their ``data``.
-    The plan's element positions are dropped on return."""
-    plan = _graph_plan(space)
-    B = _assemble(plan, _divdiv_elements(space, tmesh), symmetric=True)
-    return B, _assemble(plan, _vector_mass_elements(space, tmesh),
-                        symmetric=True)
-
-
-def assemble_orthonormal_div(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
+def assemble_orthonormal_div(space: DofMap, tmesh: TriMesh,
+                             blocks: np.ndarray | None = None
+                             ) -> sp.csr_matrix:
     """Divergence D of the vector space into an L2-orthonormal discontinuous
-    P_{k-1} basis, the divergence blocks E (``_div_blocks``) stacked by
-    triangle, so that D^T D is the div-div matrix."""
+    P_{k-1} basis, the divergence blocks E (``_div_blocks``, or ``blocks``)
+    stacked by triangle, so that D^T D is the div-div matrix."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    E, _ = _div_blocks(tmesh, space.degree)
+    E = _div_blocks(tmesh, space.degree)[0] if blocks is None else blocks
     rows = np.arange(E.shape[0] * E.shape[1]).reshape(E.shape[:2])
     plan = _scatter_plan(rows, space.cell_dofs, (rows.size, space.n_dofs))
     return _assemble(plan, E)

@@ -13,8 +13,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .assembly import (
+    _div_blocks,
     assemble_div_coupling,
-    assemble_divdiv_pencil,
+    assemble_divdiv,
     assemble_orthonormal_div,
     assemble_scalar_mass,
     assemble_scalar_stiffness,
@@ -101,17 +102,15 @@ def residual_norms(B, A, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.nda
     return np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
 
 
-def _owned_fortran(m, copy: bool = True) -> np.ndarray:
+def _owned_fortran(m) -> np.ndarray:
     """A Fortran-ordered copy of a sparse or dense matrix that LAPACK may
-    overwrite in place; with ``copy`` False a dense Fortran-ordered float
-    array is returned itself.  Infinite or NaN entries raise ``ValueError``;
-    the check reads the sparse ``data`` or the caller's array, not the
-    copy."""
+    overwrite in place.  Infinite or NaN entries raise ``ValueError``; the
+    check reads the sparse ``data`` or the caller's array, not the copy."""
     if not np.isfinite(m.data if sp.issparse(m) else np.asarray(m)).all():
         raise ValueError("array must not contain infs or NaNs")
     if sp.issparse(m):
         return m.toarray(order="F")
-    return np.array(m, dtype=float, order="F", copy=True if copy else None)
+    return np.array(m, dtype=float, order="F")
 
 
 def _lapack_check(name: str, info: int) -> None:
@@ -155,8 +154,7 @@ def _check_dense_size(n: int, lanczos: bool = True) -> None:
             f"dense solve of size {n} exceeds the cap {DENSE_CAP}{hint}")
 
 
-def dense_gevp(B, A=None, n_eigs: int | None = None, *,
-               _overwrite_b: bool = False) -> Spectrum:
+def dense_gevp(B, A=None, n_eigs: int | None = None) -> Spectrum:
     """Every eigenvalue of B x = lambda A x with A symmetric positive
     definite, and the eigenvectors of the reported window.
 
@@ -174,19 +172,17 @@ def dense_gevp(B, A=None, n_eigs: int | None = None, *,
 
     The solve works on its own Fortran-ordered copies of B and A, so the
     caller's matrices are never modified; they are its only N x N arrays.
-    ``_overwrite_b`` is this module's own path for a dense Fortran-ordered
-    B it built and no longer needs (``_dense_window``): that B is reduced
-    in place, and only its lower triangle is read.
     """
     n = B.shape[0]
     if B.shape != (n, n) or (A is not None and A.shape != (n, n)):
         raise SolverError("pencil matrices must be square and of equal size")
     _check_dense_size(n)
     L = None
-    C = _owned_fortran(B, copy=not _overwrite_b)
-    if A is not None:
+    if A is None:
+        C = _owned_fortran(B)
+    else:
         L = _cholesky(_owned_fortran(A))
-        C, info = lapack.dsygst(C, L, lower=1, overwrite_a=1)
+        C, info = lapack.dsygst(_owned_fortran(B), L, lower=1, overwrite_a=1)
         _lapack_check("dsygst", info)
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     _lapack_check("dsytrd_lwork", info)
@@ -252,13 +248,13 @@ def _vector_mass_schur(A, D) -> tuple[np.ndarray, np.ndarray]:
     return S, L
 
 
-def _mass_solve(L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """A^-1 R for A = M (x) I_2 and M = L L^T: the rows of both components
-    are solved as one block of 2m columns."""
+def _mass_solve(A, R: np.ndarray) -> np.ndarray:
+    """A^-1 R for the interleaved vector mass A = M (x) I_2, through a sparse
+    factor of M (``_factor_symmetric``): the rows of both components are
+    solved as one block of 2m columns."""
     n, m = R.shape
-    X, info = lapack.dpotrs(L, R.reshape(n // 2, 2 * m), lower=1)
-    _lapack_check("dpotrs", info)
-    return X.reshape(n, m)
+    lu = _factor_symmetric(A[0::2, 0::2].tocsc())
+    return lu.solve(R.reshape(n // 2, 2 * m)).reshape(n, m)
 
 
 def _count_zeros(w: np.ndarray) -> int:
@@ -381,19 +377,24 @@ def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
     ``div`` is a matrix D with B = D^T D, for A the vector mass M (x) I_2.
     Then B x = lambda A x and D x = y give C y = lambda y with
     C = D A^-1 D^T (``_vector_mass_schur``), so the nonzero spectrum is C's
-    and only C is reduced, in place (``dense_gevp`` with the identity mass
-    and ``_overwrite_b``).  The N - n_d eigenvalues that C has not are zero,
-    and x = A^-1 D^T y / sqrt(lambda) is A-orthonormal for an orthonormal y.
+    and only C is reduced (``dense_gevp`` with the identity mass).  The
+    N - n_d eigenvalues that C has not are zero, and x = A^-1 D^T y /
+    sqrt(lambda) is A-orthonormal for an orthonormal y.
+
+    The dense Cholesky factor of M is dropped once C is built, and x is
+    solved through a sparse factor of M: C and the reduction's copy of it
+    (2 n_d^2 doubles) then stay below the peak of building C (n_s^2 +
+    n_s n_d + n_d^2) while n_d <= 1.6 n_s, as for k = 2, 3.
     """
     if div is None:
         spec = dense_gevp(B, A, n_eigs)
         return spec.zero_count, spec.vectors
-    C, L = _vector_mass_schur(A, div)
-    spec = dense_gevp(C, None, n_eigs, _overwrite_b=True)
-    del C   # now dsytrd's reflectors
+    C = _vector_mass_schur(A, div)[0]
+    spec = dense_gevp(C, None, n_eigs)
+    del C
     y = spec.vectors
     lam = spec.eigenvalues[spec.zero_count:spec.zero_count + y.shape[1]]
-    x = _mass_solve(L, div.T @ y) / np.sqrt(lam)
+    x = _mass_solve(A, div.T @ y) / np.sqrt(lam)
     return B.shape[0] - div.shape[0] + spec.zero_count, x
 
 
@@ -450,12 +451,12 @@ def _fem2_pencil(tmesh: TriMesh, k: int, dense: bool = False):
     """The ``fem2`` pencil (B, A), its kernel dimension, and for the dense
     route the orthonormal divergence D (None otherwise).
 
-    B and A share one element graph (``assemble_divdiv_pencil``), which
-    the shifted factor is ordered on.  The dense route reduces only the
-    divergence space and factors no shifted matrix: it builds D, capped at
-    the vector dimension first, and takes B as the sparse product D^T D,
-    which only its Rayleigh quotients and residuals read, so the divergence
-    is integrated once per solve.
+    B and A are scattered on the vector element graph, so their patterns are
+    equal arrays; A is rebound onto B's, so the pencil holds the pattern
+    once and the shifted factor is ordered on it.  The two matrices share
+    ``indices`` and ``indptr``: neither may be changed in place.  The dense
+    route, capped at the vector dimension first, integrates the divergence
+    once for B and D; the Lanczos route builds no D.
     """
     if k not in (1, 2, 3):
         raise ValueError("the div-div formulation supports k in {1, 2, 3}")
@@ -464,12 +465,16 @@ def _fem2_pencil(tmesh: TriMesh, k: int, dense: bool = False):
     if k in (2, 3):
         kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
                                tmesh.n_quads) - 1
-    if not dense:
-        return (*assemble_divdiv_pencil(space, tmesh), kernel_dim, None)
-    _check_dense_size(space.n_dofs)
-    div = assemble_orthonormal_div(space, tmesh)
-    B = div.T @ div
-    return B, assemble_vector_mass(space, tmesh), kernel_dim, div
+    blocks = None
+    if dense:
+        _check_dense_size(space.n_dofs)
+        blocks = _div_blocks(tmesh, k)[0]
+    B = assemble_divdiv(space, tmesh, blocks)
+    A = assemble_vector_mass(space, tmesh)
+    A = sp.csr_matrix((A.data, B.indices, B.indptr), shape=A.shape)
+    div = (None if blocks is None
+           else assemble_orthonormal_div(space, tmesh, blocks))
+    return B, A, kernel_dim, div
 
 
 def _pencil(form: str, tmesh: TriMesh, k: int):

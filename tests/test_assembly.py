@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from crisscross.assembly import (
     _assemble,
+    _graph_plan,
     _scatter_plan,
     assemble_div_coupling,
     assemble_divdiv,
@@ -424,11 +425,34 @@ def test_pencil_matrices_share_one_pattern(form, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pencil_matrices_share_pattern_arrays(k):
-    # one scatter plan: B and A hold one pattern in memory, not two copies
-    B, A = _pencil("fem2", build_mesh(StudyConfig(), 3), k)[:2]
+    # B and A hold one pattern in memory, not two copies; A is rebound onto
+    # B's arrays, which equal those the vector mass is assembled on alone
+    tmesh = build_mesh(StudyConfig(), 3)
+    B, A = _pencil("fem2", tmesh, k)[:2]
     assert np.shares_memory(B.indices, A.indices)
     assert np.shares_memory(B.indptr, A.indptr)
     assert not np.shares_memory(B.data, A.data)
+    alone = assemble_vector_mass(build_vector_space(tmesh, k), tmesh)
+    assert np.array_equal(alone.indices, B.indices)
+    assert np.array_equal(alone.indptr, B.indptr)
+    assert np.array_equal(alone.data, A.data)
+
+
+@pytest.mark.parametrize("domain, n", [
+    ("square", 1), ("square", 3), ("lshape", 2), ("square-perturbed", 3),
+])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vector_graph_plan_expands_the_node_plan(domain, n, k):
+    # the vector plan is the node plan with 2 x 2 blocks: it must be the
+    # plan that sorting every vector key gives, slot for slot
+    space = build_vector_space(build_mesh(StudyConfig(domain=domain), n), k)
+    direct = _scatter_plan(space.cell_dofs, space.cell_dofs,
+                           (space.n_dofs, space.n_dofs))
+    expanded = _graph_plan(space)
+    assert expanded.shape == direct.shape
+    for got, want in zip(expanded[:3], direct[:3]):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_fem2_pencil_assembly_peak_memory():
