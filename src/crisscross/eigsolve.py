@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .assembly import (
     _div_blocks,
@@ -221,31 +221,47 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
     return L
 
 
-def _vector_mass_schur(A, D) -> tuple[np.ndarray, np.ndarray]:
-    """S = D A^-1 D^T for the interleaved vector mass A = M (x) I_2, and the
-    lower Cholesky factor L of the scalar mass M.
+def _mirror_lower(S: np.ndarray) -> None:
+    """Copy the lower triangle of the square S onto its upper triangle in
+    place, one block of columns at a time, so S is exactly symmetric."""
+    n = S.shape[0]
+    for j in range(0, n, _BLOCK):
+        S[j:j + _BLOCK, j + _BLOCK:] = S[j + _BLOCK:, j:j + _BLOCK].T
+        diagonal = S[j:j + _BLOCK, j:j + _BLOCK]
+        diagonal[...] = np.tril(diagonal) + np.tril(diagonal, -1).T
+
+
+def _vector_mass_schur(A, D) -> np.ndarray:
+    """S = D A^-1 D^T for the interleaved vector mass A = M (x) I_2.
 
     Component c of the vector dofs owns the rows and columns c::2 of A and
     the columns c::2 of D, so M = A[0::2, 0::2] and S = sum_c D_c M^-1 D_c^T.
-    ``dpotrf`` factors M = L L^T and is the positive-definiteness check; then
-    per component ``dtrsm`` forms X = L^-1 D_c^T and ``dsyrk`` adds X^T X to
-    the lower triangle of S, which is mirrored in place at the end, one
-    block of columns at a time, so S is exactly symmetric.  The arrays are
-    L (n_s^2), one X (n_s x n_d) at a time and S (n_d^2).
+    ``dpotrf`` factors M = L L^T and is the positive-definiteness check;
+    ``dpotri`` then overwrites L with M^-1 (a mass matrix, whose condition
+    number does not grow with refinement).  A row of D couples the vector
+    dofs of a few triangles only, so per component and block of columns
+    j:j + _BLOCK both Y = M^-1 D_c^T[:, j:j + _BLOCK] and D_c[j:] Y, the
+    block's columns of S from the diagonal down, are sparse times dense
+    products.  They are added into the C-ordered view S^T, whose layout is
+    the product's, and its lower triangle is mirrored (``_mirror_lower``),
+    so S is exactly symmetric.  The arrays are M^-1 (n_s^2), S (n_d^2),
+    and Y and the product, (n_s + n_d) x _BLOCK doubles.
     """
-    L = _cholesky(A[0::2, 0::2].toarray(order="F"))
+    Minv, info = lapack.dpotri(_cholesky(A[0::2, 0::2].toarray(order="F")),
+                               lower=1, overwrite_c=1)
+    _lapack_check("dpotri", info)
+    _mirror_lower(Minv)
+    Minv = Minv.T   # the C-ordered view, which sparse products read uncopied
     n = D.shape[0]
     S = np.zeros((n, n), order="F")
+    St = S.T
     for c in (0, 1):
-        X = blas.dtrsm(1.0, L, D[:, c::2].T.toarray(order="F"), lower=1,
-                       overwrite_b=1)
-        S = blas.dsyrk(1.0, X, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
-        del X
-    for j in range(0, n, _BLOCK):   # the upper triangle held zeros
-        S[j:j + _BLOCK, j + _BLOCK:] = S[j + _BLOCK:, j:j + _BLOCK].T
-        diagonal = S[j:j + _BLOCK, j:j + _BLOCK]
-        diagonal += np.tril(diagonal, -1).T
-    return S, L
+        Dc = sp.csr_matrix(D[:, c::2])
+        for j in range(0, n, _BLOCK):
+            Y = (Dc[j:j + _BLOCK] @ Minv).T   # M^-1 D_c^T[:, j:j + _BLOCK]
+            St[j:, j:j + _BLOCK] += Dc[j:] @ Y
+    _mirror_lower(St)
+    return S
 
 
 def _mass_solve(A, R: np.ndarray) -> np.ndarray:
@@ -381,15 +397,15 @@ def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
     N - n_d eigenvalues that C has not are zero, and x = A^-1 D^T y /
     sqrt(lambda) is A-orthonormal for an orthonormal y.
 
-    The dense Cholesky factor of M is dropped once C is built, and x is
-    solved through a sparse factor of M: C and the reduction's copy of it
-    (2 n_d^2 doubles) then stay below the peak of building C (n_s^2 +
-    n_s n_d + n_d^2) while n_d <= 1.6 n_s, as for k = 2, 3.
+    The dense M^-1 is dropped once C is built, and x is solved through a
+    sparse factor of M.  Building C holds n_s^2 + n_d^2 doubles, so C and
+    the reduction's copy of it (2 n_d^2) are the peak wherever n_d >= n_s,
+    as on every mesh of more than one quad, for every k.
     """
     if div is None:
         spec = dense_gevp(B, A, n_eigs)
         return spec.zero_count, spec.vectors
-    C = _vector_mass_schur(A, div)[0]
+    C = _vector_mass_schur(A, div)
     spec = dense_gevp(C, None, n_eigs)
     del C
     y = spec.vectors
@@ -500,7 +516,7 @@ def _pencil(form: str, tmesh: TriMesh, k: int):
         A = assemble_vector_mass(vspace, tmesh)
         D = assemble_div_coupling(vspace, wh, tmesh)
         M = assemble_wh_mass(wh, tmesh)
-        return _vector_mass_schur(A, D)[0], M, 0
+        return _vector_mass_schur(A, D), M, 0
     if form == "primal":
         if k not in (1, 2, 3):
             raise ValueError("the primal formulation supports k in {1, 2, 3}")

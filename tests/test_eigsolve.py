@@ -403,11 +403,16 @@ def test_schur_factor_rejects_non_spd_matrix(matrix):
         _vector_mass_schur(A, sp.csr_matrix(np.eye(4)))
 
 
-@pytest.mark.parametrize("coupling", ["wh", "orthonormal"])
-def test_vector_mass_schur_matches_sparse_solve(coupling):
-    # potrf on the scalar mass, one trsm and one syrk per component, against
-    # one SuperLU solve of the whole vector mass
-    tmesh, k = square_tri(4), 3
+@pytest.mark.parametrize("coupling, k", [
+    ("orthonormal", 1), ("orthonormal", 2), ("orthonormal", 3),
+    ("wh", 2), ("wh", 3),
+])
+@pytest.mark.parametrize("domain", ["square", "square-perturbed", "lshape"])
+def test_vector_mass_schur_matches_sparse_solve(domain, coupling, k):
+    # potrf and potri on the scalar mass and sparse products per component,
+    # against one SuperLU solve of the whole vector mass; k = 1 has the most
+    # divergence rows per scalar dof, and n = 6 spans several column blocks
+    tmesh = build_mesh(StudyConfig(domain=domain), 6)
     vspace = build_vector_space(tmesh, k)
     A = assemble_vector_mass(vspace, tmesh)
     if coupling == "wh":
@@ -415,11 +420,21 @@ def test_vector_mass_schur_matches_sparse_solve(coupling):
     else:
         D = assemble_orthonormal_div(vspace, tmesh)
     expected = D @ _factor_symmetric(A.tocsc()).solve(D.T.toarray())
-    S, L = _vector_mass_schur(A, D)
+    S = _vector_mass_schur(A, D)
     assert np.array_equal(S, S.T)
     assert_allclose(S, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
-    L = np.tril(L)   # dpotrf leaves the upper triangle as it found it
-    assert_allclose(L @ L.T, A[0::2, 0::2].toarray(), rtol=0, atol=1e-15)
+
+
+def test_vector_mass_schur_peak_memory():
+    # M^-1 (n_s^2) and S (n_d^2) are the only large arrays; a build through
+    # L^-1 D_c^T also held n_s x n_d doubles and peaked near 1.47 times this
+    tmesh = square_tri(12)
+    vspace = build_vector_space(tmesh, 2)
+    A = assemble_vector_mass(vspace, tmesh)
+    D = assemble_orthonormal_div(vspace, tmesh)
+    n_s, n_d = A.shape[0] // 2, D.shape[0]
+    peak = traced_peak(lambda: _vector_mass_schur(A, D))[1]
+    assert peak < 1.2 * 8 * (n_s * n_s + n_d * n_d)
 
 
 @pytest.mark.parametrize("domain", ["square-perturbed", "lshape"])
@@ -437,7 +452,7 @@ def test_schur_complement_without_refinement_matches_dense_solve(domain, k):
     D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh)
     expected = D @ np.linalg.solve(A.toarray(), D.T.toarray())
     expected = 0.5 * (expected + expected.T)
-    S = _vector_mass_schur(A, D)[0]
+    S = _vector_mass_schur(A, D)
     assert_allclose(S, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
@@ -458,7 +473,7 @@ def test_divergence_route_matches_full_pencil(domain, k):
         lam = full.eigenvalues[full.zero_count:]
         assert_allclose(out.eigenvalues, lam[:len(out.eigenvalues)], rtol=1e-11)
         assert out.residuals.max() < 1e-11
-        reduced = dense_gevp(_vector_mass_schur(A, D)[0], None, 0)
+        reduced = dense_gevp(_vector_mass_schur(A, D), None, 0)
         assert reduced.zero_count + B.shape[0] - D.shape[0] == full.zero_count
         if k in (2, 3):
             assert reduced.zero_count == tmesh.n_quads
@@ -482,9 +497,8 @@ def test_dense_fem2_reduces_only_the_divergence_space(monkeypatch):
 
 
 def test_dense_fem2_window_peak_memory():
-    # L (n_s^2), one X (n_s x n_d) and C (n_d^2) are the only large arrays:
-    # C is mirrored and reduced in place, where a mirror temporary and the
-    # reduction's copy of C raised the peak to about n_s^2 + 2 n_d^2
+    # M^-1 (n_s^2) and C (n_d^2) while C is built, then C and the
+    # reduction's copy of it (2 n_d^2) are the only large arrays
     tmesh = square_tri(8)
     B, A = _pencil("fem2", tmesh, 2)[:2]
     D = assemble_orthonormal_div(build_vector_space(tmesh, 2), tmesh)
