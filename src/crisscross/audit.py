@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fespace import build_wh_space, dim_sigma
-from .eigsolve import DEFAULT_SHIFT, SolverError, _factor_shifted, _pencil
+from .eigsolve import DEFAULT_SHIFT, SolverError, _factor_at, _inertia, _pencil
 
 __all__ = [
     "ComplexReport",
@@ -60,8 +60,9 @@ def exactness_check(tmesh, k: int) -> ComplexReport:
     """Verify the Euler identity, divergence rank, and div-div nullity.
 
     Both counts come from one sparse symmetric factor of B - s A (div-div
-    and vector mass, s = ``DEFAULT_SHIFT``).  Its negative pivots count the
-    eigenvalues below s, which for 0 < s < lambda_1 are exactly the kernel.
+    and vector mass, s = ``DEFAULT_SHIFT``), whose pivots are read once B
+    and A are released.  Its negative pivots count the eigenvalues below s,
+    which for 0 < s < lambda_1 are exactly the kernel.
     The curls of the stream functions lie in the kernel, so count >=
     nullity >= the kernel dimension of the fem2 pencil (``_pencil``): a
     count equal to it certifies the kernel law, and a shift at or above
@@ -73,7 +74,7 @@ def exactness_check(tmesh, k: int) -> ComplexReport:
     """
     if k not in (2, 3):
         raise ValueError("exactness audit supports k in {2, 3}")
-    B, A, kernel_dim = _pencil("fem2", tmesh, k)
+    B, A, kernel_dim, _ = _pencil("fem2", tmesh, k)
     dim_v = B.shape[0]
     wh = build_wh_space(tmesh, k)
 
@@ -82,7 +83,9 @@ def exactness_check(tmesh, k: int) -> ComplexReport:
     Q = tmesh.n_quads
     euler_residual = dim_v - kernel_dim - wh.n_dofs
 
-    _, nullity = _factor_shifted(B, A, DEFAULT_SHIFT)
+    lu = _factor_at(B, A, DEFAULT_SHIFT)
+    del B, A   # reading the pivots copies L and U; B and A are not read again
+    nullity = _inertia(lu)
     if nullity is None:
         raise SolverError(
             f"div-div kernel count at sigma={DEFAULT_SHIFT:g} is uncertified: "

@@ -255,7 +255,7 @@ def _export_artifacts(config: StudyConfig, tmesh) -> None:
     if config.export_mesh:
         write_mesh_text(tmesh, config.export_mesh)
     if config.export_matrices:
-        B, A, _ = _pencil(config.formulation, tmesh, config.degree)
+        B, A = _pencil(config.formulation, tmesh, config.degree)[:2]
         names = ("_K", "_M") if config.formulation == "primal" else ("_B", "_A")
         for mat, name in zip((B, A), names):
             write_matrix_market(mat, config.export_matrices + name + ".mtx")

@@ -71,8 +71,9 @@ class Spectrum:
     first.
     A shift-invert solve also records ``inertia``, the number of eigenvalues
     below the shift counted from the pivot signs of its factor (None when
-    uncertified, and for dense solves), and ``factor_nnz``, the fill of
-    that factor.
+    uncertified, for dense solves, and on the bare ``shift_invert_lanczos``
+    spectrum, whose caller reads the count), and ``factor_nnz``, the fill
+    of that factor.
     """
 
     eigenvalues: np.ndarray
@@ -334,21 +335,10 @@ def _factor_at(B, A, sigma: float):
         ) from exc
 
 
-def _factor_shifted(B, A, sigma: float):
-    """Symmetric factor of B - sigma A and the count of pencil eigenvalues
-    below sigma.
-
-    With A positive definite the negative pivots of the factor count the
-    eigenvalues of B x = lambda A x below sigma; the count is None when the
-    factor is no congruence.
-    """
-    lu = _factor_at(B, A, sigma)
-    return lu, _inertia(lu)
-
-
-def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
+def shift_invert_lanczos(lu, A, sigma: float, n_eigs: int,
                          seed: int = 0) -> Spectrum:
-    """Smallest nonzero eigenpairs of B x = lambda A x by shift-invert.
+    """Smallest nonzero eigenpairs of B x = lambda A x by shift-invert on
+    ``lu``, a factor of B - sigma A (``_factor_at``).
 
     With 0 < sigma < lambda_1 the kernel maps to the negative transformed
     value -1/sigma while every target maps to a positive one, so asking for
@@ -356,22 +346,21 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
     entirely.  The restarted Lanczos iteration keeps the Krylov basis fully
     orthogonal and starts from a seeded deterministic vector.
 
-    B - sigma A is factored once (``_factor_at``) and that factor is the
-    shift-invert operator; ``inertia`` holds the factor's count of
-    eigenvalues below sigma, or None when it is uncertified.  The count is
-    read after the iteration: reading the pivots makes scipy copy L and U
-    out of the factor, and those copies then no longer sit beside ARPACK's
-    workspace.  The caller checks the count before it reports anything.
+    In shift-invert mode ARPACK multiplies by the factor's inverse and by A
+    only, never by B, so B is no argument: ``eigsh`` reads its first
+    operator for the shape and type alone.  The count of eigenvalues below
+    sigma is left to the owner of the pencil, which reads the factor's
+    pivots (``_inertia``) once it has released B and A; ``inertia`` is None
+    here.
     """
-    n = B.shape[0]
+    n = A.shape[0]
     if n_eigs < 1 or n_eigs > n - 2:
         raise SolverError(f"cannot compute {n_eigs} eigenvalues of size-{n} pencil")
-    lu = _factor_at(B, A, sigma)
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        w, v = spla.eigsh(B, k=n_eigs, M=A, sigma=sigma, which="LA", v0=v0,
-                          tol=0, OPinv=opinv)
+        w, v = spla.eigsh(opinv, k=n_eigs, M=A, sigma=sigma, which="LA",
+                          v0=v0, tol=0, OPinv=opinv)
         converged = True
     except spla.ArpackNoConvergence as exc:
         if exc.eigenvalues is None or len(exc.eigenvalues) == 0:
@@ -383,7 +372,7 @@ def shift_invert_lanczos(B, A, sigma: float, n_eigs: int,
     order = np.argsort(w)
     return Spectrum(eigenvalues=w[order], zero_count=0, backend="lanczos",
                     vectors=v[:, order], converged=converged,
-                    inertia=_inertia(lu), factor_nnz=int(lu.nnz))
+                    factor_nnz=int(lu.nnz))
 
 
 def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
@@ -414,98 +403,131 @@ def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
     return B.shape[0] - div.shape[0] + spec.zero_count, x
 
 
-def _solve_pencil(B, A, kernel_dim: int | None, n_eigs: int,
-                  backend: str = "dense", *, div=None,
-                  sigma: float = DEFAULT_SHIFT, seed: int = 0) -> Spectrum:
-    """The reported spectrum of a pencil with B positive semidefinite.
+def _dense_spectrum(B, A, kernel_dim: int | None, n_eigs: int,
+                    div=None) -> Spectrum:
+    """The reported dense spectrum of a pencil with B positive semidefinite.
 
-    The one place that picks the backend, splits off the kernel, truncates
-    to ``n_eigs`` and certifies the reported pairs.  Kernel eigenvalues lead
-    the ascending spectrum, so the split drops a prefix.  ``kernel_dim`` is
-    the dimension the pencil's kernel must have, None when no law is known.
-    A certified shift-invert count of eigenvalues below sigma must equal it:
-    a larger count means sigma is not below lambda_1 and the smallest
-    eigenvalues would be missing from the table.  A dense solve must find
-    exactly that many zeros, or the table would start with a kernel value or
-    skip an eigenvalue.  A dense solve counts the zeros on every eigenvalue
-    of its tridiagonal reduction, but reports the Rayleigh quotients
-    x^T B x / x^T A x of its window vectors, ascending, which are more
-    accurate than the tridiagonal's eigenvalues; with ``div`` it reduces
-    only the divergence space (``_dense_window``).
+    Kernel eigenvalues lead the ascending spectrum, so the split drops a
+    prefix.  ``kernel_dim`` is the dimension the pencil's kernel must have,
+    None when no law is known; the solve must find exactly that many zeros,
+    or the table would start with a kernel value or skip an eigenvalue.  It
+    counts the zeros on every eigenvalue of its tridiagonal reduction, but
+    reports the Rayleigh quotients x^T B x / x^T A x of its window vectors,
+    ascending, which are more accurate than the tridiagonal's eigenvalues;
+    with ``div`` it reduces only the divergence space (``_dense_window``).
     """
-    if backend == "dense":
-        zeros, v = _dense_window(B, A, n_eigs, div)
-        if kernel_dim is not None and zeros != kernel_dim:
-            raise SolverError(
-                f"kernel check failed: {zeros} eigenvalues are zero "
-                f"to the tolerance {TOL_ZERO:g}, but the kernel has dimension "
-                f"{kernel_dim}"
-            )
-        w = np.einsum("ij,ij->j", v, B @ v) / np.einsum("ij,ij->j", v, A @ v)
-        order = np.argsort(w, kind="stable")
-        w, v = w[order], v.take(order, axis=1)
-        spec = Spectrum(eigenvalues=w, zero_count=zeros, backend="dense")
-    elif backend == "lanczos":
-        spec = shift_invert_lanczos(B, A, sigma, n_eigs, seed=seed)
-        if None not in (spec.inertia, kernel_dim) and spec.inertia != kernel_dim:
-            raise SolverError(
-                f"inertia check failed at sigma={sigma:g}: {spec.inertia} "
-                f"eigenvalues lie below the shift, but the kernel has "
-                f"dimension {kernel_dim}; choose sigma below lambda_1"
-            )
-        zeros = _count_zeros(spec.eigenvalues)
-        w = spec.eigenvalues[zeros:zeros + n_eigs]
-        # a copy, so the returned Spectrum does not keep dropped columns alive
-        v = spec.vectors[:, zeros:zeros + n_eigs].copy()
-    else:
+    zeros, v = _dense_window(B, A, n_eigs, div)
+    if kernel_dim is not None and zeros != kernel_dim:
+        raise SolverError(
+            f"kernel check failed: {zeros} eigenvalues are zero "
+            f"to the tolerance {TOL_ZERO:g}, but the kernel has dimension "
+            f"{kernel_dim}"
+        )
+    w = np.einsum("ij,ij->j", v, B @ v) / np.einsum("ij,ij->j", v, A @ v)
+    order = np.argsort(w, kind="stable")
+    w, v = w[order], v.take(order, axis=1)
+    return Spectrum(eigenvalues=w, zero_count=zeros, backend="dense",
+                    vectors=v, residuals=residual_norms(B, A, w, v))
+
+
+def _solve_pencil(form: str, tmesh: TriMesh, k: int, n_eigs: int,
+                  backend: str = "dense", *, sigma: float = DEFAULT_SHIFT,
+                  seed: int = 0) -> Spectrum:
+    """The reported spectrum of ``form``'s pencil (``_pencil``) on ``tmesh``.
+
+    The one place that picks the backend, and the only holder of the
+    pencil: the solve drivers pass the form, not the matrices.  The dense
+    backend is ``_dense_spectrum``.  The shift-invert backend factors
+    B - sigma A, iterates on the factor (``shift_invert_lanczos``), splits
+    off the kernel, truncates to ``n_eigs`` and computes the residuals;
+    then it drops B and A, and only then reads the factor's pivots, whose
+    read makes scipy copy L and U.  The certified count of eigenvalues
+    below sigma must equal the kernel dimension: a larger count means sigma
+    is not below lambda_1 and the smallest eigenvalues would be missing
+    from the table.
+    """
+    if backend not in ("dense", "lanczos"):
         raise ValueError(f"unknown backend {backend!r}")
+    B, A, kernel_dim, div = _pencil(form, tmesh, k, dense=backend == "dense")
+    if backend == "dense":
+        return _dense_spectrum(B, A, kernel_dim, n_eigs, div)
+    lu = _factor_at(B, A, sigma)
+    spec = shift_invert_lanczos(lu, A, sigma, n_eigs, seed=seed)
+    zeros = _count_zeros(spec.eigenvalues)
+    w = spec.eigenvalues[zeros:zeros + n_eigs]
+    # a copy, so the returned Spectrum does not keep dropped columns alive
+    v = spec.vectors[:, zeros:zeros + n_eigs].copy()
+    residuals = residual_norms(B, A, w, v)
+    del B, A
+    inertia = _inertia(lu)
+    if None not in (inertia, kernel_dim) and inertia != kernel_dim:
+        raise SolverError(
+            f"inertia check failed at sigma={sigma:g}: {inertia} "
+            f"eigenvalues lie below the shift, but the kernel has "
+            f"dimension {kernel_dim}; choose sigma below lambda_1"
+        )
     return replace(spec, eigenvalues=w, vectors=v, zero_count=zeros,
-                   residuals=residual_norms(B, A, w, v))
+                   residuals=residuals, inertia=inertia)
 
 
-def _fem2_pencil(tmesh: TriMesh, k: int, dense: bool = False):
-    """The ``fem2`` pencil (B, A), its kernel dimension, and for the dense
-    route the orthonormal divergence D (None otherwise).
+def _principal(K, M, keep: np.ndarray):
+    """The rows and columns ``keep`` (ascending) of K and M, two CSR
+    matrices on one pattern with sorted indices, selected in one pass.
 
-    B and A are scattered on the vector element graph, so their patterns are
-    equal arrays; A is rebound onto B's, so the pencil holds the pattern
-    once and the shifted factor is ordered on it.  The two matrices share
-    ``indices`` and ``indptr``: neither may be changed in place.  The dense
-    route, capped at the vector dimension first, integrates the divergence
-    once for B and D; the Lanczos route builds no D.
+    The kept entries keep their order and their stored zeros, and the two
+    results share one ``indices`` and ``indptr``; neither may be changed in
+    place.
     """
-    if k not in (1, 2, 3):
-        raise ValueError("the div-div formulation supports k in {1, 2, 3}")
-    space = build_vector_space(tmesh, k)
-    kernel_dim = None
-    if k in (2, 3):
-        kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
-                               tmesh.n_quads) - 1
-    blocks = None
-    if dense:
-        _check_dense_size(space.n_dofs)
-        blocks = _div_blocks(tmesh, k)[0]
-    B = assemble_divdiv(space, tmesh, blocks)
-    A = assemble_vector_mass(space, tmesh)
-    A = sp.csr_matrix((A.data, B.indices, B.indptr), shape=A.shape)
-    div = (None if blocks is None
-           else assemble_orthonormal_div(space, tmesh, blocks))
-    return B, A, kernel_dim, div
+    index = np.full(K.shape[0], -1, dtype=K.indices.dtype)
+    index[keep] = np.arange(len(keep), dtype=index.dtype)
+    rows = np.repeat(index, np.diff(K.indptr))
+    cols = index[K.indices]
+    stored = (rows >= 0) & (cols >= 0)
+    indptr = np.zeros(len(keep) + 1, dtype=K.indptr.dtype)
+    np.cumsum(np.bincount(rows[stored], minlength=len(keep)), out=indptr[1:])
+    indices = cols[stored]
+    shape = (len(keep), len(keep))
+    return (sp.csr_matrix((K.data[stored], indices, indptr), shape=shape),
+            sp.csr_matrix((M.data[stored], indices, indptr), shape=shape))
 
 
-def _pencil(form: str, tmesh: TriMesh, k: int):
-    """The pencil (B, A) that ``form`` solves and the dimension of its kernel.
+def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
+    """The pencil (B, A) that ``form`` solves, the dimension of its kernel,
+    and for the dense ``fem2`` route the orthonormal divergence D (None
+    otherwise).
 
     ``fem2`` is the div-div and vector mass pair on every vector dof.  The
     discrete complex is exact, so its kernel is curl Sigma_h, of dimension
-    dim Sigma_h - 1, for k = 2, 3; for k = 1 no law is known (None).
+    dim Sigma_h - 1, for k = 2, 3; for k = 1 no law is known (None).  B and
+    A are scattered on the vector element graph, so their patterns are
+    equal arrays; A is rebound onto B's, so the pencil holds the pattern
+    once and the shifted factor is ordered on it.  The ``dense`` route,
+    capped at the vector dimension first, integrates the divergence once
+    for B and D; the Lanczos route builds no D.
     ``fem1`` is the pressure Schur complement D A^-1 D^T (dense, refused
     above ``DENSE_CAP`` before it is built) and the pressure mass,
-    ``primal`` the stiffness and mass on the interior dofs; neither has a
-    kernel.
+    ``primal`` the stiffness and mass on the interior dofs (``_principal``);
+    neither has a kernel.  Matrices that share a pattern share its arrays:
+    none may be changed in place.
     """
     if form == "fem2":
-        return _fem2_pencil(tmesh, k)[:3]
+        if k not in (1, 2, 3):
+            raise ValueError("the div-div formulation supports k in {1, 2, 3}")
+        space = build_vector_space(tmesh, k)
+        kernel_dim = None
+        if k in (2, 3):
+            kernel_dim = dim_sigma(k, tmesh.n_quad_vertices,
+                                   tmesh.n_quad_edges, tmesh.n_quads) - 1
+        blocks = None
+        if dense:
+            _check_dense_size(space.n_dofs)
+            blocks = _div_blocks(tmesh, k)[0]
+        B = assemble_divdiv(space, tmesh, blocks)
+        A = assemble_vector_mass(space, tmesh)
+        A = sp.csr_matrix((A.data, B.indices, B.indptr), shape=A.shape)
+        div = (None if blocks is None
+               else assemble_orthonormal_div(space, tmesh, blocks))
+        return B, A, kernel_dim, div
     if form == "fem1":
         if k not in (2, 3):
             raise ValueError("the mixed formulation needs the pressure basis, "
@@ -516,7 +538,7 @@ def _pencil(form: str, tmesh: TriMesh, k: int):
         A = assemble_vector_mass(vspace, tmesh)
         D = assemble_div_coupling(vspace, wh, tmesh)
         M = assemble_wh_mass(wh, tmesh)
-        return _vector_mass_schur(A, D), M, 0
+        return _vector_mass_schur(A, D), M, 0, None
     if form == "primal":
         if k not in (1, 2, 3):
             raise ValueError("the primal formulation supports k in {1, 2, 3}")
@@ -524,7 +546,7 @@ def _pencil(form: str, tmesh: TriMesh, k: int):
         interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
         K = assemble_scalar_stiffness(space, tmesh)
         M = assemble_scalar_mass(space, tmesh)
-        return K[interior][:, interior], M[interior][:, interior], 0
+        return *_principal(K, M, interior), 0, None
     raise ValueError(f"unknown formulation {form!r}")
 
 
@@ -536,9 +558,8 @@ def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
     divergence space: B = D^T D with D the divergence into an orthonormal
     discontinuous P_{k-1} basis (``assemble_orthonormal_div``).
     """
-    B, A, kernel_dim, div = _fem2_pencil(tmesh, k, backend == "dense")
-    return _solve_pencil(B, A, kernel_dim, n_eigs, backend, div=div,
-                         sigma=sigma, seed=seed)
+    return _solve_pencil("fem2", tmesh, k, n_eigs, backend, sigma=sigma,
+                         seed=seed)
 
 
 def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
@@ -548,7 +569,7 @@ def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
     (D A^-1 D^T) u = lambda M u on the constrained pressure space; the
     spectrum is strictly positive and matches the nonzero div-div spectrum.
     """
-    return _solve_pencil(*_pencil("fem1", tmesh, k), n_eigs)
+    return _solve_pencil("fem1", tmesh, k, n_eigs)
 
 
 def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
@@ -558,8 +579,8 @@ def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
     The interior pencil has no kernel, so no eigenvalue lies below a valid
     shift.
     """
-    return _solve_pencil(*_pencil("primal", tmesh, k), n_eigs, backend,
-                         sigma=sigma, seed=seed)
+    return _solve_pencil("primal", tmesh, k, n_eigs, backend, sigma=sigma,
+                         seed=seed)
 
 
 def cluster_eigenvalues(eigenvalues: np.ndarray) -> list:

@@ -460,7 +460,7 @@ def test_fem2_pencil_assembly_peak_memory():
     # this mesh; the one plan and a bincount per matrix peak near twice
     tmesh = build_mesh(StudyConfig(), 16)
     _pencil("fem2", tmesh, 2)           # shape tables are cached per process
-    (B, A, _), peak = traced_peak(lambda: _pencil("fem2", tmesh, 2))
+    (B, A, _, _), peak = traced_peak(lambda: _pencil("fem2", tmesh, 2))
     size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
                for m in (B, A))
     assert peak < 3.0 * size

@@ -107,10 +107,10 @@ def test_exactness_beyond_dense_size():
 
 
 def test_exactness_uncertified_count_raises(monkeypatch):
-    def off_diagonal_pivot(B, A, sigma):
-        return None, None
+    def off_diagonal_pivot(lu):
+        return None
 
-    monkeypatch.setattr(audit, "_factor_shifted", off_diagonal_pivot)
+    monkeypatch.setattr(audit, "_inertia", off_diagonal_pivot)
     tmesh = criss_cross(single_quad_mesh(UNIT_SQUARE))
     with pytest.raises(SolverError, match="off-diagonal pivot"):
         exactness_check(tmesh, 2)

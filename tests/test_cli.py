@@ -541,8 +541,7 @@ def test_cmd_audit_uncertified_scan_warns_on_stderr(capsys, monkeypatch):
 def test_cmd_audit_uncertified_count_exit_code(capsys, monkeypatch):
     import crisscross.audit as audit
 
-    monkeypatch.setattr(audit, "_factor_shifted",
-                        lambda B, A, sigma: (None, None))
+    monkeypatch.setattr(audit, "_inertia", lambda lu: None)
     assert main(["audit", "--degree", "2", "--levels", "2"]) == 3
     captured = capsys.readouterr()
     assert "off-diagonal pivot" in captured.err

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,19 +7,22 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from crisscross import eigsolve
+from crisscross import audit, eigsolve
 from crisscross.assembly import (
     assemble_div_coupling,
     assemble_orthonormal_div,
     assemble_vector_mass,
 )
+from crisscross.audit import exactness_check
 from crisscross.cli import StudyConfig, build_mesh
 from crisscross.eigsolve import (
     SolverError,
     _count_zeros,
+    _dense_spectrum,
     _dense_window,
-    _factor_shifted,
+    _factor_at,
     _factor_symmetric,
+    _inertia,
     _shifted,
     _pencil,
     _solve_pencil,
@@ -121,14 +125,14 @@ def test_dense_window_clipped_at_size():
     B, A = _pencil("fem2", unit_pi_square_tri(), 2)[:2]
     spec = dense_gevp(B, A, 20)
     assert spec.zero_count == 15 and spec.vectors.shape == (26, 11)
-    out = _solve_pencil(B, A, None, 20)
+    out = _dense_spectrum(B, A, None, 20)
     assert len(out.eigenvalues) == 11 and out.residuals.max() < 1e-12
 
 
 def test_dense_window_ends_inside_a_doublet():
     # lambda_2 = lambda_3 = 5 on the square; the window keeps only lambda_2
     B, A = _pencil("fem2", square_tri(4), 2)[:2]
-    out = _solve_pencil(B, A, None, 2)
+    out = _dense_spectrum(B, A, None, 2)
     lam = dense_gevp(B, A, 0).eigenvalues[out.zero_count:]
     assert_allclose(lam[2], lam[1], rtol=1e-12)
     assert_allclose(out.eigenvalues, [2, 5], rtol=1e-2)
@@ -235,7 +239,7 @@ def test_single_square_k3_kernel_count():
 
 
 def test_filter_nonzero_basic():
-    out = _solve_pencil(np.diag([0.0, 0.0, 2.0, 6.0]), np.eye(4), None, 4)
+    out = _dense_spectrum(np.diag([0.0, 0.0, 2.0, 6.0]), np.eye(4), None, 4)
     assert out.zero_count == 2
     assert_allclose(out.eigenvalues, [2, 6])
     assert out.vectors.shape == (4, 2) and len(out.residuals) == 2
@@ -244,21 +248,22 @@ def test_filter_nonzero_basic():
 def test_dense_kernel_count_checked_against_law():
     B, A = np.diag([0.0, 0.0, 2.0, 6.0]), np.eye(4)
     with pytest.raises(SolverError, match="kernel has dimension 1"):
-        _solve_pencil(B, A, 1, 4)
-    assert _solve_pencil(B, A, 2, 4).zero_count == 2
+        _dense_spectrum(B, A, 1, 4)
+    assert _dense_spectrum(B, A, 2, 4).zero_count == 2
 
 
 @pytest.mark.parametrize("backend", ["dense", "lanczos"])
 def test_reported_vectors_own_their_data(backend):
     # a view would keep every eigenvector of the solve alive
-    B, A = _pencil("fem2", square_tri(2), 2)[:2]
-    out = _solve_pencil(B, A, None, 3, backend)
+    tmesh = square_tri(2)
+    B = _pencil("fem2", tmesh, 2)[0]
+    out = _solve_pencil("fem2", tmesh, 2, 3, backend)
     assert out.vectors.shape == (B.shape[0], 3)
     assert out.vectors.base is None
 
 
 def test_filter_all_zero():
-    out = _solve_pencil(np.zeros((3, 3)), np.eye(3), None, 3)
+    out = _dense_spectrum(np.zeros((3, 3)), np.eye(3), None, 3)
     assert out.zero_count == 3
     assert len(out.eigenvalues) == 0
 
@@ -284,10 +289,11 @@ def test_shift_invert_on_explicit_pencil():
     # diagonal pencil: eigenvalues 0 (kernel), 3, 7, 11; sigma below 3
     B = np.diag([0.0, 0.0, 3.0, 7.0, 11.0, 15.0, 19.0, 23.0])
     A = np.eye(8)
-    spec = shift_invert_lanczos(B, A, sigma=1.0, n_eigs=3)
+    lu = _factor_at(B, A, 1.0)
+    spec = shift_invert_lanczos(lu, A, sigma=1.0, n_eigs=3)
     assert_allclose(spec.eigenvalues, [3, 7, 11], atol=1e-10)
     assert residual_norms(B, A, spec.eigenvalues, spec.vectors).max() < 1e-10
-    assert spec.inertia == 2      # the two kernel zeros lie below sigma
+    assert _inertia(lu) == 2      # the two kernel zeros lie below sigma
 
 
 def test_off_diagonal_pivot_leaves_inertia_uncertified():
@@ -295,9 +301,10 @@ def test_off_diagonal_pivot_leaves_inertia_uncertified():
     # off-diagonal pivot; the eigenvalues 1 and 3 of that block straddle sigma
     B = np.diag([2.0, 2.0, 5.0, 7.0, 9.0, 11.0])
     B[0, 1] = B[1, 0] = 1.0
-    spec = shift_invert_lanczos(B, np.eye(6), sigma=2.0, n_eigs=3)
+    lu = _factor_at(B, np.eye(6), 2.0)
+    spec = shift_invert_lanczos(lu, np.eye(6), sigma=2.0, n_eigs=3)
     assert_allclose(spec.eigenvalues, [3, 5, 7], atol=1e-10)
-    assert spec.inertia is None
+    assert _inertia(lu) is None
 
 
 @pytest.mark.parametrize("domain, n", [
@@ -342,6 +349,32 @@ def test_lanczos_counts_pivots_after_the_iteration(monkeypatch):
     assert spec.inertia == 114
     with pytest.raises(SolverError, match="inertia check failed"):
         solve_fem2(square_tri(4), 2, 3, backend="lanczos", sigma=3.0)
+
+
+@pytest.mark.parametrize("module, run", [
+    (eigsolve, lambda tmesh: solve_fem2(tmesh, 2, 3, backend="lanczos")),
+    (eigsolve, lambda tmesh: solve_primal(tmesh, 2, 3, backend="lanczos")),
+    (audit, lambda tmesh: exactness_check(tmesh, 2)),
+], ids=["fem2", "primal", "audit"])
+def test_pivots_are_read_with_no_pencil_matrix_alive(monkeypatch, module, run):
+    # reading the pivots copies L and U out of the factor; B and A, no longer
+    # read by then, must not sit beside those copies in any frame
+    refs = []
+    pencil, inertia = module._pencil, module._inertia
+
+    def tracked(*args, **kwargs):
+        B, A, *rest = pencil(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in (B.data, A.data, B.indices))
+        return (B, A, *rest)
+
+    def checked(lu):
+        assert refs and all(ref() is None for ref in refs)
+        return inertia(lu)
+
+    monkeypatch.setattr(module, "_pencil", tracked)
+    monkeypatch.setattr(module, "_inertia", checked)
+    run(square_tri(4))
+    assert len(refs) == 3
 
 
 def test_lanczos_excludes_kernel():
@@ -403,26 +436,49 @@ def test_schur_factor_rejects_non_spd_matrix(matrix):
         _vector_mass_schur(A, sp.csr_matrix(np.eye(4)))
 
 
-@pytest.mark.parametrize("coupling, k", [
-    ("orthonormal", 1), ("orthonormal", 2), ("orthonormal", 3),
-    ("wh", 2), ("wh", 3),
+# unrefined meshes on which the Schur complement also meets a dense LU solve
+# of the vector mass, the perturbed one with the most distorted quads the
+# perturbation allows
+_DENSE_ORACLE_MESHES = {
+    "square-perturbed-0.49": lambda: criss_cross(perturb_quad_grid(
+        build_rect_grid(0, 0, PI, PI, 6, 6), 0.49, seed=0)),
+    "lshape-4": lambda: criss_cross(build_lshape_grid(4)),
+}
+
+
+@pytest.mark.parametrize("domain, coupling, k", [
+    *[(domain, coupling, k)
+      for domain in ("square", "square-perturbed", "lshape")
+      for coupling, k in [("orthonormal", 1), ("orthonormal", 2),
+                          ("orthonormal", 3), ("wh", 2), ("wh", 3)]],
+    *[(domain, "wh", k) for domain in _DENSE_ORACLE_MESHES for k in (2, 3)],
 ])
-@pytest.mark.parametrize("domain", ["square", "square-perturbed", "lshape"])
 def test_vector_mass_schur_matches_sparse_solve(domain, coupling, k):
     # potrf and potri on the scalar mass and sparse products per component,
-    # against one SuperLU solve of the whole vector mass; k = 1 has the most
-    # divergence rows per scalar dof, and n = 6 spans several column blocks
-    tmesh = build_mesh(StudyConfig(domain=domain), 6)
+    # against one SuperLU solve of the whole vector mass (a dense LU solve on
+    # the unrefined meshes); k = 1 has the most divergence rows per scalar
+    # dof, and n = 6 spans several column blocks
+    if domain in _DENSE_ORACLE_MESHES:
+        tmesh = _DENSE_ORACLE_MESHES[domain]()
+    else:
+        tmesh = build_mesh(StudyConfig(domain=domain), 6)
     vspace = build_vector_space(tmesh, k)
     A = assemble_vector_mass(vspace, tmesh)
     if coupling == "wh":
         D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh)
     else:
         D = assemble_orthonormal_div(vspace, tmesh)
-    expected = D @ _factor_symmetric(A.tocsc()).solve(D.T.toarray())
     S = _vector_mass_schur(A, D)
     assert np.array_equal(S, S.T)
-    assert_allclose(S, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+    if domain in _DENSE_ORACLE_MESHES:
+        expected = D @ np.linalg.solve(A.toarray(), D.T.toarray())
+        expected = 0.5 * (expected + expected.T)
+        assert_allclose(S, expected, rtol=0,
+                        atol=1e-12 * np.abs(expected).max())
+    else:
+        expected = D @ _factor_symmetric(A.tocsc()).solve(D.T.toarray())
+        assert_allclose(S, expected, rtol=0,
+                        atol=1e-13 * np.abs(expected).max())
 
 
 def test_vector_mass_schur_peak_memory():
@@ -437,25 +493,6 @@ def test_vector_mass_schur_peak_memory():
     assert peak < 1.2 * 8 * (n_s * n_s + n_d * n_d)
 
 
-@pytest.mark.parametrize("domain", ["square-perturbed", "lshape"])
-@pytest.mark.parametrize("k", [2, 3])
-def test_schur_complement_without_refinement_matches_dense_solve(domain, k):
-    # the Cholesky solve, unrefined, meets a dense LU solve of the vector
-    # mass, also on the most distorted quads the perturbation allows
-    if domain == "lshape":
-        tmesh = criss_cross(build_lshape_grid(4))
-    else:
-        tmesh = criss_cross(perturb_quad_grid(
-            build_rect_grid(0, 0, PI, PI, 6, 6), 0.49, seed=0))
-    vspace = build_vector_space(tmesh, k)
-    A = assemble_vector_mass(vspace, tmesh)
-    D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh)
-    expected = D @ np.linalg.solve(A.toarray(), D.T.toarray())
-    expected = 0.5 * (expected + expected.T)
-    S = _vector_mass_schur(A, D)
-    assert_allclose(S, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
-
-
 @pytest.mark.parametrize("domain", ["square", "lshape", "square-perturbed"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_divergence_route_matches_full_pencil(domain, k):
@@ -468,7 +505,7 @@ def test_divergence_route_matches_full_pencil(domain, k):
         B, A = _pencil("fem2", tmesh, k)[:2]
         D = assemble_orthonormal_div(build_vector_space(tmesh, k), tmesh)
         full = dense_gevp(B, A, 0)
-        out = _solve_pencil(B, A, None, 20, div=D)
+        out = _dense_spectrum(B, A, None, 20, D)
         assert out.zero_count == full.zero_count
         lam = full.eigenvalues[full.zero_count:]
         assert_allclose(out.eigenvalues, lam[:len(out.eigenvalues)], rtol=1e-11)
@@ -648,8 +685,8 @@ def test_shifted_factor_fill_does_not_depend_on_cancellations():
     factors = []
     for domain in ("square", "square-perturbed"):
         B, A = _pencil("fem2", build_mesh(StudyConfig(domain=domain), 16), 2)[:2]
-        lu, inertia = _factor_shifted(B, A, 1.0)
-        factors.append((lu.nnz, inertia))
+        lu = _factor_at(B, A, 1.0)
+        factors.append((lu.nnz, _inertia(lu)))
     assert factors[0] == factors[1]
     assert factors[0][1] == 1410
 
