@@ -231,29 +231,26 @@ def _div_blocks(tmesh: TriMesh, k: int):
     return E.reshape(len(area), len(L), -1), L
 
 
-def assemble_divdiv(space: DofMap, tmesh: TriMesh,
-                    blocks: np.ndarray | None = None) -> sp.csr_matrix:
+def assemble_divdiv(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """(div u, div v) matrix of the vector space, sum_t E_t^T E_t over the
-    divergence blocks E (``_div_blocks``, or ``blocks`` when the caller has
-    them already); symmetric positive semidefinite with a large kernel of
-    divergence-free fields.  It is scattered on the vector element graph, so
-    its ``indices`` and ``indptr`` equal those of the vector mass."""
+    divergence blocks E (``_div_blocks``); symmetric positive semidefinite
+    with a large kernel of divergence-free fields.  It is scattered on the
+    vector element graph, so its ``indices`` and ``indptr`` equal those of
+    the vector mass."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    E = _div_blocks(tmesh, space.degree)[0] if blocks is None else blocks
+    E = _div_blocks(tmesh, space.degree)[0]
     return _assemble(_graph_plan(space), np.einsum("tia,tib->tab", E, E),
                      symmetric=True)
 
 
-def assemble_orthonormal_div(space: DofMap, tmesh: TriMesh,
-                             blocks: np.ndarray | None = None
-                             ) -> sp.csr_matrix:
+def assemble_orthonormal_div(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """Divergence D of the vector space into an L2-orthonormal discontinuous
-    P_{k-1} basis, the divergence blocks E (``_div_blocks``, or ``blocks``)
-    stacked by triangle, so that D^T D is the div-div matrix."""
+    P_{k-1} basis, the divergence blocks E (``_div_blocks``) stacked by
+    triangle, so that D^T D is the div-div matrix."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    E = _div_blocks(tmesh, space.degree)[0] if blocks is None else blocks
+    E = _div_blocks(tmesh, space.degree)[0]
     rows = np.arange(E.shape[0] * E.shape[1]).reshape(E.shape[:2])
     plan = _scatter_plan(rows, space.cell_dofs, (rows.size, space.n_dofs))
     return _assemble(plan, E)

@@ -13,7 +13,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .assembly import (
-    _div_blocks,
     assemble_div_coupling,
     assemble_divdiv,
     assemble_orthonormal_div,
@@ -70,10 +69,11 @@ class Spectrum:
     the number of eigenvalues classified as kernel and removed or listed
     first.
     A shift-invert solve also records ``inertia``, the number of eigenvalues
-    below the shift counted from the pivot signs of its factor (None when
-    uncertified, for dense solves, and on the bare ``shift_invert_lanczos``
-    spectrum, whose caller reads the count), and ``factor_nnz``, the fill
-    of that factor.
+    below the shift counted from the pivot signs of its factor, and
+    ``factor_nnz``, the fill of that factor.  ``inertia`` is None where no
+    count was made (dense solves, and the bare ``shift_invert_lanczos``
+    spectrum, whose caller reads the count), and where an off-diagonal
+    pivot left the count uncertified, which alone sets ``uncertified``.
     """
 
     eigenvalues: np.ndarray
@@ -84,6 +84,7 @@ class Spectrum:
     converged: bool = True
     inertia: int | None = None
     factor_nnz: int | None = None
+    uncertified: bool = False
 
     @property
     def doubts(self) -> list:
@@ -91,7 +92,7 @@ class Spectrum:
         doubts = []
         if not self.converged:
             doubts.append("Lanczos did not converge")
-        if self.backend == "lanczos" and self.inertia is None:
+        if self.uncertified:
             doubts.append("an off-diagonal pivot leaves the eigenvalue count "
                           "below sigma uncertified")
         return doubts
@@ -467,7 +468,8 @@ def _solve_pencil(form: str, tmesh: TriMesh, k: int, n_eigs: int,
             f"dimension {kernel_dim}; choose sigma below lambda_1"
         )
     return replace(spec, eigenvalues=w, vectors=v, zero_count=zeros,
-                   residuals=residuals, inertia=inertia)
+                   residuals=residuals, inertia=inertia,
+                   uncertified=inertia is None)
 
 
 def _principal(K, M, keep: np.ndarray):
@@ -498,12 +500,13 @@ def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
 
     ``fem2`` is the div-div and vector mass pair on every vector dof.  The
     discrete complex is exact, so its kernel is curl Sigma_h, of dimension
-    dim Sigma_h - 1, for k = 2, 3; for k = 1 no law is known (None).  B and
-    A are scattered on the vector element graph, so their patterns are
-    equal arrays; A is rebound onto B's, so the pencil holds the pattern
-    once and the shifted factor is ordered on it.  The ``dense`` route,
-    capped at the vector dimension first, integrates the divergence once
-    for B and D; the Lanczos route builds no D.
+    dim Sigma_h - 1, for k = 2, 3; for k = 1 no law is known (None).  The
+    ``dense`` route, capped at the vector dimension first, assembles D and
+    A only: B = D^T D is the operator x -> D^T (D x), all the dense solve
+    reads of it.  Otherwise B and A are scattered on the vector element
+    graph, so their patterns are equal arrays; A is rebound onto B's, so
+    the pencil holds the pattern once and the shifted factor is ordered on
+    it, and no D is built.
     ``fem1`` is the pressure Schur complement D A^-1 D^T (dense, refused
     above ``DENSE_CAP`` before it is built) and the pressure mass,
     ``primal`` the stiffness and mass on the interior dofs (``_principal``);
@@ -518,20 +521,16 @@ def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
         if k in (2, 3):
             kernel_dim = dim_sigma(k, tmesh.n_quad_vertices,
                                    tmesh.n_quad_edges, tmesh.n_quads) - 1
-        blocks = None
         if dense:
             _check_dense_size(space.n_dofs)
-            blocks = _div_blocks(tmesh, k)[0]
-        B = assemble_divdiv(space, tmesh, blocks)
+            div = assemble_orthonormal_div(space, tmesh)
+            B = spla.aslinearoperator(div.T) @ spla.aslinearoperator(div)
+            return B, assemble_vector_mass(space, tmesh), kernel_dim, div
+        B = assemble_divdiv(space, tmesh)
         A = assemble_vector_mass(space, tmesh)
         A = sp.csr_matrix((A.data, B.indices, B.indptr), shape=A.shape)
-        div = (None if blocks is None
-               else assemble_orthonormal_div(space, tmesh, blocks))
-        return B, A, kernel_dim, div
+        return B, A, kernel_dim, None
     if form == "fem1":
-        if k not in (2, 3):
-            raise ValueError("the mixed formulation needs the pressure basis, "
-                             "k in {2, 3}")
         wh = build_wh_space(tmesh, k)
         _check_dense_size(wh.n_dofs, lanczos=False)
         vspace = build_vector_space(tmesh, k)

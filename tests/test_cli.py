@@ -524,7 +524,7 @@ def test_cmd_audit_uncertified_scan_warns_on_stderr(capsys, monkeypatch):
 
     def doubtful(tmesh, k, n_eigs, backend, *, sigma, seed):
         return Spectrum(eigenvalues=np.array([2.0, 5.0]), zero_count=0,
-                        backend="lanczos", converged=False, inertia=None)
+                        backend="lanczos", converged=False, uncertified=True)
 
     monkeypatch.setattr(cli, "solve_fem2", doubtful)
     assert main(["audit", "--degree", "2", "--levels", "2,4", "--neigs", "2",
@@ -536,6 +536,15 @@ def test_cmd_audit_uncertified_scan_warns_on_stderr(capsys, monkeypatch):
     assert all("did not converge" in w and "uncertified" in w
                for w in warnings)
     assert "warning" not in captured.out
+
+
+def test_cmd_eig_uncertified_count_warning(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(eigsolve, "_inertia", lambda lu: None)
+    assert main(["eig", "--levels", "4", "--neigs", "3", "--backend",
+                 "lanczos", "--out", str(tmp_path / "u.csv")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: fem2 k=2 on 16 quads: an off-diagonal pivot leaves the "
+        "eigenvalue count below sigma uncertified\n")
 
 
 def test_cmd_audit_uncertified_count_exit_code(capsys, monkeypatch):
@@ -588,7 +597,7 @@ def test_uncertified_spectrum_warns_on_stderr(tmp_path, capsys, monkeypatch):
 
     def doubtful(tmesh, k, n_eigs, backend, *, sigma, seed):
         return Spectrum(eigenvalues=np.array([2.0, 5.0]), zero_count=0,
-                        backend="lanczos", converged=False, inertia=None)
+                        backend="lanczos", converged=False, uncertified=True)
 
     monkeypatch.setattr(cli, "solve_fem2", doubtful)
     out = tmp_path / "w.csv"

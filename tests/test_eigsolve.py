@@ -14,7 +14,7 @@ from crisscross.assembly import (
     assemble_vector_mass,
 )
 from crisscross.audit import exactness_check
-from crisscross.cli import StudyConfig, build_mesh
+from crisscross.cli import StudyConfig, build_mesh, cmd_compare
 from crisscross.eigsolve import (
     SolverError,
     _count_zeros,
@@ -296,6 +296,21 @@ def test_shift_invert_on_explicit_pencil():
     assert _inertia(lu) == 2      # the two kernel zeros lie below sigma
 
 
+def test_only_a_failed_count_is_an_uncertified_count(monkeypatch):
+    # the bare shift-invert spectrum was never counted (its caller reads the
+    # pivots), so it reports no count doubt; a solve whose count fails does
+    B = np.diag([0.0, 0.0, 3.0, 7.0, 11.0, 15.0, 19.0, 23.0])
+    A = np.eye(8)
+    lu = _factor_at(B, A, 1.0)
+    spec = shift_invert_lanczos(lu, A, sigma=1.0, n_eigs=3)
+    assert spec.inertia is None and spec.doubts == []
+    monkeypatch.setattr(eigsolve, "_inertia", lambda lu: None)
+    spec = solve_fem2(square_tri(4), 2, 3, backend="lanczos")
+    assert spec.inertia is None
+    assert spec.doubts == ["an off-diagonal pivot leaves the eigenvalue "
+                           "count below sigma uncertified"]
+
+
 def test_off_diagonal_pivot_leaves_inertia_uncertified():
     # B - 2A holds the block [[0, 1], [1, 0]], whose zero diagonal forces an
     # off-diagonal pivot; the eigenvalues 1 and 3 of that block straddle sigma
@@ -554,6 +569,21 @@ def test_lanczos_fem2_builds_no_orthonormal_divergence(monkeypatch):
     monkeypatch.setattr(eigsolve, "assemble_orthonormal_div", refused)
     spec = solve_fem2(square_tri(8), 2, 5, backend="lanczos")
     assert spec.inertia == 386 and len(spec.eigenvalues) == 5
+
+
+def test_dense_fem2_assembles_no_divdiv_matrix(monkeypatch):
+    # the dense route reads B = D-hat^T D-hat through D-hat alone; the
+    # assembled n_v x n_v div-div matrix serves the Lanczos route only
+    def refused(*args, **kwargs):
+        raise AssertionError("the dense route assembled the div-div matrix")
+
+    monkeypatch.setattr(eigsolve, "assemble_divdiv", refused)
+    for k in (1, 2, 3):
+        spec = solve_fem2(square_tri(4), k, 5)
+        assert len(spec.eigenvalues) == 5 and spec.residuals.max() < 1e-10
+    report, code = cmd_compare(StudyConfig(domain="lshape", degree=2,
+                                           levels=[2], n_eigs=4))
+    assert code == 0 and len(report.rows[0].lambdas) == 4
 
 
 def test_fem2_dense_cap_counts_the_vector_space(monkeypatch):
