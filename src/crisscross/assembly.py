@@ -177,8 +177,9 @@ def _mass_elements(space, tmesh: TriMesh) -> np.ndarray:
     return np.einsum("q,t,qi,qj->tij", rule.weights, area, vals, vals)
 
 
-def assemble_scalar_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
-    """L2 mass matrix of the scalar Lagrange space."""
+def assemble_scalar_mass(space: DofMap | DiscSpace,
+                         tmesh: TriMesh) -> sp.csr_matrix:
+    """L2 mass matrix of a scalar Lagrange space, continuous or not."""
     return _assemble(_graph_plan(space), _mass_elements(space, tmesh),
                      symmetric=True)
 
@@ -303,21 +304,12 @@ def assemble_div_coupling(vspace: DofMap, testspace,
     return D
 
 
-def _disc_mass_csr(tmesh: TriMesh, disc: DiscSpace,
-                   rule: QuadRule) -> sp.csr_matrix:
-    area, _ = _geometry(tmesh)
-    vals, _ = _shapes(disc.degree, rule)
-    ref_mass = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
-    element = area[:, None, None] * ref_mass
-    return _assemble(_graph_plan(disc), element, symmetric=True)
-
-
 def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix R^T G R of the divergence-image basis (block diagonal
     per quad), G the mass of the discontinuous P_{k-1} space, on the
     symbolic pattern of the product."""
     disc = build_disc_space(tmesh, wh.degree - 1)
-    G = _disc_mass_csr(tmesh, disc, quad_rule(2 * wh.degree))
+    G = assemble_scalar_mass(disc, tmesh)
     R = wh.restriction
     return _restricted(R, _restricted(R, G).T.tocsr())   # G^T = G
 

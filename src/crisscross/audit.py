@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fespace import build_wh_space, dim_sigma
-from .eigsolve import DEFAULT_SHIFT, SolverError, _factor_at, _inertia, _pencil
+from .eigsolve import DEFAULT_SHIFT, SolverError, _count
 
 __all__ = [
     "ComplexReport",
@@ -60,37 +60,32 @@ def exactness_check(tmesh, k: int) -> ComplexReport:
     """Verify the Euler identity, divergence rank, and div-div nullity.
 
     Both counts come from one sparse symmetric factor of B - s A (div-div
-    and vector mass, s = ``DEFAULT_SHIFT``), whose pivots are read once B
-    and A are released.  Its negative pivots count the eigenvalues below s,
-    which for 0 < s < lambda_1 are exactly the kernel.
+    and vector mass of the fem2 pencil, s = ``DEFAULT_SHIFT``), counted by
+    ``_count``.  Its negative pivots count the eigenvalues below s, which
+    for 0 < s < lambda_1 are exactly the kernel.
     The curls of the stream functions lie in the kernel, so count >=
-    nullity >= the kernel dimension of the fem2 pencil (``_pencil``): a
-    count equal to it certifies the kernel law, and a shift at or above
-    lambda_1 could only turn a pass into a failure.  A field has zero
-    div-div energy exactly when its divergence vanishes, so ker D = ker B
-    and rank D = dim_v - nullity, and the Euler residual is
-    dim_v - kernel dimension - dim W_h.  No size cap applies.  An
-    uncertified count (an off-diagonal pivot) raises ``SolverError``.
+    nullity >= the pencil's kernel dimension: a count equal to it certifies
+    the kernel law, and a shift at or above lambda_1 could only turn a pass
+    into a failure.  A field has zero div-div energy exactly when its
+    divergence vanishes, so ker D = ker B and rank D = dim_v - nullity, and
+    the Euler residual is dim_v - kernel dimension - dim W_h.  No size cap
+    applies.  An uncertified count (an off-diagonal pivot) raises
+    ``SolverError``.
     """
     if k not in (2, 3):
         raise ValueError("exactness audit supports k in {2, 3}")
-    B, A, kernel_dim, _ = _pencil("fem2", tmesh, k)
-    dim_v = B.shape[0]
-    wh = build_wh_space(tmesh, k)
-
-    V_Q = tmesh.n_quad_vertices
-    E_Q = tmesh.n_quad_edges
-    Q = tmesh.n_quads
-    euler_residual = dim_v - kernel_dim - wh.n_dofs
-
-    lu = _factor_at(B, A, DEFAULT_SHIFT)
-    del B, A   # reading the pivots copies L and U; B and A are not read again
-    nullity = _inertia(lu)
+    nullity, kernel_dim, dim_v = _count("fem2", tmesh, k, DEFAULT_SHIFT,
+                                        lambda lu, B, A: B.shape[0])
     if nullity is None:
         raise SolverError(
             f"div-div kernel count at sigma={DEFAULT_SHIFT:g} is uncertified: "
             "the factor of B - sigma*A took an off-diagonal pivot"
         )
+    wh = build_wh_space(tmesh, k)
+    V_Q = tmesh.n_quad_vertices
+    E_Q = tmesh.n_quad_edges
+    Q = tmesh.n_quads
+    euler_residual = dim_v - kernel_dim - wh.n_dofs
     rank_div = dim_v - nullity
 
     return ComplexReport(

@@ -69,10 +69,10 @@ class Spectrum:
     the number of eigenvalues classified as kernel and removed or listed
     first.
     A shift-invert solve also records ``inertia``, the number of eigenvalues
-    below the shift counted from the pivot signs of its factor, and
-    ``factor_nnz``, the fill of that factor.  ``inertia`` is None where no
-    count was made (dense solves, and the bare ``shift_invert_lanczos``
-    spectrum, whose caller reads the count), and where an off-diagonal
+    below the shift counted from the pivot signs of its factor (``_count``),
+    and ``factor_nnz``, the fill of that factor.  ``inertia`` is None where
+    no count was made (dense solves, and the bare ``shift_invert_lanczos``
+    spectrum, whose count ``_count`` reads), and where an off-diagonal
     pivot left the count uncertified, which alone sets ``uncertified``.
     """
 
@@ -324,22 +324,33 @@ def _shifted(B, A, sigma: float) -> sp.csc_matrix:
                            np.concatenate([B.col, A.col]))), shape=B.shape)
 
 
-def _factor_at(B, A, sigma: float):
-    """Symmetric factor of B - sigma A (``_shifted``, released once
-    factored); a singular shifted matrix raises ``SolverError``."""
+def _count(form: str, tmesh: TriMesh, k: int, sigma: float, use):
+    """The count of eigenvalues below ``sigma`` of ``form``'s pencil
+    (``_pencil``) on ``tmesh``, None when uncertified (``_inertia``), the
+    pencil's kernel dimension, and ``use(lu, B, A)``.
+
+    The one holder of a shifted factor and of its pencil: ``use`` runs on
+    the factor of B - sigma A (``_shifted``) while B and A are alive, and
+    the pivots are read, which copies L and U, only once B and A are
+    dropped.  A singular B - sigma A raises ``SolverError``.
+    """
+    B, A, kernel_dim, _ = _pencil(form, tmesh, k)
     try:
-        return _factor_symmetric(_shifted(B, A, sigma))
+        lu = _factor_symmetric(_shifted(B, A, sigma))
     except RuntimeError as exc:
         raise SolverError(
             f"factorization of (B - sigma*A) failed for sigma={sigma}; "
             "try a different shift"
         ) from exc
+    used = use(lu, B, A)
+    del B, A
+    return _inertia(lu), kernel_dim, used
 
 
 def shift_invert_lanczos(lu, A, sigma: float, n_eigs: int,
                          seed: int = 0) -> Spectrum:
     """Smallest nonzero eigenpairs of B x = lambda A x by shift-invert on
-    ``lu``, a factor of B - sigma A (``_factor_at``).
+    ``lu``, a factor of B - sigma A (``_count``).
 
     With 0 < sigma < lambda_1 the kernel maps to the negative transformed
     value -1/sigma while every target maps to a positive one, so asking for
@@ -349,10 +360,8 @@ def shift_invert_lanczos(lu, A, sigma: float, n_eigs: int,
 
     In shift-invert mode ARPACK multiplies by the factor's inverse and by A
     only, never by B, so B is no argument: ``eigsh`` reads its first
-    operator for the shape and type alone.  The count of eigenvalues below
-    sigma is left to the owner of the pencil, which reads the factor's
-    pivots (``_inertia``) once it has released B and A; ``inertia`` is None
-    here.
+    operator for the shape and type alone.  The factor's owner, ``_count``,
+    counts the eigenvalues below sigma; ``inertia`` is None here.
     """
     n = A.shape[0]
     if n_eigs < 1 or n_eigs > n - 2:
@@ -436,40 +445,36 @@ def _solve_pencil(form: str, tmesh: TriMesh, k: int, n_eigs: int,
                   seed: int = 0) -> Spectrum:
     """The reported spectrum of ``form``'s pencil (``_pencil``) on ``tmesh``.
 
-    The one place that picks the backend, and the only holder of the
-    pencil: the solve drivers pass the form, not the matrices.  The dense
-    backend is ``_dense_spectrum``.  The shift-invert backend factors
-    B - sigma A, iterates on the factor (``shift_invert_lanczos``), splits
-    off the kernel, truncates to ``n_eigs`` and computes the residuals;
-    then it drops B and A, and only then reads the factor's pivots, whose
-    read makes scipy copy L and U.  The certified count of eigenvalues
-    below sigma must equal the kernel dimension: a larger count means sigma
-    is not below lambda_1 and the smallest eigenvalues would be missing
-    from the table.
+    The one place that picks the backend: the solve drivers pass the form,
+    not the matrices.  The dense backend is ``_dense_spectrum``.  The
+    shift-invert backend iterates (``shift_invert_lanczos``), splits off
+    the kernel, truncates to ``n_eigs`` and computes the residuals inside
+    ``_count``.  Its count of eigenvalues below sigma must equal the kernel
+    dimension: a larger one means sigma is not below lambda_1, and the
+    smallest eigenvalues would be missing from the table.
     """
     if backend not in ("dense", "lanczos"):
         raise ValueError(f"unknown backend {backend!r}")
-    B, A, kernel_dim, div = _pencil(form, tmesh, k, dense=backend == "dense")
     if backend == "dense":
+        B, A, kernel_dim, div = _pencil(form, tmesh, k, dense=True)
         return _dense_spectrum(B, A, kernel_dim, n_eigs, div)
-    lu = _factor_at(B, A, sigma)
-    spec = shift_invert_lanczos(lu, A, sigma, n_eigs, seed=seed)
-    zeros = _count_zeros(spec.eigenvalues)
-    w = spec.eigenvalues[zeros:zeros + n_eigs]
-    # a copy, so the returned Spectrum does not keep dropped columns alive
-    v = spec.vectors[:, zeros:zeros + n_eigs].copy()
-    residuals = residual_norms(B, A, w, v)
-    del B, A
-    inertia = _inertia(lu)
+    def window(lu, B, A):
+        spec = shift_invert_lanczos(lu, A, sigma, n_eigs, seed=seed)
+        zeros = _count_zeros(spec.eigenvalues)
+        w = spec.eigenvalues[zeros:zeros + n_eigs]
+        # a copy, so the returned Spectrum does not keep dropped columns alive
+        v = spec.vectors[:, zeros:zeros + n_eigs].copy()
+        return replace(spec, eigenvalues=w, vectors=v, zero_count=zeros,
+                       residuals=residual_norms(B, A, w, v))
+
+    inertia, kernel_dim, spec = _count(form, tmesh, k, sigma, window)
     if None not in (inertia, kernel_dim) and inertia != kernel_dim:
         raise SolverError(
             f"inertia check failed at sigma={sigma:g}: {inertia} "
             f"eigenvalues lie below the shift, but the kernel has "
             f"dimension {kernel_dim}; choose sigma below lambda_1"
         )
-    return replace(spec, eigenvalues=w, vectors=v, zero_count=zeros,
-                   residuals=residuals, inertia=inertia,
-                   uncertified=inertia is None)
+    return replace(spec, inertia=inertia, uncertified=inertia is None)
 
 
 def _principal(K, M, keep: np.ndarray):

@@ -17,7 +17,6 @@ __all__ = [
     "MAX_DEGREE",
     "QuadRule",
     "node_multi_indices",
-    "node_barycentric",
     "tabulate_shapes",
     "quad_rule",
 ]
@@ -52,11 +51,6 @@ def node_multi_indices(degree: int):
         if k - i - j >= 1
     )
     return idx
-
-
-def node_barycentric(degree: int) -> np.ndarray:
-    """Barycentric coordinates of the equispaced nodes, shape (n_k, 3)."""
-    return np.array(node_multi_indices(degree), dtype=float) / degree
 
 
 def _check_degree(degree: int) -> int:

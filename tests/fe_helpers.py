@@ -1,22 +1,29 @@
-"""Finite element functions for tests: node coordinates, pointwise
-evaluation, nodal interpolation, and the L2 projection onto the
-divergence-image space, and the divergence image on one quad; and the
-traced peak memory of one call.  The library itself never evaluates or
-projects a function, so these live beside the tests that use them."""
+"""Finite element functions for tests: reference and physical node
+coordinates, pointwise evaluation, nodal interpolation, and the L2
+projection onto the divergence-image space, and the divergence image on one
+quad; and the traced peak memory of one call.  The library itself never
+evaluates or projects a function, so these live beside the tests that use
+them."""
 
 import tracemalloc
 
 import numpy as np
 
 from crisscross.assembly import (
-    _disc_mass_csr,
     _geometry,
     assemble_div_coupling,
+    assemble_scalar_mass,
+    assemble_wh_mass,
 )
 from crisscross.audit import exactness_check
 from crisscross.fespace import DofMap, WhBasis, build_disc_space, build_vector_space
 from crisscross.mesh import TriMesh, criss_cross, single_quad_mesh
-from crisscross.refelem import QuadRule, node_barycentric, quad_rule, tabulate_shapes
+from crisscross.refelem import QuadRule, node_multi_indices, tabulate_shapes
+
+
+def node_barycentric(degree: int) -> np.ndarray:
+    """Barycentric coordinates of the equispaced nodes, shape (n_k, 3)."""
+    return np.array(node_multi_indices(degree), dtype=float) / degree
 
 
 def dof_points(dmap: DofMap, tmesh: TriMesh) -> np.ndarray:
@@ -71,8 +78,7 @@ def l2_project_wh(f, wh: WhBasis, tmesh: TriMesh, rule: QuadRule) -> np.ndarray:
     b_disc = np.einsum("q,t,tq,qm->tm", rule.weights, area, fvals, vals).ravel()
 
     b_wh = wh.restriction.T @ b_disc
-    gram = (wh.restriction.T @ _disc_mass_csr(tmesh, disc, rule)
-            @ wh.restriction).tocsr()
+    gram = assemble_wh_mass(wh, tmesh)
     m = wh.n_local
     blocks = np.stack([gram[q * m:(q + 1) * m, q * m:(q + 1) * m].toarray()
                        for q in range(tmesh.n_quads)])
@@ -87,10 +93,9 @@ def local_divergence_image(corners, k: int):
     relative L2 distance of the checkerboard from the image)."""
     tmesh = criss_cross(single_quad_mesh(corners))
     rank = exactness_check(tmesh, k).rank_div
-    rule = quad_rule(2 * k)
     disc = build_disc_space(tmesh, k - 1)
     vspace = build_vector_space(tmesh, k)
-    G = _disc_mass_csr(tmesh, disc, rule).toarray()
+    G = assemble_scalar_mass(disc, tmesh).toarray()
     # nodal P_{k-1} coefficients of the divergence of each basis field
     div = np.linalg.solve(
         G, assemble_div_coupling(vspace, disc, tmesh).toarray())

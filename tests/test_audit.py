@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from crisscross import audit
+from crisscross import eigsolve
 from crisscross.assembly import assemble_div_coupling, assemble_divdiv
 from crisscross.audit import exactness_check, spurious_scan, square_exact_spectrum
 from crisscross.eigsolve import SolverError, solve_fem2
@@ -110,7 +110,7 @@ def test_exactness_uncertified_count_raises(monkeypatch):
     def off_diagonal_pivot(lu):
         return None
 
-    monkeypatch.setattr(audit, "_inertia", off_diagonal_pivot)
+    monkeypatch.setattr(eigsolve, "_inertia", off_diagonal_pivot)
     tmesh = criss_cross(single_quad_mesh(UNIT_SQUARE))
     with pytest.raises(SolverError, match="off-diagonal pivot"):
         exactness_check(tmesh, 2)

@@ -26,6 +26,7 @@ from crisscross.cli import (
     cmd_eig,
     main,
 )
+from crisscross.audit import exactness_check
 from crisscross.eigsolve import Spectrum, _pencil, dense_gevp
 
 PI = math.pi
@@ -548,13 +549,24 @@ def test_cmd_eig_uncertified_count_warning(tmp_path, capsys, monkeypatch):
 
 
 def test_cmd_audit_uncertified_count_exit_code(capsys, monkeypatch):
-    import crisscross.audit as audit
-
-    monkeypatch.setattr(audit, "_inertia", lambda lu: None)
+    monkeypatch.setattr(eigsolve, "_inertia", lambda lu: None)
     assert main(["audit", "--degree", "2", "--levels", "2"]) == 3
     captured = capsys.readouterr()
     assert "off-diagonal pivot" in captured.err
     assert "PASS" not in captured.out
+
+
+def test_miscount_fails_the_audit_and_refuses_the_solve(capsys, monkeypatch):
+    # one count serves both, under two policies: a count above the kernel
+    # law is an audit verdict (FAIL, exit 1) but refuses a Lanczos solve
+    count = eigsolve._inertia
+    monkeypatch.setattr(eigsolve, "_inertia", lambda lu: count(lu) + 1)
+    report = exactness_check(build_mesh(StudyConfig(), 2), 2)
+    assert not (report.passed or report.nullity_ok or report.rank_ok)
+    assert main(["audit", "--degree", "2", "--levels", "2"]) == 1
+    assert "exactness: FAIL" in capsys.readouterr().out
+    assert main(["eig", "--levels", "4", "--backend", "lanczos"]) == 3
+    assert "inertia check failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- compare

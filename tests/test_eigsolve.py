@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from crisscross import audit, eigsolve
+from crisscross import eigsolve
 from crisscross.assembly import (
     assemble_div_coupling,
     assemble_orthonormal_div,
@@ -17,10 +17,10 @@ from crisscross.audit import exactness_check
 from crisscross.cli import StudyConfig, build_mesh, cmd_compare
 from crisscross.eigsolve import (
     SolverError,
+    _count,
     _count_zeros,
     _dense_spectrum,
     _dense_window,
-    _factor_at,
     _factor_symmetric,
     _inertia,
     _shifted,
@@ -289,7 +289,7 @@ def test_shift_invert_on_explicit_pencil():
     # diagonal pencil: eigenvalues 0 (kernel), 3, 7, 11; sigma below 3
     B = np.diag([0.0, 0.0, 3.0, 7.0, 11.0, 15.0, 19.0, 23.0])
     A = np.eye(8)
-    lu = _factor_at(B, A, 1.0)
+    lu = _factor_symmetric(_shifted(B, A, 1.0))
     spec = shift_invert_lanczos(lu, A, sigma=1.0, n_eigs=3)
     assert_allclose(spec.eigenvalues, [3, 7, 11], atol=1e-10)
     assert residual_norms(B, A, spec.eigenvalues, spec.vectors).max() < 1e-10
@@ -301,7 +301,7 @@ def test_only_a_failed_count_is_an_uncertified_count(monkeypatch):
     # pivots), so it reports no count doubt; a solve whose count fails does
     B = np.diag([0.0, 0.0, 3.0, 7.0, 11.0, 15.0, 19.0, 23.0])
     A = np.eye(8)
-    lu = _factor_at(B, A, 1.0)
+    lu = _factor_symmetric(_shifted(B, A, 1.0))
     spec = shift_invert_lanczos(lu, A, sigma=1.0, n_eigs=3)
     assert spec.inertia is None and spec.doubts == []
     monkeypatch.setattr(eigsolve, "_inertia", lambda lu: None)
@@ -316,7 +316,7 @@ def test_off_diagonal_pivot_leaves_inertia_uncertified():
     # off-diagonal pivot; the eigenvalues 1 and 3 of that block straddle sigma
     B = np.diag([2.0, 2.0, 5.0, 7.0, 9.0, 11.0])
     B[0, 1] = B[1, 0] = 1.0
-    lu = _factor_at(B, np.eye(6), 2.0)
+    lu = _factor_symmetric(_shifted(B, np.eye(6), 2.0))
     spec = shift_invert_lanczos(lu, np.eye(6), sigma=2.0, n_eigs=3)
     assert_allclose(spec.eigenvalues, [3, 5, 7], atol=1e-10)
     assert _inertia(lu) is None
@@ -366,16 +366,16 @@ def test_lanczos_counts_pivots_after_the_iteration(monkeypatch):
         solve_fem2(square_tri(4), 2, 3, backend="lanczos", sigma=3.0)
 
 
-@pytest.mark.parametrize("module, run", [
-    (eigsolve, lambda tmesh: solve_fem2(tmesh, 2, 3, backend="lanczos")),
-    (eigsolve, lambda tmesh: solve_primal(tmesh, 2, 3, backend="lanczos")),
-    (audit, lambda tmesh: exactness_check(tmesh, 2)),
+@pytest.mark.parametrize("run", [
+    lambda tmesh: solve_fem2(tmesh, 2, 3, backend="lanczos"),
+    lambda tmesh: solve_primal(tmesh, 2, 3, backend="lanczos"),
+    lambda tmesh: exactness_check(tmesh, 2),
 ], ids=["fem2", "primal", "audit"])
-def test_pivots_are_read_with_no_pencil_matrix_alive(monkeypatch, module, run):
+def test_pivots_are_read_with_no_pencil_matrix_alive(monkeypatch, run):
     # reading the pivots copies L and U out of the factor; B and A, no longer
     # read by then, must not sit beside those copies in any frame
     refs = []
-    pencil, inertia = module._pencil, module._inertia
+    pencil, inertia = eigsolve._pencil, eigsolve._inertia
 
     def tracked(*args, **kwargs):
         B, A, *rest = pencil(*args, **kwargs)
@@ -386,8 +386,8 @@ def test_pivots_are_read_with_no_pencil_matrix_alive(monkeypatch, module, run):
         assert refs and all(ref() is None for ref in refs)
         return inertia(lu)
 
-    monkeypatch.setattr(module, "_pencil", tracked)
-    monkeypatch.setattr(module, "_inertia", checked)
+    monkeypatch.setattr(eigsolve, "_pencil", tracked)
+    monkeypatch.setattr(eigsolve, "_inertia", checked)
     run(square_tri(4))
     assert len(refs) == 3
 
@@ -714,9 +714,9 @@ def test_shifted_factor_fill_does_not_depend_on_cancellations():
     # square (exact zeros of the difference) must not change the pattern
     factors = []
     for domain in ("square", "square-perturbed"):
-        B, A = _pencil("fem2", build_mesh(StudyConfig(domain=domain), 16), 2)[:2]
-        lu = _factor_at(B, A, 1.0)
-        factors.append((lu.nnz, _inertia(lu)))
+        tmesh = build_mesh(StudyConfig(domain=domain), 16)
+        count, _, nnz = _count("fem2", tmesh, 2, 1.0, lambda lu, B, A: lu.nnz)
+        factors.append((nnz, count))
     assert factors[0] == factors[1]
     assert factors[0][1] == 1410
 

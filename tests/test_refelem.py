@@ -9,11 +9,12 @@ from crisscross.assembly import _physical_gradients
 from crisscross.refelem import (
     MAX_DEGREE,
     QuadRule,
-    node_barycentric,
     node_multi_indices,
     quad_rule,
     tabulate_shapes,
 )
+
+from fe_helpers import node_barycentric
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
