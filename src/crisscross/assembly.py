@@ -134,6 +134,9 @@ def _assemble(plan: _ScatterPlan, element: np.ndarray,
 def _graph_plan(space) -> _ScatterPlan:
     """The plan of a space's own element graph (dofs coupled to dofs).
 
+    A dof map keeps its plan (``DofMap.plans``), so every matrix assembled
+    on one map is scattered through one sort and shares its ``indices`` and
+    ``indptr`` arrays, and the plan goes when the map does.
     A vector map couples both components of any two coupled nodes, so its
     graph is the node graph with every entry a 2 x 2 block, and the plan of
     the node graph is expanded rather than a plan of four times the keys
@@ -142,9 +145,13 @@ def _graph_plan(space) -> _ScatterPlan:
     4 start[r] + 2a length[r], each with columns 2q and 2q + 1 in turn; an
     element entry at node slot p lands at 2p + c + 2 start[r] + 2a length[r]
     for the components (a, c)."""
+    plans = space.plans if isinstance(space, DofMap) else {}
+    if "graph" in plans:
+        return plans["graph"]
     if not (isinstance(space, DofMap) and space.kind == "vector2"):
-        return _scatter_plan(space.cell_dofs, space.cell_dofs,
-                             (space.n_dofs, space.n_dofs))
+        plans["graph"] = _scatter_plan(space.cell_dofs, space.cell_dofs,
+                                       (space.n_dofs, space.n_dofs))
+        return plans["graph"]
     nodes = space.cell_dofs[:, 0::2] // 2
     T, n = nodes.shape
     node = _scatter_plan(nodes, nodes, (space.n_dofs // 2,) * 2)
@@ -165,8 +172,9 @@ def _graph_plan(space) -> _ScatterPlan:
                  + 2 * length[nodes][:, :, None] * np.arange(2))
     positions = (slots[:, :, None, :] + row_start[:, :, :, None]).reshape(-1)
     index = np.int32 if max(space.n_dofs, len(indices)) < 2**31 else np.int64
-    return _ScatterPlan(indptr.astype(index), indices.astype(index),
-                        positions, (space.n_dofs, space.n_dofs))
+    plans["graph"] = _ScatterPlan(indptr.astype(index), indices.astype(index),
+                                  positions, (space.n_dofs, space.n_dofs))
+    return plans["graph"]
 
 
 def _mass_elements(space, tmesh: TriMesh) -> np.ndarray:
@@ -235,9 +243,9 @@ def _div_blocks(tmesh: TriMesh, k: int):
 def assemble_divdiv(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """(div u, div v) matrix of the vector space, sum_t E_t^T E_t over the
     divergence blocks E (``_div_blocks``); symmetric positive semidefinite
-    with a large kernel of divergence-free fields.  It is scattered on the
-    vector element graph, so its ``indices`` and ``indptr`` equal those of
-    the vector mass."""
+    with a large kernel of divergence-free fields.  It is scattered through
+    the map's element-graph plan, so it shares its ``indices`` and
+    ``indptr`` arrays with the vector mass of the same map."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
     E = _div_blocks(tmesh, space.degree)[0]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import build_wh_space, dim_sigma
+from .fespace import dim_sigma
 from .eigsolve import DEFAULT_SHIFT, SolverError, _count
 
 __all__ = [
@@ -68,12 +68,12 @@ def exactness_check(tmesh, k: int) -> ComplexReport:
     the kernel law, and a shift at or above lambda_1 could only turn a pass
     into a failure.  A field has zero div-div energy exactly when its
     divergence vanishes, so ker D = ker B and rank D = dim_v - nullity, and
-    the Euler residual is dim_v - kernel dimension - dim W_h.  No size cap
-    applies.  An uncertified count (an off-diagonal pivot) raises
+    the Euler residual is dim_v - kernel dimension - dim W_h.  W_h = div V_h
+    is the P_{k-1} space of each quad's four triangles less the one
+    alternating condition at its centre, Q (2k(k + 1) - 1) functions.  No
+    size cap applies.  An uncertified count (an off-diagonal pivot) raises
     ``SolverError``.
     """
-    if k not in (2, 3):
-        raise ValueError("exactness audit supports k in {2, 3}")
     nullity, kernel_dim, dim_v = _count("fem2", tmesh, k, DEFAULT_SHIFT,
                                         lambda lu, B, A: B.shape[0])
     if nullity is None:
@@ -81,11 +81,11 @@ def exactness_check(tmesh, k: int) -> ComplexReport:
             f"div-div kernel count at sigma={DEFAULT_SHIFT:g} is uncertified: "
             "the factor of B - sigma*A took an off-diagonal pivot"
         )
-    wh = build_wh_space(tmesh, k)
     V_Q = tmesh.n_quad_vertices
     E_Q = tmesh.n_quad_edges
     Q = tmesh.n_quads
-    euler_residual = dim_v - kernel_dim - wh.n_dofs
+    dim_wh = Q * (2 * k * (k + 1) - 1)
+    euler_residual = dim_v - kernel_dim - dim_wh
     rank_div = dim_v - nullity
 
     return ComplexReport(
@@ -95,13 +95,13 @@ def exactness_check(tmesh, k: int) -> ComplexReport:
         n_quads=Q,
         dim_sigma=dim_sigma(k, V_Q, E_Q, Q),
         dim_v=dim_v,
-        dim_wh=wh.n_dofs,
+        dim_wh=dim_wh,
         rank_div=rank_div,
         nullity_divdiv=nullity,
         expected_nullity=kernel_dim,
         euler_residual=euler_residual,
         euler_ok=euler_residual == 0,
-        rank_ok=rank_div == wh.n_dofs,
+        rank_ok=rank_div == dim_wh,
         nullity_ok=nullity == kernel_dim,
     )
 

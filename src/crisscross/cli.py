@@ -316,22 +316,16 @@ def cmd_converge(config: StudyConfig) -> tuple[StudyReport, int]:
 
 
 def cmd_audit(config: StudyConfig) -> int:
-    """Exactness audit (k = 2, 3) on the first level, and spurious scan
-    (square, >= 2 levels) of the fem2 spectra solved on every level."""
+    """Exactness audit on the first level, and spurious scan (square,
+    >= 2 levels) of the fem2 spectra solved on every level."""
     _validate(config, "audit")
-    scan = config.domain == "square" and len(config.levels) >= 2
-    if config.degree == 1 and not scan:
-        raise ConfigError("audit --degree 1 has only the spurious scan, "
-                          "which needs two or more square levels")
-    ok = True
     first = build_mesh(config, config.levels[0])
-    if config.degree in (2, 3):
-        report = exactness_check(first, config.degree)
-        for line in report.lines():
-            print("exactness:", line)
-        print("exactness:", "PASS" if report.passed else "FAIL")
-        ok &= report.passed
-    if scan:
+    report = exactness_check(first, config.degree)
+    for line in report.lines():
+        print("exactness:", line)
+    print("exactness:", "PASS" if report.passed else "FAIL")
+    ok = report.passed
+    if config.domain == "square" and len(config.levels) >= 2:
         levels = []
         for i, n in enumerate(config.levels):
             tmesh = build_mesh(config, n) if i else first

@@ -302,26 +302,21 @@ def _inertia(lu) -> int | None:
 
 
 def _shifted(B, A, sigma: float) -> sp.csc_matrix:
-    """B - sigma A on the union of the stored patterns of B and A.
+    """B - sigma A for two CSR matrices on one stored pattern, taken on that
+    pattern's data; matrices on different patterns raise ``ValueError``.
 
     Entries that cancel stay as explicit zeros.  A sparse difference would
     drop them, and the minimum-degree ordering would then see the element
     graph with holes that depend on the numbers: on the k=2 div-div pencil
     of the square about a tenth of the pattern cancels at sigma = 1, and the
-    factor of the punched graph has three times the fill.
-
-    Assembled pencils store B and A on one CSR pattern, and the difference
-    is taken on that pattern's data; other pencils are summed as triplets.
+    factor of the punched graph has three times the fill.  Assembly scatters
+    both matrices of a pencil through one plan of its element graph.
     """
-    B, A = sp.csr_matrix(B), sp.csr_matrix(A)
-    if (np.array_equal(B.indptr, A.indptr)
+    if not (np.array_equal(B.indptr, A.indptr)
             and np.array_equal(B.indices, A.indices)):
-        return sp.csr_matrix((B.data - sigma * A.data, B.indices, B.indptr),
-                             shape=B.shape).tocsc()
-    B, A = B.tocoo(), A.tocoo()
-    return sp.csc_matrix((np.concatenate([B.data, -sigma * A.data]),
-                          (np.concatenate([B.row, A.row]),
-                           np.concatenate([B.col, A.col]))), shape=B.shape)
+        raise ValueError("B and A must be stored on one pattern")
+    return sp.csr_matrix((B.data - sigma * A.data, B.indices, B.indptr),
+                         shape=B.shape).tocsc()
 
 
 def _count(form: str, tmesh: TriMesh, k: int, sigma: float, use):
@@ -360,16 +355,22 @@ def shift_invert_lanczos(lu, A, sigma: float, n_eigs: int,
 
     In shift-invert mode ARPACK multiplies by the factor's inverse and by A
     only, never by B, so B is no argument: ``eigsh`` reads its first
-    operator for the shape and type alone.  The factor's owner, ``_count``,
-    counts the eigenvalues below sigma; ``inertia`` is None here.
+    operator for the shape and type alone.  It multiplies by a copy of A
+    without its stored zeros (about half the entries of an assembled vector
+    mass), whose products are the same to the last bit; the copy is
+    dropped on return, before the caller reads the pivots.
+    The factor's owner, ``_count``, counts the eigenvalues below sigma;
+    ``inertia`` is None here.
     """
     n = A.shape[0]
     if n_eigs < 1 or n_eigs > n - 2:
         raise SolverError(f"cannot compute {n_eigs} eigenvalues of size-{n} pencil")
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
+    mass = sp.csr_matrix(A, copy=True)
+    mass.eliminate_zeros()
     try:
-        w, v = spla.eigsh(opinv, k=n_eigs, M=A, sigma=sigma, which="LA",
+        w, v = spla.eigsh(opinv, k=n_eigs, M=mass, sigma=sigma, which="LA",
                           v0=v0, tol=0, OPinv=opinv)
         converged = True
     except spla.ArpackNoConvergence as exc:
@@ -413,21 +414,21 @@ def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
     return B.shape[0] - div.shape[0] + spec.zero_count, x
 
 
-def _dense_spectrum(B, A, kernel_dim: int | None, n_eigs: int,
+def _dense_spectrum(B, A, kernel_dim: int, n_eigs: int,
                     div=None) -> Spectrum:
     """The reported dense spectrum of a pencil with B positive semidefinite.
 
     Kernel eigenvalues lead the ascending spectrum, so the split drops a
-    prefix.  ``kernel_dim`` is the dimension the pencil's kernel must have,
-    None when no law is known; the solve must find exactly that many zeros,
-    or the table would start with a kernel value or skip an eigenvalue.  It
-    counts the zeros on every eigenvalue of its tridiagonal reduction, but
-    reports the Rayleigh quotients x^T B x / x^T A x of its window vectors,
-    ascending, which are more accurate than the tridiagonal's eigenvalues;
-    with ``div`` it reduces only the divergence space (``_dense_window``).
+    prefix.  ``kernel_dim`` is the dimension the pencil's kernel must have;
+    the solve must find exactly that many zeros, or the table would start
+    with a kernel value or skip an eigenvalue.  It counts the zeros on
+    every eigenvalue of its tridiagonal reduction, but reports the Rayleigh
+    quotients x^T B x / x^T A x of its window vectors, ascending, which are
+    more accurate than the tridiagonal's eigenvalues; with ``div`` it
+    reduces only the divergence space (``_dense_window``).
     """
     zeros, v = _dense_window(B, A, n_eigs, div)
-    if kernel_dim is not None and zeros != kernel_dim:
+    if zeros != kernel_dim:
         raise SolverError(
             f"kernel check failed: {zeros} eigenvalues are zero "
             f"to the tolerance {TOL_ZERO:g}, but the kernel has dimension "
@@ -468,7 +469,7 @@ def _solve_pencil(form: str, tmesh: TriMesh, k: int, n_eigs: int,
                        residuals=residual_norms(B, A, w, v))
 
     inertia, kernel_dim, spec = _count(form, tmesh, k, sigma, window)
-    if None not in (inertia, kernel_dim) and inertia != kernel_dim:
+    if inertia is not None and inertia != kernel_dim:
         raise SolverError(
             f"inertia check failed at sigma={sigma:g}: {inertia} "
             f"eigenvalues lie below the shift, but the kernel has "
@@ -505,36 +506,31 @@ def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
 
     ``fem2`` is the div-div and vector mass pair on every vector dof.  The
     discrete complex is exact, so its kernel is curl Sigma_h, of dimension
-    dim Sigma_h - 1, for k = 2, 3; for k = 1 no law is known (None).  The
-    ``dense`` route, capped at the vector dimension first, assembles D and
-    A only: B = D^T D is the operator x -> D^T (D x), all the dense solve
-    reads of it.  Otherwise B and A are scattered on the vector element
-    graph, so their patterns are equal arrays; A is rebound onto B's, so
-    the pencil holds the pattern once and the shifted factor is ordered on
-    it, and no D is built.
+    dim Sigma_h - 1 (``dim_sigma``), for every degree.  The ``dense``
+    route, capped at the vector dimension first, assembles D and A only:
+    B = D^T D is the operator x -> D^T (D x), all the dense solve reads of
+    it.  Otherwise B and A are scattered through the one element-graph plan
+    of the vector space, so the pencil holds its pattern once and the
+    shifted factor is ordered on it, and no D is built.
     ``fem1`` is the pressure Schur complement D A^-1 D^T (dense, refused
     above ``DENSE_CAP`` before it is built) and the pressure mass,
     ``primal`` the stiffness and mass on the interior dofs (``_principal``);
     neither has a kernel.  Matrices that share a pattern share its arrays:
     none may be changed in place.
     """
+    if k not in (1, 2, 3):
+        raise ValueError(f"unsupported degree {k} for the {form} formulation")
     if form == "fem2":
-        if k not in (1, 2, 3):
-            raise ValueError("the div-div formulation supports k in {1, 2, 3}")
         space = build_vector_space(tmesh, k)
-        kernel_dim = None
-        if k in (2, 3):
-            kernel_dim = dim_sigma(k, tmesh.n_quad_vertices,
-                                   tmesh.n_quad_edges, tmesh.n_quads) - 1
+        kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
+                               tmesh.n_quads) - 1
         if dense:
             _check_dense_size(space.n_dofs)
             div = assemble_orthonormal_div(space, tmesh)
             B = spla.aslinearoperator(div.T) @ spla.aslinearoperator(div)
             return B, assemble_vector_mass(space, tmesh), kernel_dim, div
-        B = assemble_divdiv(space, tmesh)
-        A = assemble_vector_mass(space, tmesh)
-        A = sp.csr_matrix((A.data, B.indices, B.indptr), shape=A.shape)
-        return B, A, kernel_dim, None
+        return (assemble_divdiv(space, tmesh),
+                assemble_vector_mass(space, tmesh), kernel_dim, None)
     if form == "fem1":
         wh = build_wh_space(tmesh, k)
         _check_dense_size(wh.n_dofs, lanczos=False)
@@ -544,8 +540,6 @@ def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
         M = assemble_wh_mass(wh, tmesh)
         return _vector_mass_schur(A, D), M, 0, None
     if form == "primal":
-        if k not in (1, 2, 3):
-            raise ValueError("the primal formulation supports k in {1, 2, 3}")
         space = build_scalar_space(tmesh, k)
         interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
         K = assemble_scalar_stiffness(space, tmesh)

@@ -9,7 +9,7 @@ criss-cross center (value from bottom + top = left + right).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +46,10 @@ class DofMap:
     n_dofs: int
     cell_dofs: np.ndarray     # (T, n_local) in reference node order
     boundary_dofs: np.ndarray  # sorted dof indices with nodes on the boundary
+    # the scatter plan of the element graph, built by the first assembly on
+    # the map and dropped with it (``assembly._graph_plan``)
+    plans: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
 
 @dataclass(frozen=True)
@@ -84,22 +88,21 @@ class WhBasis:
 
 
 def dim_sigma(k: int, n_quad_vertices: int, n_quad_edges: int, n_quads: int) -> int:
-    """Dimension of the conforming stream-function space on the quad mesh.
+    """Dimension of the conforming stream-function space on the quad mesh,
+    3 V + (2k - 3) E + 2 (k - 1)(k - 2) Q for every degree k.
 
-    The curl, whose own kernel is the constants, maps it onto the kernel of
-    the div-div form on the degree-k vector space, which therefore has
-    dimension ``dim_sigma - 1``.
+    It is the criss-cross case of the dimension of C^1 piecewise polynomials
+    of degree k + 1 (Morgan & Scott, Math. Comp. 29, 1975), each quad centre
+    being a singular vertex that adds one function; at k = 1 it is 3 V - E,
+    the dimension of C^1 quadratic splines on the type-2 triangulation
+    (Chui & Wang, 1983).  The curl, whose own kernel is the constants, maps
+    it onto the kernel of the div-div form on the degree-k vector space,
+    which therefore has dimension ``dim_sigma - 1``.
     """
-    if k not in (2, 3):
-        raise ValueError("dimension formula holds for k in {2, 3}")
+    if k not in range(1, MAX_DEGREE + 1):
+        raise ValueError(f"unsupported degree {k}; expected 1..{MAX_DEGREE}")
     return (3 * n_quad_vertices + (2 * k - 3) * n_quad_edges
-            + 4 * (k - 2) * n_quads)
-
-
-def _entity_counts_dim(tmesh: TriMesh, k: int) -> int:
-    per_edge = k - 1
-    per_cell = (k - 1) * (k - 2) // 2
-    return tmesh.n_vertices + per_edge * tmesh.n_edges + per_cell * tmesh.n_triangles
+            + 2 * (k - 1) * (k - 2) * n_quads)
 
 
 def build_scalar_space(tmesh: TriMesh, k: int) -> DofMap:
@@ -128,12 +131,11 @@ def build_scalar_space(tmesh: TriMesh, k: int) -> DofMap:
             base + np.arange(T)[:, None] * per_cell + np.arange(per_cell)
         )
 
-    n_dofs = _entity_counts_dim(tmesh, k)
     bdofs = _scalar_boundary_dofs(tmesh, k)
     return DofMap(
         kind="scalar",
         degree=k,
-        n_dofs=n_dofs,
+        n_dofs=V + per_edge * E + per_cell * T,
         cell_dofs=cell_dofs,
         boundary_dofs=bdofs,
     )
@@ -181,8 +183,8 @@ def build_disc_space(tmesh: TriMesh, degree: int) -> DiscSpace:
 def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
     """Constrained pressure space div(V_h^k), one constraint per quad.
 
-    Only k in {2, 3} carries the full characterization (the k=1 image is a
-    strictly smaller space).
+    Built for k in {2, 3}: the one node of P_0 is not the center, so the
+    k = 1 image, of the same dimension 3 per quad, has no nodal basis here.
     """
     if k not in (2, 3):
         raise ValueError("the divergence-image basis is built for k in {2, 3}")

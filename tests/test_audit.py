@@ -8,7 +8,12 @@ from crisscross import eigsolve
 from crisscross.assembly import assemble_div_coupling, assemble_divdiv
 from crisscross.audit import exactness_check, spurious_scan, square_exact_spectrum
 from crisscross.eigsolve import SolverError, solve_fem2
-from crisscross.fespace import build_disc_space, build_vector_space, dim_sigma
+from crisscross.fespace import (
+    build_disc_space,
+    build_vector_space,
+    build_wh_space,
+    dim_sigma,
+)
 from crisscross.mesh import (
     build_lshape_grid,
     build_rect_grid,
@@ -33,8 +38,12 @@ def test_dim_sigma_values():
     assert dim_sigma(2, 4, 4, 1) == 16
     assert dim_sigma(3, 4, 4, 1) == 28
     assert dim_sigma(2, 9, 12, 4) == 39
+    # one formula for every degree: 3V - E, the C^1 quadratic splines, at
+    # k = 1, and 3V + 5E + 12Q at k = 4
+    assert dim_sigma(1, 4, 4, 1) == 8
+    assert dim_sigma(4, 4, 4, 1) == 44
     with pytest.raises(ValueError):
-        dim_sigma(1, 4, 4, 1)
+        dim_sigma(5, 4, 4, 1)
 
 
 # ---------------------------------------------------------------- exactness
@@ -117,9 +126,50 @@ def test_exactness_uncertified_count_raises(monkeypatch):
 
 
 def test_exactness_rejects_k1():
+    # k = 1 was refused while it had no kernel law; it now has the one of
+    # every degree, and its divergence has rank 3 per quad (4 triangle
+    # constants less the alternating one at each centre)
     tmesh = criss_cross(single_quad_mesh(UNIT_SQUARE))
-    with pytest.raises(ValueError):
-        exactness_check(tmesh, 1)
+    report = exactness_check(tmesh, 1)
+    assert report.passed
+    assert (report.dim_sigma, report.dim_v, report.dim_wh) == (8, 10, 3)
+    assert (report.rank_div, report.nullity_divdiv) == (3, 7)
+
+
+def _k1_meshes():
+    for n in (1, 2, 3, 6, 12):
+        grid = build_rect_grid(0, 0, PI, PI, n, n)
+        yield f"square-{n}", grid
+        yield f"lshape-{n}", build_lshape_grid(n)
+        yield f"square-perturbed-{n}", perturb_quad_grid(grid, 0.15, seed=42)
+        yield f"rectangle-{n}", build_rect_grid(0, 0, PI, PI, n, n + 1)
+
+
+@pytest.mark.parametrize("qmesh", [q for _, q in _k1_meshes()],
+                         ids=[name for name, _ in _k1_meshes()])
+def test_k1_kernel_law(qmesh):
+    # the law of every degree holds at k = 1: the Lanczos count at sigma = 1
+    # and the dense zero count are 3V - E - 1, and rank D = 3Q
+    tmesh = criss_cross(qmesh)
+    law = 3 * tmesh.n_quad_vertices - tmesh.n_quad_edges - 1
+    assert solve_fem2(tmesh, 1, 2, backend="lanczos").inertia == law
+    if 2 * tmesh.n_vertices <= eigsolve.DENSE_CAP:
+        assert solve_fem2(tmesh, 1, 2).zero_count == law
+    report = exactness_check(tmesh, 1)
+    assert report.passed and report.rank_div == 3 * tmesh.n_quads
+
+
+@pytest.mark.parametrize("qmesh", [
+    build_rect_grid(0, 0, PI, PI, 3, 3), build_lshape_grid(2),
+    perturb_quad_grid(build_rect_grid(0, 0, PI, PI, 3, 3), 0.15, seed=42),
+    build_rect_grid(0, 0, PI, PI, 3, 4),
+], ids=["square", "lshape", "square-perturbed", "rectangle"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_wh_dimension_formula(qmesh, k):
+    # the audit reads dim W_h as Q (2k(k + 1) - 1) instead of building W_h
+    tmesh = criss_cross(qmesh)
+    assert (exactness_check(tmesh, k).dim_wh == build_wh_space(tmesh, k).n_dofs
+            == tmesh.n_quads * (2 * k * (k + 1) - 1))
 
 
 # ---------------------------------------------------------------- local audit

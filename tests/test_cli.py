@@ -504,12 +504,13 @@ def test_exports_outside_eig_refused(tmp_path, capsys, command, flag):
     ["audit", "--domain", "lshape", "--degree", "1", "--levels", "2,4"],
 ], ids=["one-level", "lshape"])
 def test_audit_with_nothing_to_check_refused(capsys, argv):
-    # degree 1 has no exactness check, and the spurious scan needs two or
-    # more square levels; these used to print nothing and exit 0
-    assert main(argv) == 2
+    # these were refused (exit 2) while degree 1 had no exactness check and
+    # no spurious scan runs on them; degree 1 now has its kernel law, so
+    # both audit the complex
+    assert main(argv) == 0
     captured = capsys.readouterr()
-    assert "two or more square levels" in captured.err
-    assert captured.out == ""
+    assert "exactness: PASS" in captured.out
+    assert "spurious" not in captured.out and captured.err == ""
 
 
 def test_cmd_audit_honours_backend(capsys):
@@ -566,6 +567,17 @@ def test_miscount_fails_the_audit_and_refuses_the_solve(capsys, monkeypatch):
     assert main(["audit", "--degree", "2", "--levels", "2"]) == 1
     assert "exactness: FAIL" in capsys.readouterr().out
     assert main(["eig", "--levels", "4", "--backend", "lanczos"]) == 3
+    assert "inertia check failed" in capsys.readouterr().err
+
+
+def test_k1_lanczos_count_is_checked(capsys, monkeypatch):
+    # degree 1 has a kernel law too, so a count off it refuses the solve
+    assert main(["eig", "--degree", "1", "--levels", "8",
+                 "--backend", "lanczos"]) == 0
+    count = eigsolve._inertia
+    monkeypatch.setattr(eigsolve, "_inertia", lambda lu: count(lu) + 1)
+    assert main(["eig", "--degree", "1", "--levels", "8",
+                 "--backend", "lanczos"]) == 3
     assert "inertia check failed" in capsys.readouterr().err
 
 

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from crisscross import eigsolve
+from crisscross import assembly, eigsolve
 from crisscross.assembly import (
     assemble_div_coupling,
     assemble_orthonormal_div,
@@ -55,6 +55,15 @@ def square_tri(n):
 
 def unit_pi_square_tri():
     return criss_cross(single_quad_mesh([(0, 0), (PI, 0), (PI, PI), (0, PI)]))
+
+
+def one_pattern(*dense):
+    """CSR copies of square dense matrices that store every entry, so they
+    share one pattern, as the matrices of an assembled pencil do."""
+    n = len(dense[0])
+    indptr, indices = np.arange(0, n * n + 1, n), np.tile(np.arange(n), n)
+    return [sp.csr_matrix((np.ravel(m), indices, indptr), shape=(n, n))
+            for m in dense]
 
 
 # ---------------------------------------------------------------- dense_gevp
@@ -122,17 +131,17 @@ def test_dense_gevp_one_by_one_pencil():
 
 def test_dense_window_clipped_at_size():
     # 26 dofs, 15 of them kernel: asking for 20 returns the 11 there are
-    B, A = _pencil("fem2", unit_pi_square_tri(), 2)[:2]
+    B, A, kernel_dim = _pencil("fem2", unit_pi_square_tri(), 2)[:3]
     spec = dense_gevp(B, A, 20)
     assert spec.zero_count == 15 and spec.vectors.shape == (26, 11)
-    out = _dense_spectrum(B, A, None, 20)
+    out = _dense_spectrum(B, A, kernel_dim, 20)
     assert len(out.eigenvalues) == 11 and out.residuals.max() < 1e-12
 
 
 def test_dense_window_ends_inside_a_doublet():
     # lambda_2 = lambda_3 = 5 on the square; the window keeps only lambda_2
-    B, A = _pencil("fem2", square_tri(4), 2)[:2]
-    out = _dense_spectrum(B, A, None, 2)
+    B, A, kernel_dim = _pencil("fem2", square_tri(4), 2)[:3]
+    out = _dense_spectrum(B, A, kernel_dim, 2)
     lam = dense_gevp(B, A, 0).eigenvalues[out.zero_count:]
     assert_allclose(lam[2], lam[1], rtol=1e-12)
     assert_allclose(out.eigenvalues, [2, 5], rtol=1e-2)
@@ -239,7 +248,7 @@ def test_single_square_k3_kernel_count():
 
 
 def test_filter_nonzero_basic():
-    out = _dense_spectrum(np.diag([0.0, 0.0, 2.0, 6.0]), np.eye(4), None, 4)
+    out = _dense_spectrum(np.diag([0.0, 0.0, 2.0, 6.0]), np.eye(4), 2, 4)
     assert out.zero_count == 2
     assert_allclose(out.eigenvalues, [2, 6])
     assert out.vectors.shape == (4, 2) and len(out.residuals) == 2
@@ -263,7 +272,7 @@ def test_reported_vectors_own_their_data(backend):
 
 
 def test_filter_all_zero():
-    out = _dense_spectrum(np.zeros((3, 3)), np.eye(3), None, 3)
+    out = _dense_spectrum(np.zeros((3, 3)), np.eye(3), 3, 3)
     assert out.zero_count == 3
     assert len(out.eigenvalues) == 0
 
@@ -287,8 +296,8 @@ def test_lanczos_matches_dense_on_single_square(solve, tmesh, inertia):
 
 def test_shift_invert_on_explicit_pencil():
     # diagonal pencil: eigenvalues 0 (kernel), 3, 7, 11; sigma below 3
-    B = np.diag([0.0, 0.0, 3.0, 7.0, 11.0, 15.0, 19.0, 23.0])
-    A = np.eye(8)
+    B, A = one_pattern(np.diag([0.0, 0.0, 3.0, 7.0, 11.0, 15.0, 19.0, 23.0]),
+                       np.eye(8))
     lu = _factor_symmetric(_shifted(B, A, 1.0))
     spec = shift_invert_lanczos(lu, A, sigma=1.0, n_eigs=3)
     assert_allclose(spec.eigenvalues, [3, 7, 11], atol=1e-10)
@@ -299,8 +308,8 @@ def test_shift_invert_on_explicit_pencil():
 def test_only_a_failed_count_is_an_uncertified_count(monkeypatch):
     # the bare shift-invert spectrum was never counted (its caller reads the
     # pivots), so it reports no count doubt; a solve whose count fails does
-    B = np.diag([0.0, 0.0, 3.0, 7.0, 11.0, 15.0, 19.0, 23.0])
-    A = np.eye(8)
+    B, A = one_pattern(np.diag([0.0, 0.0, 3.0, 7.0, 11.0, 15.0, 19.0, 23.0]),
+                       np.eye(8))
     lu = _factor_symmetric(_shifted(B, A, 1.0))
     spec = shift_invert_lanczos(lu, A, sigma=1.0, n_eigs=3)
     assert spec.inertia is None and spec.doubts == []
@@ -316,8 +325,9 @@ def test_off_diagonal_pivot_leaves_inertia_uncertified():
     # off-diagonal pivot; the eigenvalues 1 and 3 of that block straddle sigma
     B = np.diag([2.0, 2.0, 5.0, 7.0, 9.0, 11.0])
     B[0, 1] = B[1, 0] = 1.0
-    lu = _factor_symmetric(_shifted(B, np.eye(6), 2.0))
-    spec = shift_invert_lanczos(lu, np.eye(6), sigma=2.0, n_eigs=3)
+    B, A = one_pattern(B, np.eye(6))
+    lu = _factor_symmetric(_shifted(B, A, 2.0))
+    spec = shift_invert_lanczos(lu, A, sigma=2.0, n_eigs=3)
     assert_allclose(spec.eigenvalues, [3, 5, 7], atol=1e-10)
     assert _inertia(lu) is None
 
@@ -512,23 +522,22 @@ def test_vector_mass_schur_peak_memory():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_divergence_route_matches_full_pencil(domain, k):
     # C = D A^-1 D^T carries the nonzero spectrum of (B, A); the n_v - n_d
-    # eigenvalues it lacks are zero, and for k = 2, 3 C adds one zero per
-    # quad: the centre of each is a singular vertex, where the divergence
-    # image loses the alternating value
+    # eigenvalues it lacks are zero, and C adds one zero per quad: the
+    # centre of each is a singular vertex, where the divergence image loses
+    # the alternating value
     for n in (1, 2, 5):
         tmesh = build_mesh(StudyConfig(domain=domain), n)
-        B, A = _pencil("fem2", tmesh, k)[:2]
+        B, A, kernel_dim = _pencil("fem2", tmesh, k)[:3]
         D = assemble_orthonormal_div(build_vector_space(tmesh, k), tmesh)
         full = dense_gevp(B, A, 0)
-        out = _dense_spectrum(B, A, None, 20, D)
+        out = _dense_spectrum(B, A, kernel_dim, 20, D)
         assert out.zero_count == full.zero_count
         lam = full.eigenvalues[full.zero_count:]
         assert_allclose(out.eigenvalues, lam[:len(out.eigenvalues)], rtol=1e-11)
         assert out.residuals.max() < 1e-11
         reduced = dense_gevp(_vector_mass_schur(A, D), None, 0)
         assert reduced.zero_count + B.shape[0] - D.shape[0] == full.zero_count
-        if k in (2, 3):
-            assert reduced.zero_count == tmesh.n_quads
+        assert reduced.zero_count == tmesh.n_quads
         assert_allclose(reduced.eigenvalues[reduced.zero_count:], lam,
                         rtol=0, atol=1e-11 * lam.max())
 
@@ -723,11 +732,9 @@ def test_shifted_factor_fill_does_not_depend_on_cancellations():
 
 @pytest.mark.parametrize("B, A", [
     _pencil("fem2", square_tri(4), 2)[:2],
-    (np.diag([0.0, 0.0, 3.0]), np.eye(3) + np.eye(3, k=1) + np.eye(3, k=-1)),
-], ids=["assembled", "patterns-differ"])
+], ids=["assembled"])
 def test_shifted_keeps_the_union_pattern(B, A):
-    # stored cancellations stay in the pattern, whether B and A share one
-    # pattern (assembled pencils) or not (hand-written ones)
+    # stored cancellations stay in the pattern that B and A share
     def stored(m):
         m = sp.csr_matrix(m)
         return sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), m.shape)
@@ -737,6 +744,37 @@ def test_shifted_keeps_the_union_pattern(B, A):
     assert M.format == "csc" and M.has_sorted_indices
     assert M.nnz == union.nnz
     assert np.array_equal(M.toarray(), sp.csr_matrix(B).toarray() - A)
+
+
+def test_shifted_refuses_two_patterns():
+    B = sp.csr_matrix(np.diag([0.0, 0.0, 3.0]))
+    A = sp.csr_matrix(np.eye(3) + np.eye(3, k=1) + np.eye(3, k=-1))
+    with pytest.raises(ValueError, match="one pattern"):
+        _shifted(B, A, 1.0)
+
+
+@pytest.mark.parametrize("form, builder", [
+    ("fem2", "build_vector_space"), ("primal", "build_scalar_space"),
+])
+def test_pencil_matrices_share_one_plan(monkeypatch, form, builder):
+    # both matrices are scattered through one sort of the element graph and
+    # hold its pattern arrays, and the plan goes with the space
+    sorts, spaces = [], []
+    scatter_plan = assembly._scatter_plan
+    build = getattr(eigsolve, builder)
+    monkeypatch.setattr(assembly, "_scatter_plan",
+                        lambda *a: sorts.append(1) or scatter_plan(*a))
+
+    def recorded(*args):
+        space = build(*args)
+        spaces.append(weakref.ref(space))
+        return space
+
+    monkeypatch.setattr(eigsolve, builder, recorded)
+    B, A = _pencil(form, square_tri(3), 2)[:2]
+    assert len(sorts) == 1 and spaces[0]() is None
+    assert np.shares_memory(B.indices, A.indices)
+    assert np.shares_memory(B.indptr, A.indptr)
 
 
 def test_lanczos_factor_fill_on_fine_square():
