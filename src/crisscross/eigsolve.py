@@ -104,14 +104,19 @@ def residual_norms(B, A, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.nda
     return np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
 
 
-def _owned_fortran(m) -> np.ndarray:
-    """A Fortran-ordered copy of a sparse or dense matrix that LAPACK may
-    overwrite in place.  Infinite or NaN entries raise ``ValueError``; the
-    check reads the sparse ``data`` or the caller's array, not the copy."""
+def _owned_fortran(m, overwrite: bool = False) -> np.ndarray:
+    """A Fortran-ordered float64 array of a sparse or dense matrix that
+    LAPACK may overwrite in place: ``m`` itself when ``overwrite`` is true
+    and ``m`` already is a writeable one, else a copy.  Infinite or NaN
+    entries raise ``ValueError``; the check reads the sparse ``data`` or the
+    caller's array, not the copy."""
     if not np.isfinite(m.data if sp.issparse(m) else np.asarray(m)).all():
         raise ValueError("array must not contain infs or NaNs")
     if sp.issparse(m):
         return m.toarray(order="F")
+    if (overwrite and isinstance(m, np.ndarray) and m.dtype == np.float64
+            and m.flags.f_contiguous and m.flags.writeable):
+        return m
     return np.array(m, dtype=float, order="F")
 
 
@@ -156,7 +161,8 @@ def _check_dense_size(n: int, lanczos: bool = True) -> None:
             f"dense solve of size {n} exceeds the cap {DENSE_CAP}{hint}")
 
 
-def dense_gevp(B, A=None, n_eigs: int | None = None) -> Spectrum:
+def dense_gevp(B, A=None, n_eigs: int | None = None, *,
+               overwrite_b: bool = False) -> Spectrum:
     """Every eigenvalue of B x = lambda A x with A symmetric positive
     definite, and the eigenvectors of the reported window.
 
@@ -172,8 +178,12 @@ def dense_gevp(B, A=None, n_eigs: int | None = None) -> Spectrum:
     None): bisection and inverse iteration on T give y, and x = L^-T Q y.
     ``vectors`` holds those columns, A-orthonormal.
 
-    The solve works on its own Fortran-ordered copies of B and A, so the
-    caller's matrices are never modified; they are its only N x N arrays.
+    By default the solve works on its own Fortran-ordered copies of B and
+    A, so the caller's matrices are not modified; they are its only N x N
+    arrays.  With ``overwrite_b`` a B that already is a writeable
+    Fortran-ordered float64 ``ndarray`` is reduced in place instead, which
+    saves its copy and leaves B holding the reflectors of ``dsytrd``; any
+    other B is copied.
     """
     n = B.shape[0]
     if B.shape != (n, n) or (A is not None and A.shape != (n, n)):
@@ -181,10 +191,11 @@ def dense_gevp(B, A=None, n_eigs: int | None = None) -> Spectrum:
     _check_dense_size(n)
     L = None
     if A is None:
-        C = _owned_fortran(B)
+        C = _owned_fortran(B, overwrite_b)
     else:
         L = _cholesky(_owned_fortran(A))
-        C, info = lapack.dsygst(_owned_fortran(B), L, lower=1, overwrite_a=1)
+        C, info = lapack.dsygst(_owned_fortran(B, overwrite_b), L, lower=1,
+                                overwrite_a=1)
         _lapack_check("dsygst", info)
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     _lapack_check("dsytrd_lwork", info)
@@ -393,20 +404,21 @@ def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
     ``div`` is a matrix D with B = D^T D, for A the vector mass M (x) I_2.
     Then B x = lambda A x and D x = y give C y = lambda y with
     C = D A^-1 D^T (``_vector_mass_schur``), so the nonzero spectrum is C's
-    and only C is reduced (``dense_gevp`` with the identity mass).  The
+    and only C is reduced, in place (``dense_gevp`` with the identity mass
+    and ``overwrite_b``: nothing reads C after the reduction).  The
     N - n_d eigenvalues that C has not are zero, and x = A^-1 D^T y /
-    sqrt(lambda) is A-orthonormal for an orthonormal y.
+    sqrt(lambda) is A-orthonormal for an orthonormal y.  Without ``div``
+    the pencil is copied, since the caller reads B after the reduction.
 
     The dense M^-1 is dropped once C is built, and x is solved through a
-    sparse factor of M.  Building C holds n_s^2 + n_d^2 doubles, so C and
-    the reduction's copy of it (2 n_d^2) are the peak wherever n_d >= n_s,
-    as on every mesh of more than one quad, for every k.
+    sparse factor of M.  Building C holds n_s^2 + n_d^2 doubles, the peak;
+    the reduction holds C alone.
     """
     if div is None:
         spec = dense_gevp(B, A, n_eigs)
         return spec.zero_count, spec.vectors
     C = _vector_mass_schur(A, div)
-    spec = dense_gevp(C, None, n_eigs)
+    spec = dense_gevp(C, None, n_eigs, overwrite_b=True)
     del C
     y = spec.vectors
     lam = spec.eigenvalues[spec.zero_count:spec.zero_count + y.shape[1]]

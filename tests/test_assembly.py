@@ -425,8 +425,9 @@ def test_pencil_matrices_share_one_pattern(form, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pencil_matrices_share_pattern_arrays(k):
-    # B and A hold one pattern in memory, not two copies; A is rebound onto
-    # B's arrays, which equal those the vector mass is assembled on alone
+    # B and A hold one pattern in memory, not two copies: both are scattered
+    # through the dof map's one plan, whose arrays are those the vector mass
+    # is assembled on alone
     tmesh = build_mesh(StudyConfig(), 3)
     B, A = _pencil("fem2", tmesh, k)[:2]
     assert np.shares_memory(B.indices, A.indices)
