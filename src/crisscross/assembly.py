@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .fespace import DiscSpace, DofMap, WhBasis, build_disc_space
@@ -325,6 +324,10 @@ def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh) -> sp.csr_matrix:
 
 
 def write_matrix_market(mat, path) -> None:
-    """Export a sparse or dense matrix in MatrixMarket coordinate format."""
+    """Export a sparse or dense matrix in MatrixMarket coordinate format.
+    ``scipy.io`` is imported here, by its one user, so that a run without
+    an export does not load it."""
+    import scipy.io
+
     with open(path, "wb") as fh:   # mmwrite(path) ignores a failed open
         scipy.io.mmwrite(fh, sp.coo_matrix(mat))

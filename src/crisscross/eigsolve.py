@@ -67,7 +67,9 @@ class Spectrum:
     quotients of those columns).  ``residuals`` holds
     |B x - lambda A x| / |x| for the reported eigenpairs; ``zero_count`` is
     the number of eigenvalues classified as kernel and removed or listed
-    first.
+    first, which for a reported spectrum is its pencil's kernel dimension
+    (``_pencil``): dim Sigma_h - 1 for ``fem2``, dim V_h - dim W_h for the
+    flux form of ``fem1``, 0 for ``primal``.
     A shift-invert solve also records ``inertia``, the number of eigenvalues
     below the shift counted from the pivot signs of its factor (``_count``),
     and ``factor_nnz``, the fill of that factor.  ``inertia`` is None where
@@ -176,7 +178,9 @@ def dense_gevp(B, A=None, n_eigs: int | None = None, *,
     Eigenvectors are computed only for the window [zero_count, zero_count +
     n_eigs), clipped at N (every nonzero eigenvalue when ``n_eigs`` is
     None): bisection and inverse iteration on T give y, and x = L^-T Q y.
-    ``vectors`` holds those columns, A-orthonormal.
+    ``vectors`` holds those columns, A-orthonormal.  The generalized
+    reduction serves the primal pencil and explicit ones; both mixed forms
+    reach this routine with the identity mass (``_dense_window``).
 
     By default the solve works on its own Fortran-ordered copies of B and
     A, so the caller's matrices are not modified; they are its only N x N
@@ -234,6 +238,30 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
     return L
 
 
+def _inverse_cholesky(M: sp.csr_matrix, b: int) -> sp.csr_matrix:
+    """L^-1 for M = L L^T, M block diagonal with square blocks of size b
+    (the W_h mass, one block per quad), as CSR that stores each block
+    whole, zeros above its diagonal included.  The blocks are factored and
+    inverted by batched LAPACK calls and the CSR arrays are written in
+    canonical order, so nothing is sorted.  A block that is not positive
+    definite raises ``SolverError``.
+    """
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(M.indptr))
+    blocks = np.zeros((n // b, b, b))
+    blocks.reshape(-1)[rows * b + M.indices % b] = M.data
+    try:
+        L = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("a block of the mass is not positive "
+                          "definite") from exc
+    # the inverse is lower triangular; tril drops the pivoting round-off
+    data = np.tril(np.linalg.inv(L)).ravel()
+    indices = np.repeat(np.arange(n).reshape(-1, b), b, axis=0).ravel()
+    indptr = np.arange(0, n * b + 1, b)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def _mirror_lower(S: np.ndarray) -> None:
     """Copy the lower triangle of the square S onto its upper triangle in
     place, one block of columns at a time, so S is exactly symmetric."""
@@ -245,7 +273,9 @@ def _mirror_lower(S: np.ndarray) -> None:
 
 
 def _vector_mass_schur(A, D) -> np.ndarray:
-    """S = D A^-1 D^T for the interleaved vector mass A = M (x) I_2.
+    """S = D A^-1 D^T for the interleaved vector mass A = M (x) I_2, with D
+    a divergence: fem2's orthonormal one, or fem1's W_h coupling scaled by
+    the inverse Cholesky factor of the W_h mass (``_pencil``).
 
     Component c of the vector dofs owns the rows and columns c::2 of A and
     the columns c::2 of D, so M = A[0::2, 0::2] and S = sum_c D_c M^-1 D_c^T.
@@ -401,7 +431,9 @@ def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
     """The zero count of the whole dense spectrum of (B, A) and the
     A-orthonormal eigenvectors of the window of ``n_eigs`` after the kernel.
 
-    ``div`` is a matrix D with B = D^T D, for A the vector mass M (x) I_2.
+    ``div`` is a matrix D of n_d rows with B = D^T D, for A the vector
+    mass M (x) I_2 (``_pencil``: fem2's orthonormal divergence, or fem1's
+    scaled W_h coupling, whose C has no kernel).
     Then B x = lambda A x and D x = y give C y = lambda y with
     C = D A^-1 D^T (``_vector_mass_schur``), so the nonzero spectrum is C's
     and only C is reduced, in place (``dense_gevp`` with the identity mass
@@ -513,7 +545,7 @@ def _principal(K, M, keep: np.ndarray):
 
 def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
     """The pencil (B, A) that ``form`` solves, the dimension of its kernel,
-    and for the dense ``fem2`` route the orthonormal divergence D (None
+    and for the dense mixed routes the divergence D with B = D^T D (None
     otherwise).
 
     ``fem2`` is the div-div and vector mass pair on every vector dof.  The
@@ -524,11 +556,19 @@ def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
     it.  Otherwise B and A are scattered through the one element-graph plan
     of the vector space, so the pencil holds its pattern once and the
     shifted factor is ordered on it, and no D is built.
-    ``fem1`` is the pressure Schur complement D A^-1 D^T (dense, refused
-    above ``DENSE_CAP`` before it is built) and the pressure mass,
-    ``primal`` the stiffness and mass on the interior dofs (``_principal``);
-    neither has a kernel.  Matrices that share a pattern share its arrays:
-    none may be changed in place.
+    ``fem1`` is the mixed problem in flux form (Boffi, Acta Numerica 19,
+    2010): with the W_h coupling D and mass M = L L^T, B = D~^T D~ for
+    D~ = L^-1 D, and A the vector mass.  Its nonzero spectrum is that of the
+    pressure form (D A^-1 D^T, M), since D~ A^-1 D~^T = L^-1 D A^-1 D^T L^-T,
+    and div V_h = W_h makes D~ onto, so the kernel has dimension
+    dim V_h - dim W_h.  M is block diagonal per quad, so L^-1 costs one
+    small factor per quad (``_inverse_cholesky``).  The ``dense`` route,
+    refused above ``DENSE_CAP`` pressure unknowns before anything is
+    assembled, returns B as the operator with D = D~, as for ``fem2``; the
+    explicit B = D~^T D~ is what ``--export-matrices`` writes.
+    ``primal`` is the stiffness and mass on the interior dofs
+    (``_principal``) and has no kernel.  Matrices that share a pattern
+    share its arrays: none may be changed in place.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"unsupported degree {k} for the {form} formulation")
@@ -536,28 +576,33 @@ def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
         space = build_vector_space(tmesh, k)
         kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
                                tmesh.n_quads) - 1
-        if dense:
-            _check_dense_size(space.n_dofs)
-            div = assemble_orthonormal_div(space, tmesh)
-            B = spla.aslinearoperator(div.T) @ spla.aslinearoperator(div)
-            return B, assemble_vector_mass(space, tmesh), kernel_dim, div
-        return (assemble_divdiv(space, tmesh),
-                assemble_vector_mass(space, tmesh), kernel_dim, None)
-    if form == "fem1":
+        if not dense:
+            return (assemble_divdiv(space, tmesh),
+                    assemble_vector_mass(space, tmesh), kernel_dim, None)
+        _check_dense_size(space.n_dofs)
+        div = assemble_orthonormal_div(space, tmesh)
+        A = assemble_vector_mass(space, tmesh)
+    elif form == "fem1":
         wh = build_wh_space(tmesh, k)
-        _check_dense_size(wh.n_dofs, lanczos=False)
-        vspace = build_vector_space(tmesh, k)
-        A = assemble_vector_mass(vspace, tmesh)
-        D = assemble_div_coupling(vspace, wh, tmesh)
-        M = assemble_wh_mass(wh, tmesh)
-        return _vector_mass_schur(A, D), M, 0, None
-    if form == "primal":
+        if dense:
+            _check_dense_size(wh.n_dofs, lanczos=False)
+        space = build_vector_space(tmesh, k)
+        A = assemble_vector_mass(space, tmesh)
+        D = assemble_div_coupling(space, wh, tmesh)
+        div = _inverse_cholesky(assemble_wh_mass(wh, tmesh), wh.n_local) @ D
+        kernel_dim = space.n_dofs - wh.n_dofs
+        if not dense:
+            return (div.T @ div).tocsr(), A, kernel_dim, None
+    elif form == "primal":
         space = build_scalar_space(tmesh, k)
         interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
         K = assemble_scalar_stiffness(space, tmesh)
         M = assemble_scalar_mass(space, tmesh)
         return *_principal(K, M, interior), 0, None
-    raise ValueError(f"unknown formulation {form!r}")
+    else:
+        raise ValueError(f"unknown formulation {form!r}")
+    B = spla.aslinearoperator(div.T) @ spla.aslinearoperator(div)
+    return B, A, kernel_dim, div
 
 
 def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
@@ -573,11 +618,15 @@ def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
 
 
 def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
-    """Mixed-formulation eigenvalues through the pressure Schur complement.
+    """Mixed-formulation eigenvalues, solved in flux form.
 
-    Eliminating the vector unknown from the saddle system leaves
-    (D A^-1 D^T) u = lambda M u on the constrained pressure space; the
-    spectrum is strictly positive and matches the nonzero div-div spectrum.
+    Eliminating the pressure from the saddle system leaves
+    (D~^T D~) x = lambda A x on the vector space, with D~ the W_h coupling
+    scaled by the inverse Cholesky factor of the block-diagonal W_h mass
+    (``_pencil``).  Its nonzero spectrum is the pressure form's, which
+    matches the nonzero div-div spectrum; the dense solve reduces only the
+    W_h-sized matrix D~ A^-1 D~^T.  ``vectors`` holds flux vectors, and
+    ``zero_count`` is the kernel dimension dim V_h - dim W_h.
     """
     return _solve_pencil("fem1", tmesh, k, n_eigs)
 

@@ -212,7 +212,14 @@ def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
         basis[j, col] = 1.0
         basis[elim, col] = ell[j]       # solves ell . column = 0
 
-    restriction = sp.kron(sp.identity(Q), sp.csr_matrix(basis), format="csr")
+    # kron(I_Q, basis) written straight as CSR, with no sparse product
+    local = sp.csr_matrix(basis)
+    quads = np.arange(Q)[:, None]
+    indptr = np.append((quads * local.nnz + local.indptr[:-1]).ravel(),
+                       Q * local.nnz)
+    restriction = sp.csr_matrix(
+        (np.tile(local.data, Q), (quads * (m - 1) + local.indices).ravel(),
+         indptr), shape=(Q * m, Q * (m - 1)))
 
     return WhBasis(
         degree=k,

@@ -53,8 +53,9 @@ K2_ERR_PI8 = 3.918771488331529e-05
 K2_ERR_PI16 = 2.468843263603304e-06
 K2_RATE = 3.9885
 # k=3 errors of lambda_1 = 2.  At pi/8: dense fem2.  Lanczos fem2
-# (4.136259646e-08) and the dense fem1 Schur path (4.136259735e-08) agree to
-# 1.4e-7 relative; primal P3 on the same mesh gives 5.19e-08.  At pi/16:
+# (4.136262444e-08), dense fem2 (4.136257559e-08) and the dense fem1 flux
+# form (4.136257692e-08) now agree with it to 8e-7 relative; primal P3 on
+# the same mesh gives 5.19e-08.  At pi/16:
 # Lanczos fem2, sigma=1, seed 0.  Rates over n = 2, 4, 8, 16 are 5.91, 5.98,
 # 5.99 (sixth order).
 K3_ERR_PI8 = 4.136259157405675e-08

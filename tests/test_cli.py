@@ -123,6 +123,16 @@ def test_main_gives_large_arrays_their_own_mapping():
     assert run.stdout.splitlines()[-1] == "True"
 
 
+def test_cli_import_leaves_scipy_io_unloaded():
+    # only --export-matrices needs scipy.io; write_matrix_market imports it
+    src = os.path.dirname(os.path.dirname(crisscross.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, crisscross.cli; print('scipy.io' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_parse_errors_exit_2(capsys):
     # argparse's errors take main's exit-2 path instead of SystemExit
     for argv, flag in (
@@ -296,7 +306,7 @@ def test_exports(tmp_path, capsys, form, names):
     for name, mat in zip(names, pencil):
         back = scipy.io.mmread(str(stem) + name + ".mtx").tocsr()
         assert back.shape == mat.shape
-        assert (back != sp.csr_matrix(mat)).nnz == 0   # fem1's B is dense
+        assert (back != sp.csr_matrix(mat)).nnz == 0   # every entry exact
     capsys.readouterr()
 
 

@@ -12,6 +12,7 @@ from crisscross.assembly import (
     assemble_div_coupling,
     assemble_orthonormal_div,
     assemble_vector_mass,
+    assemble_wh_mass,
 )
 from crisscross.audit import exactness_check
 from crisscross.cli import StudyConfig, build_mesh, cmd_compare
@@ -23,6 +24,7 @@ from crisscross.eigsolve import (
     _dense_window,
     _factor_symmetric,
     _inertia,
+    _inverse_cholesky,
     _shifted,
     _pencil,
     _solve_pencil,
@@ -479,6 +481,46 @@ def test_fem1_dimension_is_wh_dimension():
     spec = solve_fem1(tmesh, 2, 100)
     assert len(spec.eigenvalues) == 11   # dim W_h on one quad
     assert np.all(spec.eigenvalues > 0)
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape", "square-perturbed"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_fem1_flux_pencil_is_the_divdiv_pencil(domain, k):
+    # div V_h = W_h, so the W_h projection of div u is div u itself: fem1's
+    # B = D~^T D~ = D^T M^-1 D is fem2's div-div matrix, and both pencils
+    # have one kernel, dim V_h - dim W_h = dim Sigma_h - 1
+    tmesh = build_mesh(StudyConfig(domain=domain), 4)
+    B1, A1, kernel1 = _pencil("fem1", tmesh, k)[:3]
+    B2, A2, kernel2 = _pencil("fem2", tmesh, k)[:3]
+    assert kernel1 == kernel2
+    assert (A1 != A2).nnz == 0
+    assert abs(B1 - B2).max() <= 1e-13 * abs(B2).max()
+
+
+def test_inverse_cholesky_whitens_the_wh_mass():
+    # L^-1 M L^-T = I per quad block, L^-1 lower triangular; a block that is
+    # not positive definite is a solver error, not a bad configuration
+    tmesh = build_mesh(StudyConfig(domain="lshape"), 2)
+    wh = build_wh_space(tmesh, 3)
+    M = assemble_wh_mass(wh, tmesh)
+    Linv = _inverse_cholesky(M, wh.n_local)
+    assert not sp.triu(Linv, 1).data.any()
+    assert_allclose((Linv @ M @ Linv.T).toarray(), np.eye(wh.n_dofs),
+                    rtol=0, atol=1e-12)
+    with pytest.raises(SolverError, match="not positive definite"):
+        _inverse_cholesky(sp.csr_matrix(np.diag([1.0, 2.0, 1.0, -1.0])), 2)
+
+
+def test_dense_fem1_peak_memory():
+    # M^-1 (n_s^2) and C (n_p^2) while C is built are the peak; the pressure
+    # form also held a copy of its Schur complement and the dense W_h mass,
+    # and peaked near 1.91 times this
+    tmesh = square_tri(6)
+    n_s = build_vector_space(tmesh, 3).n_dofs // 2
+    n_p = build_wh_space(tmesh, 3).n_dofs
+    solve_fem1(tmesh, 3, 6)
+    peak = traced_peak(lambda: solve_fem1(tmesh, 3, 6))[1]
+    assert peak < 1.5 * 8 * (n_s * n_s + n_p * n_p)
 
 
 @pytest.mark.parametrize("matrix", [
