@@ -20,8 +20,12 @@ import numpy as np
 from .assembly import write_matrix_market
 from .audit import exactness_check, spurious_scan, square_exact_spectrum
 from .eigsolve import (
+    _BACKENDS,
+    _FORMS,
     DEFAULT_SHIFT,
     SolverError,
+    _form_rule,
+    _or_list,
     _pencil,
     cluster_eigenvalues,
     solve_fem1,
@@ -47,7 +51,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 DOMAINS = ("square", "lshape", "square-perturbed")
-FORMS = ("fem1", "fem2", "primal")
 CSV_HEADER = "level,h,index,lambda_h,exact,abs_error,rate"
 
 
@@ -75,23 +78,15 @@ class StudyConfig:
     def validate(self) -> "StudyConfig":
         if self.domain not in DOMAINS:
             raise ConfigError(f"unknown domain {self.domain!r}")
-        if self.formulation not in FORMS:
-            raise ConfigError(f"unknown formulation {self.formulation!r}")
-        if self.degree not in (1, 2, 3):
-            raise ConfigError("degree must be 1, 2 or 3")
-        if self.formulation == "fem1" and self.degree not in (2, 3):
-            raise ConfigError("fem1 requires degree 2 or 3")
+        _form_rule(self.formulation, self.degree, error=ConfigError)
         if not self.levels or any(n < 1 for n in self.levels):
             raise ConfigError("levels must be positive integers")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ConfigError("levels must be strictly increasing")
         if self.n_eigs < 1:
             raise ConfigError("n_eigs must be at least 1")
-        if self.backend not in ("dense", "lanczos"):
-            raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.formulation == "fem1" and self.backend == "lanczos":
-            raise ConfigError("fem1 has no shift-invert path; use --backend "
-                              "dense or --form fem2")
+        _form_rule(self.formulation, self.degree, self.backend,
+                   error=ConfigError)
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive and finite")
         if self.expect_rate is not None and len(self.expect_rate) != 2:
@@ -349,8 +344,9 @@ def cmd_audit(config: StudyConfig) -> int:
 def cmd_compare(config: StudyConfig) -> tuple[StudyReport, int]:
     """Mixed (div-div) versus primal eigenvalues on the same mesh."""
     _validate(config, "compare")
-    if config.degree not in (2, 3):
-        raise ConfigError("compare requires degree 2 or 3")
+    stable = _FORMS["fem1"].degrees   # the mixed method's, div V_h = W_h
+    if config.degree not in stable:
+        raise ConfigError(f"compare requires degree {_or_list(stable)}")
     n = config.levels[0]
     tmesh = build_mesh(config, n)
     t0 = time.perf_counter()
@@ -389,11 +385,11 @@ def cmd_mesh(config: StudyConfig) -> int:
 _OPTIONS = {
     "domain": ("--domain", dict(choices=DOMAINS)),
     "degree": ("--degree", dict(type=int)),
-    "formulation": ("--form", dict(choices=FORMS)),
+    "formulation": ("--form", dict(choices=tuple(_FORMS))),
     "levels": ("--levels", dict(default="8",
                                 help="comma-separated subdivision counts")),
     "n_eigs": ("--neigs", dict(type=int)),
-    "backend": ("--backend", dict(choices=("dense", "lanczos"))),
+    "backend": ("--backend", dict(choices=tuple(_BACKENDS))),
     "sigma": ("--sigma", dict(type=float)),
     "seed": ("--seed", dict(type=int)),
     "perturb": ("--perturb", dict(type=float)),

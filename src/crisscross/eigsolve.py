@@ -1,9 +1,10 @@
 """Generalized symmetric eigensolvers for the mixed, div-div, and primal
-eigenvalue problems.  One builder maps each formulation to its pencil and
-kernel dimension, and one solve path filters and certifies the kernel."""
+eigenvalue problems.  One table maps each formulation to its degrees,
+backends and pencil builder, and one solve path certifies the kernel."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,8 +69,7 @@ class Spectrum:
     |B x - lambda A x| / |x| for the reported eigenpairs; ``zero_count`` is
     the number of eigenvalues classified as kernel and removed or listed
     first, which for a reported spectrum is its pencil's kernel dimension
-    (``_pencil``): dim Sigma_h - 1 for ``fem2``, dim V_h - dim W_h for the
-    flux form of ``fem1``, 0 for ``primal``.
+    (``_pencil``).
     A shift-invert solve also records ``inertia``, the number of eigenvalues
     below the shift counted from the pivot signs of its factor (``_count``),
     and ``factor_nnz``, the fill of that factor.  ``inertia`` is None where
@@ -154,11 +154,12 @@ def _apply_reflectors(C: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> None:
         _lapack_check("dormqr", info)
 
 
-def _check_dense_size(n: int, lanczos: bool = True) -> None:
+def _check_dense_size(n: int, form: str | None = None) -> None:
     """Refuse a dense solve of more than ``DENSE_CAP`` unknowns, pointing to
-    the shift-invert backend when the form has one."""
+    the shift-invert backend unless ``form``'s row of ``_FORMS`` lacks it."""
     if n > DENSE_CAP:
-        hint = "; use the shift-invert backend" if lanczos else ""
+        hint = ("; use the shift-invert backend" if form is None
+                or "lanczos" in _FORMS[form].backends else "")
         raise SolverError(
             f"dense solve of size {n} exceeds the cap {DENSE_CAP}{hint}")
 
@@ -272,10 +273,11 @@ def _mirror_lower(S: np.ndarray) -> None:
         diagonal[...] = np.tril(diagonal) + np.tril(diagonal, -1).T
 
 
-def _vector_mass_schur(A, D) -> np.ndarray:
+def _vector_mass_schur(A, D) -> tuple[np.ndarray, np.ndarray]:
     """S = D A^-1 D^T for the interleaved vector mass A = M (x) I_2, with D
     a divergence: fem2's orthonormal one, or fem1's W_h coupling scaled by
-    the inverse Cholesky factor of the W_h mass (``_pencil``).
+    the inverse Cholesky factor of the W_h mass (``_pencil``), and the dense
+    M^-1 it was built from, C-ordered and exactly symmetric.
 
     Component c of the vector dofs owns the rows and columns c::2 of A and
     the columns c::2 of D, so M = A[0::2, 0::2] and S = sum_c D_c M^-1 D_c^T.
@@ -304,16 +306,7 @@ def _vector_mass_schur(A, D) -> np.ndarray:
             Y = (Dc[j:j + _BLOCK] @ Minv).T   # M^-1 D_c^T[:, j:j + _BLOCK]
             St[j:, j:j + _BLOCK] += Dc[j:] @ Y
     _mirror_lower(St)
-    return S
-
-
-def _mass_solve(A, R: np.ndarray) -> np.ndarray:
-    """A^-1 R for the interleaved vector mass A = M (x) I_2, through a sparse
-    factor of M (``_factor_symmetric``): the rows of both components are
-    solved as one block of 2m columns."""
-    n, m = R.shape
-    lu = _factor_symmetric(A[0::2, 0::2].tocsc())
-    return lu.solve(R.reshape(n // 2, 2 * m)).reshape(n, m)
+    return S, Minv
 
 
 def _count_zeros(w: np.ndarray) -> int:
@@ -442,20 +435,23 @@ def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
     sqrt(lambda) is A-orthonormal for an orthonormal y.  Without ``div``
     the pencil is copied, since the caller reads B after the reduction.
 
-    The dense M^-1 is dropped once C is built, and x is solved through a
-    sparse factor of M.  Building C holds n_s^2 + n_d^2 doubles, the peak;
-    the reduction holds C alone.
+    x comes from the dense M^-1 that built C, both components' rows as one
+    block of 2m columns, so no sparse factor is built.  Building C holds
+    n_s^2 + n_d^2 doubles, the traced peak; the reduction holds C and M^-1,
+    the same count, but M^-1 stays resident beside the reduction's LAPACK
+    work memory, which the trace does not see.
     """
     if div is None:
         spec = dense_gevp(B, A, n_eigs)
         return spec.zero_count, spec.vectors
-    C = _vector_mass_schur(A, div)
+    C, Minv = _vector_mass_schur(A, div)
     spec = dense_gevp(C, None, n_eigs, overwrite_b=True)
     del C
     y = spec.vectors
-    lam = spec.eigenvalues[spec.zero_count:spec.zero_count + y.shape[1]]
-    x = _mass_solve(A, div.T @ y) / np.sqrt(lam)
-    return B.shape[0] - div.shape[0] + spec.zero_count, x
+    n, m = A.shape[0], y.shape[1]
+    lam = spec.eigenvalues[spec.zero_count:spec.zero_count + m]
+    x = (Minv @ (div.T @ y).reshape(n // 2, 2 * m)).reshape(n, m)
+    return B.shape[0] - div.shape[0] + spec.zero_count, x / np.sqrt(lam)
 
 
 def _dense_spectrum(B, A, kernel_dim: int, n_eigs: int,
@@ -490,16 +486,16 @@ def _solve_pencil(form: str, tmesh: TriMesh, k: int, n_eigs: int,
                   seed: int = 0) -> Spectrum:
     """The reported spectrum of ``form``'s pencil (``_pencil``) on ``tmesh``.
 
-    The one place that picks the backend: the solve drivers pass the form,
-    not the matrices.  The dense backend is ``_dense_spectrum``.  The
-    shift-invert backend iterates (``shift_invert_lanczos``), splits off
-    the kernel, truncates to ``n_eigs`` and computes the residuals inside
-    ``_count``.  Its count of eigenvalues below sigma must equal the kernel
-    dimension: a larger one means sigma is not below lambda_1, and the
-    smallest eigenvalues would be missing from the table.
+    The one place that picks the backend, among those of the form's row of
+    ``_FORMS``: the solve drivers pass the form, not the matrices.  The
+    dense backend is ``_dense_spectrum``.  The shift-invert backend
+    iterates (``shift_invert_lanczos``), splits off the kernel, truncates
+    to ``n_eigs`` and computes the residuals inside ``_count``.  Its count
+    of eigenvalues below sigma must equal the kernel dimension: a larger
+    one means sigma is not below lambda_1, and the smallest eigenvalues
+    would be missing from the table.
     """
-    if backend not in ("dense", "lanczos"):
-        raise ValueError(f"unknown backend {backend!r}")
+    _form_rule(form, k, backend)
     if backend == "dense":
         B, A, kernel_dim, div = _pencil(form, tmesh, k, dense=True)
         return _dense_spectrum(B, A, kernel_dim, n_eigs, div)
@@ -543,101 +539,128 @@ def _principal(K, M, keep: np.ndarray):
             sp.csr_matrix((M.data[stored], indices, indptr), shape=shape))
 
 
+def _fem2_pencil(tmesh: TriMesh, k: int, dense: bool):
+    """The div-div and vector mass pair on every vector dof.  The discrete
+    complex is exact, so the kernel is curl Sigma_h, of dimension
+    dim Sigma_h - 1 (``dim_sigma``), for every degree.  The ``dense`` route,
+    capped at the vector dimension first, assembles the orthonormal
+    divergence D and A only.  Otherwise B and A are scattered through the
+    one element-graph plan of the vector space, so the pencil holds its
+    pattern once and the shifted factor is ordered on it."""
+    space = build_vector_space(tmesh, k)
+    kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
+                           tmesh.n_quads) - 1
+    if not dense:
+        return (assemble_divdiv(space, tmesh),
+                assemble_vector_mass(space, tmesh), kernel_dim, None)
+    _check_dense_size(space.n_dofs, "fem2")
+    div = assemble_orthonormal_div(space, tmesh)
+    return None, assemble_vector_mass(space, tmesh), kernel_dim, div
+
+
+def _fem1_pencil(tmesh: TriMesh, k: int, dense: bool):
+    """The mixed problem in flux form (Boffi, Acta Numerica 19, 2010): with
+    the W_h coupling D and mass M = L L^T, B = D~^T D~ for D~ = L^-1 D, and
+    A the vector mass.  Its nonzero spectrum is that of the pressure form
+    (D A^-1 D^T, M), since D~ A^-1 D~^T = L^-1 D A^-1 D^T L^-T, and
+    div V_h = W_h makes D~ onto, so the kernel has dimension
+    dim V_h - dim W_h.  M is block diagonal per quad, so L^-1 costs one
+    small factor per quad (``_inverse_cholesky``).  The ``dense`` route is
+    refused above ``DENSE_CAP`` pressure unknowns before anything is
+    assembled; the explicit B is what ``--export-matrices`` writes."""
+    wh = build_wh_space(tmesh, k)
+    if dense:
+        _check_dense_size(wh.n_dofs, "fem1")
+    space = build_vector_space(tmesh, k)
+    A = assemble_vector_mass(space, tmesh)
+    D = assemble_div_coupling(space, wh, tmesh)
+    div = _inverse_cholesky(assemble_wh_mass(wh, tmesh), wh.n_local) @ D
+    kernel_dim = space.n_dofs - wh.n_dofs
+    if dense:
+        return None, A, kernel_dim, div
+    return (div.T @ div).tocsr(), A, kernel_dim, None
+
+
+def _primal_pencil(tmesh: TriMesh, k: int, dense: bool):
+    """The stiffness and mass on the interior dofs (``_principal``), which
+    have no kernel; both backends read the same pencil."""
+    space = build_scalar_space(tmesh, k)
+    interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
+    K = assemble_scalar_stiffness(space, tmesh)
+    M = assemble_scalar_mass(space, tmesh)
+    return *_principal(K, M, interior), 0, None
+
+
+# The one list of which forms, degrees and backends run.  A row holds a
+# form's degrees, its backends, and its builder build(tmesh, k, dense) of
+# (B, A, kernel dimension, div), B None on the dense mixed routes
+# (``_pencil``).  The CLI reads its choices and checks from it through
+# ``_form_rule``; the space builders guard only their own inputs.
+_Form = namedtuple("_Form", "degrees backends build")
+_BACKENDS = {"dense": "dense", "lanczos": "shift-invert"}  # path in messages
+_FORMS = {
+    "fem1": _Form((2, 3), ("dense",), _fem1_pencil),
+    "fem2": _Form((1, 2, 3), ("dense", "lanczos"), _fem2_pencil),
+    "primal": _Form((1, 2, 3), ("dense", "lanczos"), _primal_pencil),
+}
+
+
+def _or_list(items) -> str:
+    """'1, 2 or 3' for (1, 2, 3)."""
+    *head, last = map(str, items)
+    return f"{', '.join(head)} or {last}" if head else last
+
+
+def _form_rule(form: str, k: int, backend: str | None = None,
+               error: type = ValueError) -> _Form:
+    """``form``'s row of ``_FORMS``, once it is known to run degree ``k``
+    and, when given, ``backend``; ``error`` is raised otherwise."""
+    if form not in _FORMS:
+        raise error(f"unknown formulation {form!r}")
+    row = _FORMS[form]
+    degrees = sorted({d for other in _FORMS.values() for d in other.degrees})
+    if k not in degrees:
+        raise error(f"degree must be {_or_list(degrees)}")
+    if k not in row.degrees:
+        raise error(f"{form} requires degree {_or_list(row.degrees)}")
+    if backend is not None and backend not in row.backends:
+        if backend not in _BACKENDS:
+            raise error(f"unknown backend {backend!r}")
+        other = next(name for name, o in _FORMS.items() if backend in o.backends)
+        raise error(f"{form} has no {_BACKENDS[backend]} path; use --backend "
+                    f"{_or_list(row.backends)} or --form {other}")
+    return row
+
+
 def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
     """The pencil (B, A) that ``form`` solves, the dimension of its kernel,
-    and for the dense mixed routes the divergence D with B = D^T D (None
-    otherwise).
-
-    ``fem2`` is the div-div and vector mass pair on every vector dof.  The
-    discrete complex is exact, so its kernel is curl Sigma_h, of dimension
-    dim Sigma_h - 1 (``dim_sigma``), for every degree.  The ``dense``
-    route, capped at the vector dimension first, assembles D and A only:
-    B = D^T D is the operator x -> D^T (D x), all the dense solve reads of
-    it.  Otherwise B and A are scattered through the one element-graph plan
-    of the vector space, so the pencil holds its pattern once and the
-    shifted factor is ordered on it, and no D is built.
-    ``fem1`` is the mixed problem in flux form (Boffi, Acta Numerica 19,
-    2010): with the W_h coupling D and mass M = L L^T, B = D~^T D~ for
-    D~ = L^-1 D, and A the vector mass.  Its nonzero spectrum is that of the
-    pressure form (D A^-1 D^T, M), since D~ A^-1 D~^T = L^-1 D A^-1 D^T L^-T,
-    and div V_h = W_h makes D~ onto, so the kernel has dimension
-    dim V_h - dim W_h.  M is block diagonal per quad, so L^-1 costs one
-    small factor per quad (``_inverse_cholesky``).  The ``dense`` route,
-    refused above ``DENSE_CAP`` pressure unknowns before anything is
-    assembled, returns B as the operator with D = D~, as for ``fem2``; the
-    explicit B = D~^T D~ is what ``--export-matrices`` writes.
-    ``primal`` is the stiffness and mass on the interior dofs
-    (``_principal``) and has no kernel.  Matrices that share a pattern
-    share its arrays: none may be changed in place.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError(f"unsupported degree {k} for the {form} formulation")
-    if form == "fem2":
-        space = build_vector_space(tmesh, k)
-        kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
-                               tmesh.n_quads) - 1
-        if not dense:
-            return (assemble_divdiv(space, tmesh),
-                    assemble_vector_mass(space, tmesh), kernel_dim, None)
-        _check_dense_size(space.n_dofs)
-        div = assemble_orthonormal_div(space, tmesh)
-        A = assemble_vector_mass(space, tmesh)
-    elif form == "fem1":
-        wh = build_wh_space(tmesh, k)
-        if dense:
-            _check_dense_size(wh.n_dofs, lanczos=False)
-        space = build_vector_space(tmesh, k)
-        A = assemble_vector_mass(space, tmesh)
-        D = assemble_div_coupling(space, wh, tmesh)
-        div = _inverse_cholesky(assemble_wh_mass(wh, tmesh), wh.n_local) @ D
-        kernel_dim = space.n_dofs - wh.n_dofs
-        if not dense:
-            return (div.T @ div).tocsr(), A, kernel_dim, None
-    elif form == "primal":
-        space = build_scalar_space(tmesh, k)
-        interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
-        K = assemble_scalar_stiffness(space, tmesh)
-        M = assemble_scalar_mass(space, tmesh)
-        return *_principal(K, M, interior), 0, None
-    else:
-        raise ValueError(f"unknown formulation {form!r}")
-    B = spla.aslinearoperator(div.T) @ spla.aslinearoperator(div)
+    and for the dense mixed routes the divergence D (None otherwise), from
+    the form's row of ``_FORMS``.  There B is the operator x -> D^T (D x),
+    all the dense solve reads of it (``_dense_window``).  Matrices that
+    share a pattern share its arrays: none may be changed in place."""
+    B, A, kernel_dim, div = _form_rule(form, k).build(tmesh, k, dense)
+    if div is not None:
+        B = spla.aslinearoperator(div.T) @ spla.aslinearoperator(div)
     return B, A, kernel_dim, div
 
 
 def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
                *, sigma: float = DEFAULT_SHIFT, seed: int = 0) -> Spectrum:
-    """First nonzero eigenvalues of the div-div pencil on the vector space.
-
-    The dense backend, capped at the vector dimension, reduces only the
-    divergence space: B = D^T D with D the divergence into an orthonormal
-    discontinuous P_{k-1} basis (``assemble_orthonormal_div``).
-    """
+    """First nonzero eigenvalues of the div-div pencil (``_fem2_pencil``)."""
     return _solve_pencil("fem2", tmesh, k, n_eigs, backend, sigma=sigma,
                          seed=seed)
 
 
 def solve_fem1(tmesh: TriMesh, k: int, n_eigs: int) -> Spectrum:
-    """Mixed-formulation eigenvalues, solved in flux form.
-
-    Eliminating the pressure from the saddle system leaves
-    (D~^T D~) x = lambda A x on the vector space, with D~ the W_h coupling
-    scaled by the inverse Cholesky factor of the block-diagonal W_h mass
-    (``_pencil``).  Its nonzero spectrum is the pressure form's, which
-    matches the nonzero div-div spectrum; the dense solve reduces only the
-    W_h-sized matrix D~ A^-1 D~^T.  ``vectors`` holds flux vectors, and
-    ``zero_count`` is the kernel dimension dim V_h - dim W_h.
-    """
+    """Mixed-formulation eigenvalues in flux form (``_fem1_pencil``), whose
+    nonzero spectrum is the div-div one; ``vectors`` holds flux vectors."""
     return _solve_pencil("fem1", tmesh, k, n_eigs)
 
 
 def solve_primal(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",
                  *, sigma: float = DEFAULT_SHIFT, seed: int = 0) -> Spectrum:
-    """Dirichlet eigenvalues of the primal form (grad u, grad v) = l (u, v).
-
-    The interior pencil has no kernel, so no eigenvalue lies below a valid
-    shift.
-    """
+    """Dirichlet eigenvalues of the primal form (grad u, grad v) = l (u, v),
+    whose pencil has no kernel below any valid shift."""
     return _solve_pencil("primal", tmesh, k, n_eigs, backend, sigma=sigma,
                          seed=seed)
 

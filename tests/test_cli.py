@@ -53,6 +53,38 @@ def test_config_validation():
         StudyConfig(n_eigs=0).validate()
 
 
+# exit code and stderr "error:" line of eig and compare at degrees 0 to 5,
+# --levels 2 --neigs 2: which (form, degree, backend) triples run, as the
+# rules stood when they moved into one table (eigsolve._FORMS)
+_OK = (0, None)
+_DEGREE = (2, "error: degree must be 1, 2 or 3")
+_FEM1_DEGREE = (2, "error: fem1 requires degree 2 or 3")
+_FEM1_LANCZOS = (2, "error: fem1 has no shift-invert path; use --backend "
+                    "dense or --form fem2")
+_COMPARE_DEGREE = (2, "error: compare requires degree 2 or 3")
+_RULES = {
+    ("fem1", "dense"): [_DEGREE, _FEM1_DEGREE, _OK, _OK, _DEGREE, _DEGREE],
+    ("fem1", "lanczos"): [_DEGREE, _FEM1_DEGREE, _FEM1_LANCZOS,
+                          _FEM1_LANCZOS, _DEGREE, _DEGREE],
+    **{(form, backend): [_DEGREE, _OK, _OK, _OK, _DEGREE, _DEGREE]
+       for form in ("fem2", "primal") for backend in ("dense", "lanczos")},
+    ("compare", None): [_DEGREE, _COMPARE_DEGREE, _OK, _OK, _DEGREE, _DEGREE],
+}
+
+
+@pytest.mark.parametrize("form, backend, k", [
+    (form, backend, k) for form, backend in _RULES for k in range(6)])
+def test_form_degree_backend_rules(capsys, form, backend, k):
+    argv = (["compare"] if form == "compare"
+            else ["eig", "--form", form, "--backend", backend])
+    code = main(argv + ["--degree", str(k), "--levels", "2", "--neigs", "2"])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    expected_code, expected_error = _RULES[form, backend][k]
+    assert code == expected_code
+    assert errors == ([] if expected_error is None else [expected_error])
+
+
 def test_invalid_config_exit_code(capsys):
     assert main(["eig", "--degree", "9", "--levels", "4"]) == 2
     assert main(["eig", "--levels", "8,4"]) == 2

@@ -218,7 +218,7 @@ def test_dense_gevp_overwrite_b_reduces_c_in_place():
     tmesh = square_tri(6)
     vspace = build_vector_space(tmesh, 2)
     C = _vector_mass_schur(assemble_vector_mass(vspace, tmesh),
-                           assemble_orthonormal_div(vspace, tmesh))
+                           assemble_orthonormal_div(vspace, tmesh))[0]
     assert C.flags.f_contiguous and C.dtype == np.float64
     copied = dense_gevp(C.copy(order="F"), None, 10)
     in_place, peak = traced_peak(
@@ -567,9 +567,11 @@ def test_vector_mass_schur_matches_sparse_solve(domain, coupling, k):
         D = assemble_div_coupling(vspace, build_wh_space(tmesh, k), tmesh)
     else:
         D = assemble_orthonormal_div(vspace, tmesh)
-    S = _vector_mass_schur(A, D)
-    assert np.array_equal(S, S.T)
+    S, Minv = _vector_mass_schur(A, D)
+    assert np.array_equal(S, S.T) and np.array_equal(Minv, Minv.T)
     if domain in _DENSE_ORACLE_MESHES:
+        assert_allclose(Minv @ A[0::2, 0::2].toarray(), np.eye(len(Minv)),
+                        rtol=0, atol=1e-10)
         expected = D @ np.linalg.solve(A.toarray(), D.T.toarray())
         expected = 0.5 * (expected + expected.T)
         assert_allclose(S, expected, rtol=0,
@@ -609,7 +611,7 @@ def test_divergence_route_matches_full_pencil(domain, k):
         lam = full.eigenvalues[full.zero_count:]
         assert_allclose(out.eigenvalues, lam[:len(out.eigenvalues)], rtol=1e-11)
         assert out.residuals.max() < 1e-11
-        reduced = dense_gevp(_vector_mass_schur(A, D), None, 0)
+        reduced = dense_gevp(_vector_mass_schur(A, D)[0], None, 0)
         assert reduced.zero_count + B.shape[0] - D.shape[0] == full.zero_count
         assert reduced.zero_count == tmesh.n_quads
         assert_allclose(reduced.eigenvalues[reduced.zero_count:], lam,
@@ -688,6 +690,22 @@ def test_dense_window_reports_rayleigh_quotients(solve, k, n):
     lanczos = solve(tmesh, k, 10, backend="lanczos")
     assert np.all(np.diff(dense.eigenvalues) >= 0)
     assert_allclose(dense.eigenvalues, lanczos.eigenvalues, rtol=1e-13)
+
+
+def test_degree_four_is_one_table_entry(monkeypatch):
+    # allowing k = 4 for fem2 takes its row of the form table alone: the
+    # config check and both backends read the degrees from there
+    fem2 = eigsolve._FORMS["fem2"]
+    monkeypatch.setitem(eigsolve._FORMS, "fem2",
+                        fem2._replace(degrees=fem2.degrees + (4,)))
+    StudyConfig(degree=4).validate()
+    tmesh = unit_pi_square_tri()
+    law = dim_sigma(4, tmesh.n_quad_vertices, tmesh.n_quad_edges,
+                    tmesh.n_quads) - 1
+    dense = _solve_pencil("fem2", tmesh, 4, 3)
+    lanczos = _solve_pencil("fem2", tmesh, 4, 3, "lanczos")
+    assert dense.zero_count == law and lanczos.inertia == law
+    assert_allclose(dense.eigenvalues, lanczos.eigenvalues, rtol=1e-10)
 
 
 def test_fem1_requires_pressure_degree():
