@@ -23,6 +23,7 @@ from .assembly import (
     assemble_wh_mass,
 )
 from .fespace import (
+    boundary_dofs,
     build_scalar_space,
     build_vector_space,
     build_wh_space,
@@ -493,7 +494,8 @@ def _solve_pencil(form: str, tmesh: TriMesh, k: int, n_eigs: int,
     to ``n_eigs`` and computes the residuals inside ``_count``.  Its count
     of eigenvalues below sigma must equal the kernel dimension: a larger
     one means sigma is not below lambda_1, and the smallest eigenvalues
-    would be missing from the table.
+    would be missing from the table.  Its ``zero_count`` is that dimension,
+    whatever kernel values the iteration returned.
     """
     _form_rule(form, k, backend)
     if backend == "dense":
@@ -505,7 +507,7 @@ def _solve_pencil(form: str, tmesh: TriMesh, k: int, n_eigs: int,
         w = spec.eigenvalues[zeros:zeros + n_eigs]
         # a copy, so the returned Spectrum does not keep dropped columns alive
         v = spec.vectors[:, zeros:zeros + n_eigs].copy()
-        return replace(spec, eigenvalues=w, vectors=v, zero_count=zeros,
+        return replace(spec, eigenvalues=w, vectors=v,
                        residuals=residual_norms(B, A, w, v))
 
     inertia, kernel_dim, spec = _count(form, tmesh, k, sigma, window)
@@ -515,7 +517,8 @@ def _solve_pencil(form: str, tmesh: TriMesh, k: int, n_eigs: int,
             f"eigenvalues lie below the shift, but the kernel has "
             f"dimension {kernel_dim}; choose sigma below lambda_1"
         )
-    return replace(spec, inertia=inertia, uncertified=inertia is None)
+    return replace(spec, zero_count=kernel_dim, inertia=inertia,
+                   uncertified=inertia is None)
 
 
 def _principal(K, M, keep: np.ndarray):
@@ -585,7 +588,7 @@ def _primal_pencil(tmesh: TriMesh, k: int, dense: bool):
     """The stiffness and mass on the interior dofs (``_principal``), which
     have no kernel; both backends read the same pencil."""
     space = build_scalar_space(tmesh, k)
-    interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
+    interior = np.setdiff1d(np.arange(space.n_dofs), boundary_dofs(tmesh, k))
     K = assemble_scalar_stiffness(space, tmesh)
     M = assemble_scalar_mass(space, tmesh)
     return *_principal(K, M, interior), 0, None

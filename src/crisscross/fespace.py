@@ -20,7 +20,7 @@ from .refelem import MAX_DEGREE
 __all__ = [
     "DofMap",
     "WhBasis",
-    "DiscSpace",
+    "boundary_dofs",
     "build_scalar_space",
     "build_vector_space",
     "build_disc_space",
@@ -35,35 +35,21 @@ CENTER_SIGNS = (1.0, -1.0, 1.0, -1.0)
 
 @dataclass(frozen=True)
 class DofMap:
-    """Global enumeration of Lagrange degrees of freedom.
+    """Global enumeration of nodal degrees of freedom.
 
     Vector maps interleave components per node: scalar dof ``s`` owns vector
-    dofs ``2s`` (x) and ``2s + 1`` (y).
+    dofs ``2s`` (x) and ``2s + 1`` (y).  A disc map numbers the nodes of
+    every triangle in turn, triangle-major, none shared.
     """
 
-    kind: str                 # 'scalar' or 'vector2'
+    kind: str                 # 'scalar', 'vector2' or 'disc'
     degree: int
     n_dofs: int
     cell_dofs: np.ndarray     # (T, n_local) in reference node order
-    boundary_dofs: np.ndarray  # sorted dof indices with nodes on the boundary
     # the scatter plan of the element graph, built by the first assembly on
     # the map and dropped with it (``assembly._graph_plan``)
     plans: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
-
-
-@dataclass(frozen=True)
-class DiscSpace:
-    """Fully discontinuous piecewise P_degree space, nodal per triangle."""
-
-    degree: int
-    n_dofs: int
-    n_local: int              # nodes per triangle
-
-    @property
-    def cell_dofs(self) -> np.ndarray:
-        """(T, n_local) dofs per triangle, as in :class:`DofMap`."""
-        return np.arange(self.n_dofs).reshape(-1, self.n_local)
 
 
 @dataclass(frozen=True)
@@ -74,17 +60,19 @@ class WhBasis:
     P_{k-1} nodal basis with the center-node function of the right slot
     eliminated through the alternating constraint.  ``restriction`` maps
     these basis coefficients to coefficients in the global discontinuous
-    space.
+    space (``build_disc_space``); its first block of 4 n_disc rows and
+    ``n_local`` columns is that shared local basis, n_disc = k(k+1)/2.
     """
 
     degree: int               # k of the vector space; local polynomials are P_{k-1}
     n_dofs: int
     n_local: int              # per-quad dimension, 4*k*(k+1)/2 - 1
-    n_disc_local: int         # nodes of P_{k-1} per triangle
-    local_basis: np.ndarray   # (4*n_disc_local, n_local) shared coefficient matrix
-    constraint_indices: np.ndarray  # (4,) local disc indices of center values
-    constraint_signs: np.ndarray    # (4,) alternating signs
-    restriction: sp.csr_matrix  # (T*n_disc_local, n_dofs) block diagonal
+    restriction: sp.csr_matrix  # (T*n_disc, n_dofs) block diagonal
+
+
+def _check_degree(k: int) -> None:
+    if k not in range(1, MAX_DEGREE + 1):
+        raise ValueError(f"unsupported degree {k}; expected 1..{MAX_DEGREE}")
 
 
 def dim_sigma(k: int, n_quad_vertices: int, n_quad_edges: int, n_quads: int) -> int:
@@ -99,16 +87,14 @@ def dim_sigma(k: int, n_quad_vertices: int, n_quad_edges: int, n_quads: int) -> 
     it onto the kernel of the div-div form on the degree-k vector space,
     which therefore has dimension ``dim_sigma - 1``.
     """
-    if k not in range(1, MAX_DEGREE + 1):
-        raise ValueError(f"unsupported degree {k}; expected 1..{MAX_DEGREE}")
+    _check_degree(k)
     return (3 * n_quad_vertices + (2 * k - 3) * n_quad_edges
             + 2 * (k - 1) * (k - 2) * n_quads)
 
 
 def build_scalar_space(tmesh: TriMesh, k: int) -> DofMap:
     """Continuous scalar Lagrange space of degree k on the triangulation."""
-    if k not in range(1, MAX_DEGREE + 1):
-        raise ValueError(f"unsupported degree {k}; expected 1..{MAX_DEGREE}")
+    _check_degree(k)
     V, E, T = tmesh.n_vertices, tmesh.n_edges, tmesh.n_triangles
     per_edge = k - 1
     per_cell = (k - 1) * (k - 2) // 2
@@ -131,17 +117,13 @@ def build_scalar_space(tmesh: TriMesh, k: int) -> DofMap:
             base + np.arange(T)[:, None] * per_cell + np.arange(per_cell)
         )
 
-    bdofs = _scalar_boundary_dofs(tmesh, k)
-    return DofMap(
-        kind="scalar",
-        degree=k,
-        n_dofs=V + per_edge * E + per_cell * T,
-        cell_dofs=cell_dofs,
-        boundary_dofs=bdofs,
-    )
+    return DofMap(kind="scalar", degree=k,
+                  n_dofs=V + per_edge * E + per_cell * T, cell_dofs=cell_dofs)
 
 
-def _scalar_boundary_dofs(tmesh: TriMesh, k: int) -> np.ndarray:
+def boundary_dofs(tmesh: TriMesh, k: int) -> np.ndarray:
+    """Sorted dofs of the degree-k scalar space (``build_scalar_space``)
+    whose nodes lie on the boundary."""
     V = tmesh.n_vertices
     per_edge = k - 1
     out = [tmesh.boundary_vertices()]
@@ -160,24 +142,17 @@ def build_vector_space(tmesh: TriMesh, k: int) -> DofMap:
                     dtype=np.int64)
     cell[:, 0::2] = 2 * scalar.cell_dofs
     cell[:, 1::2] = 2 * scalar.cell_dofs + 1
-    bdofs = np.sort(np.concatenate([2 * scalar.boundary_dofs,
-                                    2 * scalar.boundary_dofs + 1]))
-    return DofMap(
-        kind="vector2",
-        degree=k,
-        n_dofs=2 * scalar.n_dofs,
-        cell_dofs=cell,
-        boundary_dofs=bdofs,
-    )
+    return DofMap(kind="vector2", degree=k, n_dofs=2 * scalar.n_dofs,
+                  cell_dofs=cell)
 
 
-def build_disc_space(tmesh: TriMesh, degree: int) -> DiscSpace:
+def build_disc_space(tmesh: TriMesh, degree: int) -> DofMap:
     """Discontinuous nodal P_degree space over all triangles."""
-    if degree not in range(1, MAX_DEGREE + 1):
-        raise ValueError(f"unsupported degree {degree}; expected 1..{MAX_DEGREE}")
+    _check_degree(degree)
     n_local = (degree + 1) * (degree + 2) // 2
-    return DiscSpace(degree=degree, n_dofs=tmesh.n_triangles * n_local,
-                     n_local=n_local)
+    n_dofs = tmesh.n_triangles * n_local
+    return DofMap(kind="disc", degree=degree, n_dofs=n_dofs,
+                  cell_dofs=np.arange(n_dofs).reshape(-1, n_local))
 
 
 def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
@@ -200,14 +175,11 @@ def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
 
     # local vertex 2 is the center, and vertex nodes lead the node order, so
     # the center value of slot s is disc coefficient s*n_disc + 2
-    cidx = np.array([s * n_disc + 2 for s in range(4)], dtype=np.int64)
-    signs = np.array(CENTER_SIGNS)
-    elim = int(cidx[3])
-
+    elim = 3 * n_disc + 2
     keep = [j for j in range(m) if j != elim]
     basis = np.zeros((m, m - 1))
     ell = np.zeros(m)
-    ell[cidx] = signs
+    ell[np.arange(4) * n_disc + 2] = CENTER_SIGNS
     for col, j in enumerate(keep):
         basis[j, col] = 1.0
         basis[elim, col] = ell[j]       # solves ell . column = 0
@@ -225,9 +197,5 @@ def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
         degree=k,
         n_dofs=Q * (m - 1),
         n_local=m - 1,
-        n_disc_local=n_disc,
-        local_basis=basis,
-        constraint_indices=cidx,
-        constraint_signs=signs,
         restriction=restriction,
     )

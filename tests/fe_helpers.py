@@ -99,11 +99,12 @@ def local_divergence_image(corners, k: int):
     # nodal P_{k-1} coefficients of the divergence of each basis field
     div = np.linalg.solve(
         G, assemble_div_coupling(vspace, disc, tmesh).toarray())
-    centre = div[[s * disc.n_local + 2 for s in range(4)]]  # vertex 2 per slot
+    n_disc = disc.cell_dofs.shape[1]
+    centre = div[[s * n_disc + 2 for s in range(4)]]  # vertex 2 per slot
     residual = np.abs([1.0, -1.0, 1.0, -1.0] @ centre) / np.abs(div).max(axis=0)
     L = np.linalg.cholesky(G)
     U = np.linalg.svd(L.T @ div, full_matrices=False)[0][:, :rank]
-    cb = L.T @ np.repeat([-1.0, 1.0, -1.0, 1.0], disc.n_local)
+    cb = L.T @ np.repeat([-1.0, 1.0, -1.0, 1.0], n_disc)
     dist = np.linalg.norm(cb - U @ (U.T @ cb)) / np.linalg.norm(cb)
     return rank, float(residual.max()), float(dist)
 

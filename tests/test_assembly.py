@@ -108,7 +108,7 @@ def dense_gram_oracle(tmesh, dmap, form):
         rows = build_disc_space(tmesh, dmap.degree - 1)
         test_vals, _ = tabulate_shapes(rows.degree, rule.points)
     out = np.zeros((rows.n_dofs, dmap.n_dofs))
-    vector = getattr(dmap, "kind", None) == "vector2"   # DiscSpace has none
+    vector = dmap.kind == "vector2"
     for t in range(tmesh.n_triangles):
         tri = tmesh.tri_coords()[t]
         J = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
@@ -305,7 +305,7 @@ def test_projection_idempotent_on_members():
         out = np.zeros_like(x)
         vals, _ = tabulate_shapes(1, rule.points)
         for t in range(tmesh.n_triangles):
-            local = disc_coeffs[t * wh.n_disc_local:(t + 1) * wh.n_disc_local]
+            local = disc_coeffs.reshape(tmesh.n_triangles, -1)[t]
             out[t] = vals @ local
         return out
 
@@ -347,7 +347,7 @@ def test_projection_reproduces_divergence_of_random_field():
     # div v lies in the space, so the projection reproduces it pointwise:
     # its disc expansion must satisfy the center constraint exactly
     disc = wh.restriction @ projected
-    n = wh.n_disc_local
+    n = k * (k + 1) // 2                 # nodes of P_{k-1} per triangle
     for q in range(tmesh.n_quads):
         vals_at_center = [disc[(4 * q + s) * n + 2] for s in range(4)]
         residual = (vals_at_center[0] - vals_at_center[1]

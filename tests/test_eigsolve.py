@@ -325,6 +325,8 @@ def test_lanczos_matches_dense_on_single_square(solve, tmesh, inertia):
     assert lanczos.backend == "lanczos"
     assert lanczos.converged
     assert lanczos.inertia == inertia and dense.inertia is None
+    # both report the pencil's kernel dimension, not the zeros ARPACK kept
+    assert lanczos.zero_count == dense.zero_count == inertia
     assert lanczos.factor_nnz > 0 and dense.factor_nnz is None
 
 
@@ -441,7 +443,9 @@ def test_lanczos_excludes_kernel():
     tmesh = square_tri(2)
     spec = solve_fem2(tmesh, 2, 8, backend="lanczos", sigma=1.0)
     assert np.all(spec.eigenvalues > 1.0)
-    assert spec.zero_count == 0
+    # the count reports the kernel dimension, which the window excludes
+    assert spec.zero_count == dim_sigma(2, tmesh.n_quad_vertices,
+                                        tmesh.n_quad_edges, tmesh.n_quads) - 1
 
 
 def test_lanczos_first_eigenvalue_paper_level():

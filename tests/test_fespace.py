@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from crisscross.fespace import (
+    CENTER_SIGNS,
+    boundary_dofs,
     build_scalar_space,
     build_vector_space,
     build_wh_space,
@@ -24,6 +26,13 @@ PI = math.pi
 
 def unit_square_tri():
     return criss_cross(single_quad_mesh([(0, 0), (1, 0), (1, 1), (0, 1)]))
+
+
+def local_basis(wh):
+    """The basis every quad shares: the first 4 n_disc rows and n_local
+    columns of the restriction, n_disc = k(k+1)/2 nodes of P_{k-1}."""
+    n_disc = wh.degree * (wh.degree + 1) // 2
+    return wh.restriction[:4 * n_disc, :wh.n_local].toarray()
 
 
 def entity_counts(tmesh):
@@ -135,16 +144,16 @@ def test_vector_evaluation_interleaving():
 def test_single_square_boundary_dofs_k2():
     tmesh = unit_square_tri()
     dmap = build_scalar_space(tmesh, 2)
-    assert len(dmap.boundary_dofs) == 8  # 4 corner vertices + 4 edge midnodes
-    points = dof_points(dmap, tmesh)[dmap.boundary_dofs]
+    bdofs = boundary_dofs(tmesh, 2)
+    assert len(bdofs) == 8  # 4 corner vertices + 4 edge midnodes
+    points = dof_points(dmap, tmesh)[bdofs]
     assert np.all(np.any((points == 0.0) | (points == 1.0), axis=1))
 
 
 def test_centers_never_on_boundary():
     tmesh = criss_cross(build_rect_grid(0, 0, PI, PI, 3, 3))
-    dmap = build_scalar_space(tmesh, 1)
     centers = np.arange(tmesh.n_quad_vertices, tmesh.n_vertices)
-    assert not set(centers) & set(dmap.boundary_dofs)
+    assert not set(centers) & set(boundary_dofs(tmesh, 1))
 
 
 def on_lshape_boundary(x, y, tol=1e-12):
@@ -170,22 +179,12 @@ def test_lshape_boundary_matches_geometry(k):
     geometric = {
         i for i, (x, y) in enumerate(points) if on_lshape_boundary(x, y)
     }
-    assert geometric == set(dmap.boundary_dofs)
+    assert geometric == set(boundary_dofs(tmesh, k))
 
 
 def test_lshape_n1_k1_all_quad_vertices_on_boundary():
     tmesh = criss_cross(build_lshape_grid(1))
-    dmap = build_scalar_space(tmesh, 1)
-    assert set(dmap.boundary_dofs) == set(range(8))
-
-
-def test_vector_boundary_dofs_pair_scalar():
-    tmesh = unit_square_tri()
-    vmap = build_vector_space(tmesh, 3)
-    smap = build_scalar_space(tmesh, 3)
-    expected = np.sort(np.concatenate(
-        [2 * smap.boundary_dofs, 2 * smap.boundary_dofs + 1]))
-    assert np.array_equal(vmap.boundary_dofs, expected)
+    assert set(boundary_dofs(tmesh, 1)) == set(range(8))
 
 
 # ---------------------------------------------------------------- W_h basis
@@ -217,24 +216,25 @@ def test_wh_basis_satisfies_center_constraint(k):
     tmesh = criss_cross(perturb_quad_grid(
         build_rect_grid(0, 0, 1, 1, 2, 2), 0.2, seed=6))
     wh = build_wh_space(tmesh, k)
+    n = k * (k + 1) // 2
     # center value of slot s is disc coefficient s*n_disc + 2
-    ell = np.zeros(4 * wh.n_disc_local)
-    ell[wh.constraint_indices] = wh.constraint_signs
-    residual = ell @ wh.local_basis
+    ell = np.zeros(4 * n)
+    ell[np.arange(4) * n + 2] = CENTER_SIGNS
+    residual = ell @ local_basis(wh)
     assert np.abs(residual).max() < 1e-12
-    assert np.linalg.matrix_rank(wh.local_basis) == wh.n_local
+    assert np.linalg.matrix_rank(local_basis(wh)) == wh.n_local
 
 
 def test_checkerboard_violates_constraint():
     tmesh = unit_square_tri()
     wh = build_wh_space(tmesh, 2)
-    n = wh.n_disc_local
+    n = 3                                        # nodes of P_1 per triangle
     cb = np.tile([-1.0, 1.0, -1.0, 1.0], (n, 1)).T.ravel()
     ell = np.zeros(4 * n)
-    ell[wh.constraint_indices] = wh.constraint_signs
+    ell[np.arange(4) * n + 2] = CENTER_SIGNS
     assert ell @ cb == -4.0
     # hence no coefficient vector of the basis reproduces it
-    coeffs, residual, *_ = np.linalg.lstsq(wh.local_basis, cb, rcond=None)
+    coeffs, residual, *_ = np.linalg.lstsq(local_basis(wh), cb, rcond=None)
     assert residual[0] > 0.1
 
 
@@ -242,10 +242,10 @@ def test_wh_restriction_shape_and_blocks():
     tmesh = criss_cross(build_rect_grid(0, 0, 1, 1, 2, 1))
     wh = build_wh_space(tmesh, 2)
     R = wh.restriction.toarray()
-    assert R.shape == (tmesh.n_triangles * wh.n_disc_local, wh.n_dofs)
-    m = 4 * wh.n_disc_local
+    n_disc = 3                                   # nodes of P_1 per triangle
+    assert R.shape == (tmesh.n_triangles * n_disc, wh.n_dofs)
+    m = 4 * n_disc
     # block diagonal with identical blocks
-    assert_allclose(R[:m, : wh.n_local], wh.local_basis)
-    assert_allclose(R[m:, wh.n_local:], wh.local_basis)
+    assert_allclose(R[m:, wh.n_local:], R[:m, : wh.n_local])
     assert np.all(R[:m, wh.n_local:] == 0)
     assert np.all(R[m:, : wh.n_local] == 0)
