@@ -350,8 +350,12 @@ def test_only_a_failed_count_is_an_uncertified_count(monkeypatch):
     spec = shift_invert_lanczos(lu, A, sigma=1.0, n_eigs=3)
     assert spec.inertia is None and spec.doubts == []
     monkeypatch.setattr(eigsolve, "_inertia", lambda lu: None)
-    spec = solve_fem2(square_tri(4), 2, 3, backend="lanczos")
+    tmesh = square_tri(4)
+    spec = solve_fem2(tmesh, 2, 3, backend="lanczos")
     assert spec.inertia is None
+    # with no count to read, the kernel dimension is still reported
+    assert spec.zero_count == dim_sigma(2, tmesh.n_quad_vertices,
+                                        tmesh.n_quad_edges, tmesh.n_quads) - 1
     assert spec.doubts == ["an off-diagonal pivot leaves the eigenvalue "
                            "count below sigma uncertified"]
 
