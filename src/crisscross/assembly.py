@@ -6,7 +6,9 @@ zeros and the stored pattern never depends on the values.  Each form is
 integrated with ``quad_rule(2 * k)``, k the degree of its Lagrange space,
 which is exact for every one of them.  The divergence is integrated once,
 into per-triangle blocks (``_div_blocks``), and the div-div matrix and both
-divergence couplings are linear maps of those blocks."""
+divergence couplings are linear maps of those blocks.  The divergence-image
+coupling and mass are per-quad blocks of the one local basis every quad
+shares (``WhBasis.basis``), each stored whole."""
 
 from __future__ import annotations
 
@@ -265,61 +267,52 @@ def assemble_orthonormal_div(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     return _assemble(plan, E)
 
 
-def _restricted(R: sp.spmatrix, X: sp.csr_matrix) -> sp.csr_matrix:
-    """R^T X on the symbolic pattern of the product: every stored R[i, w]
-    meets every stored X[i, j], and those products are summed through a
-    scatter plan, so sums that cancel stay stored and the pattern is that of
-    |R|^T |X| whatever the values."""
-    R = R.tocoo()
-    counts = np.diff(X.indptr)[R.row]
-    at = np.arange(counts.sum()) + np.repeat(
-        X.indptr[R.row] - (np.cumsum(counts) - counts), counts)
-    plan = _scatter_plan(np.repeat(R.col, counts)[:, None],
-                         X.indices[at][:, None], (R.shape[1], X.shape[1]))
-    return _assemble(plan, np.repeat(R.data, counts) * X.data[at])
+def _quad_blocks(wh: WhBasis, slot_blocks: np.ndarray) -> np.ndarray:
+    """Phi_s^T X_t for each triangle t = 4q + s and its slot's rows Phi_s of
+    the shared W_h basis (``WhBasis.basis``), from the per-triangle blocks
+    X (T, n_disc, c), as (Q, 4, n_local, c)."""
+    phi = wh.basis.reshape(4, -1, wh.n_local).transpose(0, 2, 1)
+    return phi @ slot_blocks.reshape(-1, 4, *slot_blocks.shape[1:])
 
 
-def assemble_div_coupling(vspace: DofMap, testspace,
+def assemble_div_coupling(vspace: DofMap, wh: WhBasis,
                           tmesh: TriMesh) -> sp.csr_matrix:
-    """Coupling D with D[i, j] = (div phi_j, q_i).
+    """Coupling D with D[i, j] = (div phi_j, q_i) for the W_h basis q.
 
-    The test space is either the full discontinuous P_{k-1} space or the
-    constrained divergence-image basis (rows compressed through its
-    restriction matrix, on the symbolic pattern of the product).  The nodal
-    basis is N = sqrt|t| psi L^T in the orthonormal one of ``_div_blocks``,
-    so triangle t's block is sqrt|t| L E_t.
+    The nodal P_{k-1} basis is N = sqrt|t| psi L^T in the orthonormal one of
+    ``_div_blocks``, so triangle t's nodal block is sqrt|t| L E_t, and quad
+    q's block sums Phi_s^T sqrt|t| L E_t over its slots s.  It is scattered
+    whole: each row of quad q stores every vector dof of the quad, in the
+    same sorted order, so ``D.data`` reshaped (Q, n_local, columns) is the
+    array of quad blocks.
     """
     if vspace.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    if isinstance(testspace, WhBasis):
-        if testspace.degree != vspace.degree:
-            raise ValueError("pressure basis degree does not match the vector space")
-        disc = build_disc_space(tmesh, testspace.degree - 1)
-    elif getattr(testspace, "kind", None) == "disc":
-        if testspace.degree != vspace.degree - 1:
-            raise ValueError("test space degree must be one below the vector space")
-        disc = testspace
-    else:
-        raise TypeError("testspace must be a WhBasis or a disc DofMap")
+    if wh.degree != vspace.degree:
+        raise ValueError("pressure basis degree does not match the vector space")
     E, L = _div_blocks(tmesh, vspace.degree)
     area, _ = _geometry(tmesh)
-    element = np.sqrt(area)[:, None, None] * (L @ E)
-    plan = _scatter_plan(disc.cell_dofs, vspace.cell_dofs,
-                         (disc.n_dofs, vspace.n_dofs))
-    D = _assemble(plan, element)
-    if isinstance(testspace, WhBasis):
-        return _restricted(testspace.restriction, D)
-    return D
+    blocks = _quad_blocks(wh, np.sqrt(area)[:, None, None] * (L @ E))
+    Q = tmesh.n_quads
+    rows = np.arange(wh.n_dofs).reshape(Q, wh.n_local)
+    plan = _scatter_plan(rows, vspace.cell_dofs.reshape(Q, -1),
+                         (wh.n_dofs, vspace.n_dofs))
+    # the columns of quad q are its slots' vector dofs, slot by slot
+    blocks = blocks.transpose(0, 2, 1, 3).reshape(Q, wh.n_local, -1)
+    return _assemble(plan, blocks)
 
 
 def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh) -> sp.csr_matrix:
-    """L2 mass matrix R^T G R of the divergence-image basis (block diagonal
-    per quad), G the mass of the discontinuous P_{k-1} space, on the
-    symbolic pattern of the product."""
-    disc = build_disc_space(tmesh, wh.degree - 1)
-    G = assemble_scalar_mass(disc, tmesh)
-    R = wh.restriction
-    return _restricted(R, _restricted(R, G).T.tocsr())   # G^T = G
+    """L2 mass matrix of the divergence-image basis, block diagonal: quad
+    q's block is the sum over its slots of Phi_s^T G_t Phi_s, G_t the
+    P_{k-1} mass of triangle t.  The blocks are stored whole, so
+    ``M.data`` reshaped (Q, n_local, n_local) is the array of them."""
+    G = _mass_elements(build_disc_space(tmesh, wh.degree - 1), tmesh)
+    phi = wh.basis.reshape(4, -1, wh.n_local)
+    blocks = _quad_blocks(wh, G) @ phi
+    rows = np.arange(wh.n_dofs).reshape(tmesh.n_quads, wh.n_local)
+    plan = _scatter_plan(rows, rows, (wh.n_dofs, wh.n_dofs))
+    return _assemble(plan, blocks.sum(axis=1), symmetric=True)
 
 
 def write_matrix_market(mat, path) -> None:

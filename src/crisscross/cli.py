@@ -89,10 +89,17 @@ class StudyConfig:
                    error=ConfigError)
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive and finite")
-        if self.expect_rate is not None and len(self.expect_rate) != 2:
-            raise ConfigError("--expect-rate must be a lo:hi pair")
+        if self.expect_rate is not None and (
+                len(self.expect_rate) != 2
+                or not all(map(math.isfinite, self.expect_rate))
+                or self.expect_rate[0] > self.expect_rate[1]):
+            raise ConfigError("--expect-rate must be a finite lo:hi pair "
+                              "with lo <= hi")
         if self.exact and self.domain != "lshape":
             raise ConfigError("--exact needs --domain lshape")
+        if self.exact and not all(math.isfinite(x) and x > 0
+                                  for x in self.exact):
+            raise ConfigError("--exact targets must be positive and finite")
         if (self.perturb != StudyConfig.perturb
                 and self.domain != "square-perturbed"):
             raise ConfigError("--perturb needs --domain square-perturbed")
@@ -144,6 +151,14 @@ class LevelResult:
     runtime: float
 
 
+def _cell(values, i: int, spec: str) -> str:
+    """Entry i of a column formatted by ``spec``; empty where the column or
+    the entry is missing (no target, or a rate not taken)."""
+    if values is None or math.isnan(values[i]):
+        return ""
+    return format(values[i], spec)
+
+
 @dataclass
 class StudyReport:
     config: StudyConfig
@@ -153,11 +168,8 @@ class StudyReport:
         lines = [CSV_HEADER]
         for row in self.rows:
             for i, lam in enumerate(row.lambdas):
-                exact = "" if row.exact is None else f"{row.exact[i]:.17g}"
-                err = "" if row.errors is None else f"{row.errors[i]:.17g}"
-                rate = ""
-                if row.rates is not None and not math.isnan(row.rates[i]):
-                    rate = f"{row.rates[i]:.17g}"
+                exact, err, rate = (_cell(values, i, ".17g") for values in
+                                    (row.exact, row.errors, row.rates))
                 lines.append(
                     f"{row.level},{row.h:.17g},{i + 1},{lam:.17g},{exact},{err},{rate}"
                 )
@@ -275,8 +287,7 @@ def _print_eig_table(row: LevelResult) -> None:
     print(f"level n={row.level}  h={row.h:.6g}  ({row.runtime:.2f}s)")
     print(f"{'i':>3} {'lambda_h':>22} {'exact':>10} {'abs_error':>14}")
     for i, lam in enumerate(row.lambdas):
-        exact = f"{row.exact[i]:.6g}" if row.exact is not None else ""
-        err = f"{row.errors[i]:.8e}" if row.errors is not None else ""
+        exact, err = _cell(row.exact, i, ".6g"), _cell(row.errors, i, ".8e")
         print(f"{i + 1:>3} {lam:>22.16g} {exact:>10} {err:>14}")
 
 
@@ -293,9 +304,7 @@ def cmd_converge(config: StudyConfig) -> tuple[StudyReport, int]:
     code = EXIT_OK
     print(f"{'n':>5} {'h':>12} {'lambda_1':>22} {'error_1':>14} {'rate_1':>8}")
     for row in rows:
-        rate = ""
-        if row.rates is not None and not math.isnan(row.rates[0]):
-            rate = f"{row.rates[0]:.4f}"
+        rate = _cell(row.rates, 0, ".4f")
         print(f"{row.level:>5} {row.h:>12.6g} {row.lambdas[0]:>22.16g} "
               f"{row.errors[0]:>14.6e} {rate:>8}")
     if config.expect_rate is not None:

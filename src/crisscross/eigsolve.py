@@ -240,30 +240,6 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
     return L
 
 
-def _inverse_cholesky(M: sp.csr_matrix, b: int) -> sp.csr_matrix:
-    """L^-1 for M = L L^T, M block diagonal with square blocks of size b
-    (the W_h mass, one block per quad), as CSR that stores each block
-    whole, zeros above its diagonal included.  The blocks are factored and
-    inverted by batched LAPACK calls and the CSR arrays are written in
-    canonical order, so nothing is sorted.  A block that is not positive
-    definite raises ``SolverError``.
-    """
-    n = M.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(M.indptr))
-    blocks = np.zeros((n // b, b, b))
-    blocks.reshape(-1)[rows * b + M.indices % b] = M.data
-    try:
-        L = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("a block of the mass is not positive "
-                          "definite") from exc
-    # the inverse is lower triangular; tril drops the pivoting round-off
-    data = np.tril(np.linalg.inv(L)).ravel()
-    indices = np.repeat(np.arange(n).reshape(-1, b), b, axis=0).ravel()
-    indptr = np.arange(0, n * b + 1, b)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
 def _mirror_lower(S: np.ndarray) -> None:
     """Copy the lower triangle of the square S onto its upper triangle in
     place, one block of columns at a time, so S is exactly symmetric."""
@@ -521,27 +497,6 @@ def _solve_pencil(form: str, tmesh: TriMesh, k: int, n_eigs: int,
                    uncertified=inertia is None)
 
 
-def _principal(K, M, keep: np.ndarray):
-    """The rows and columns ``keep`` (ascending) of K and M, two CSR
-    matrices on one pattern with sorted indices, selected in one pass.
-
-    The kept entries keep their order and their stored zeros, and the two
-    results share one ``indices`` and ``indptr``; neither may be changed in
-    place.
-    """
-    index = np.full(K.shape[0], -1, dtype=K.indices.dtype)
-    index[keep] = np.arange(len(keep), dtype=index.dtype)
-    rows = np.repeat(index, np.diff(K.indptr))
-    cols = index[K.indices]
-    stored = (rows >= 0) & (cols >= 0)
-    indptr = np.zeros(len(keep) + 1, dtype=K.indptr.dtype)
-    np.cumsum(np.bincount(rows[stored], minlength=len(keep)), out=indptr[1:])
-    indices = cols[stored]
-    shape = (len(keep), len(keep))
-    return (sp.csr_matrix((K.data[stored], indices, indptr), shape=shape),
-            sp.csr_matrix((M.data[stored], indices, indptr), shape=shape))
-
-
 def _fem2_pencil(tmesh: TriMesh, k: int, dense: bool):
     """The div-div and vector mass pair on every vector dof.  The discrete
     complex is exact, so the kernel is curl Sigma_h, of dimension
@@ -567,8 +522,10 @@ def _fem1_pencil(tmesh: TriMesh, k: int, dense: bool):
     A the vector mass.  Its nonzero spectrum is that of the pressure form
     (D A^-1 D^T, M), since D~ A^-1 D~^T = L^-1 D A^-1 D^T L^-T, and
     div V_h = W_h makes D~ onto, so the kernel has dimension
-    dim V_h - dim W_h.  M is block diagonal per quad, so L^-1 costs one
-    small factor per quad (``_inverse_cholesky``).  The ``dense`` route is
+    dim V_h - dim W_h.  D and M store every quad's block whole, so their
+    ``data`` are the arrays of quad blocks, and L^-1 costs one batched
+    Cholesky factor and inverse of the small M blocks.  D~ keeps D's pattern
+    less the exact zeros of the whitened blocks.  The ``dense`` route is
     refused above ``DENSE_CAP`` pressure unknowns before anything is
     assembled; the explicit B is what ``--export-matrices`` writes."""
     wh = build_wh_space(tmesh, k)
@@ -577,21 +534,34 @@ def _fem1_pencil(tmesh: TriMesh, k: int, dense: bool):
     space = build_vector_space(tmesh, k)
     A = assemble_vector_mass(space, tmesh)
     D = assemble_div_coupling(space, wh, tmesh)
-    div = _inverse_cholesky(assemble_wh_mass(wh, tmesh), wh.n_local) @ D
+    b = wh.n_local
+    try:
+        L = np.linalg.cholesky(
+            assemble_wh_mass(wh, tmesh).data.reshape(-1, b, b))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("a block of the mass is not positive "
+                          "definite") from exc
+    # D~ = L^-1 D overwrites D's quad blocks; the inverse is lower
+    # triangular, and tril drops the pivoting round-off
+    Linv = np.tril(np.linalg.inv(L))
+    D.data = (Linv @ D.data.reshape(len(L), b, -1)).ravel()
+    D.eliminate_zeros()
     kernel_dim = space.n_dofs - wh.n_dofs
     if dense:
-        return None, A, kernel_dim, div
-    return (div.T @ div).tocsr(), A, kernel_dim, None
+        return None, A, kernel_dim, D
+    return (D.T @ D).tocsr(), A, kernel_dim, None
 
 
 def _primal_pencil(tmesh: TriMesh, k: int, dense: bool):
-    """The stiffness and mass on the interior dofs (``_principal``), which
-    have no kernel; both backends read the same pencil."""
+    """The stiffness and mass on the interior dofs, which have no kernel;
+    both backends read the same pencil.  Both are one selection from one
+    assembled pattern, which keeps stored zeros and depends on the pattern
+    alone, so M takes K's pattern arrays and the pencil holds them once."""
     space = build_scalar_space(tmesh, k)
     interior = np.setdiff1d(np.arange(space.n_dofs), boundary_dofs(tmesh, k))
-    K = assemble_scalar_stiffness(space, tmesh)
-    M = assemble_scalar_mass(space, tmesh)
-    return *_principal(K, M, interior), 0, None
+    K = assemble_scalar_stiffness(space, tmesh)[interior][:, interior]
+    M = assemble_scalar_mass(space, tmesh)[interior][:, interior]
+    return K, sp.csr_matrix((M.data, K.indices, K.indptr), K.shape), 0, None
 
 
 # The one list of which forms, degrees and backends run.  A row holds a

@@ -4,7 +4,9 @@ divergence-image space on criss-cross meshes.
 Scalar and vector Lagrange spaces are continuous; the divergence-image space
 is discontinuous and quad-local: per quad it is the full piecewise P_{k-1}
 space minus one dimension, cut out by the alternating point condition at the
-criss-cross center (value from bottom + top = left + right).
+criss-cross center (value from bottom + top = left + right).  Every quad
+uses one local basis of it, so the space is that basis and its dimension;
+no global matrix is built for it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import TriMesh
 from .refelem import MAX_DEGREE
@@ -58,16 +59,16 @@ class WhBasis:
 
     Every quad carries the same local basis: the discontinuous per-triangle
     P_{k-1} nodal basis with the center-node function of the right slot
-    eliminated through the alternating constraint.  ``restriction`` maps
-    these basis coefficients to coefficients in the global discontinuous
-    space (``build_disc_space``); its first block of 4 n_disc rows and
-    ``n_local`` columns is that shared local basis, n_disc = k(k+1)/2.
+    eliminated through the alternating constraint.  ``basis`` holds its
+    coefficients in the nodal P_{k-1} basis of the quad's four triangles,
+    slot s in rows s n_disc to (s + 1) n_disc, n_disc = k(k+1)/2; the W_h
+    dofs of quad q are q n_local to (q + 1) n_local.
     """
 
     degree: int               # k of the vector space; local polynomials are P_{k-1}
     n_dofs: int
     n_local: int              # per-quad dimension, 4*k*(k+1)/2 - 1
-    restriction: sp.csr_matrix  # (T*n_disc, n_dofs) block diagonal
+    basis: np.ndarray         # (4*n_disc, n_local), shared by every quad
 
 
 def _check_degree(k: int) -> None:
@@ -165,37 +166,21 @@ def build_wh_space(tmesh: TriMesh, k: int) -> WhBasis:
         raise ValueError("the divergence-image basis is built for k in {2, 3}")
     n_disc = k * (k + 1) // 2            # nodes of P_{k-1} per triangle
     m = 4 * n_disc
-    Q = tmesh.n_quads
 
     # the triangulation is quad-major (triangle t is slot t % 4 of quad
-    # t // 4), so the restriction is block diagonal with one block per quad
-    centers = tmesh.n_quad_vertices + np.arange(Q)
+    # t // 4), so quad q's basis lives on triangles 4q to 4q + 3
+    centers = tmesh.n_quad_vertices + np.arange(tmesh.n_quads)
     if not np.array_equal(tmesh.triangles[:, 2], np.repeat(centers, 4)):
         raise ValueError("center vertex is not local vertex 2 of each triangle")
 
     # local vertex 2 is the center, and vertex nodes lead the node order, so
     # the center value of slot s is disc coefficient s*n_disc + 2
     elim = 3 * n_disc + 2
-    keep = [j for j in range(m) if j != elim]
-    basis = np.zeros((m, m - 1))
     ell = np.zeros(m)
     ell[np.arange(4) * n_disc + 2] = CENTER_SIGNS
-    for col, j in enumerate(keep):
-        basis[j, col] = 1.0
-        basis[elim, col] = ell[j]       # solves ell . column = 0
-
-    # kron(I_Q, basis) written straight as CSR, with no sparse product
-    local = sp.csr_matrix(basis)
-    quads = np.arange(Q)[:, None]
-    indptr = np.append((quads * local.nnz + local.indptr[:-1]).ravel(),
-                       Q * local.nnz)
-    restriction = sp.csr_matrix(
-        (np.tile(local.data, Q), (quads * (m - 1) + local.indices).ravel(),
-         indptr), shape=(Q * m, Q * (m - 1)))
-
-    return WhBasis(
-        degree=k,
-        n_dofs=Q * (m - 1),
-        n_local=m - 1,
-        restriction=restriction,
-    )
+    # unit vectors of the kept coefficients, each with the value at elim
+    # that solves ell . column = 0 (ell[elim] = -1)
+    basis = np.delete(np.eye(m), elim, axis=1)
+    basis[elim] = np.delete(ell, elim)
+    return WhBasis(degree=k, n_dofs=tmesh.n_quads * (m - 1), n_local=m - 1,
+                   basis=basis)

@@ -1,17 +1,21 @@
 """Finite element functions for tests: reference and physical node
-coordinates, pointwise evaluation, nodal interpolation, and the L2
-projection onto the divergence-image space, and the divergence image on one
-quad; and the traced peak memory of one call.  The library itself never
-evaluates or projects a function, so these live beside the tests that use
+coordinates, pointwise evaluation, nodal interpolation, the global matrices
+of the divergence-image basis and of the divergence into the discontinuous
+P_{k-1} space, the L2 projection onto the divergence-image space, and the
+divergence image on one quad; and the traced peak memory of one call.  The
+library itself never evaluates or projects a function and builds the
+divergence-image space per quad, so these live beside the tests that use
 them."""
 
 import tracemalloc
 
 import numpy as np
+import scipy.sparse as sp
 
 from crisscross.assembly import (
+    _div_blocks,
     _geometry,
-    assemble_div_coupling,
+    assemble_orthonormal_div,
     assemble_scalar_mass,
     assemble_wh_mass,
 )
@@ -66,6 +70,23 @@ def interpolate_vector(tmesh: TriMesh, dmap: DofMap, f) -> np.ndarray:
     return out
 
 
+def wh_restriction(wh: WhBasis) -> sp.csr_matrix:
+    """The map of W_h coefficients to the coefficients of the discontinuous
+    P_{k-1} space (``build_disc_space``): the shared local basis on the
+    diagonal, once per quad, kron(I_Q, basis)."""
+    return sp.kron(sp.identity(wh.n_dofs // wh.n_local), wh.basis, "csr")
+
+
+def disc_coupling(vspace: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
+    """The divergence coupling (div phi_j, N_i) against the nodal basis N of
+    the discontinuous P_{k-1} space: N = sqrt|t| psi L^T on triangle t in
+    the orthonormal basis psi of ``assemble_orthonormal_div``, so it is
+    blockdiag(sqrt|t| L) times that matrix."""
+    L = _div_blocks(tmesh, vspace.degree)[1]
+    scale = sp.kron(sp.diags(np.sqrt(_geometry(tmesh)[0])), L, "csr")
+    return (scale @ assemble_orthonormal_div(vspace, tmesh)).tocsr()
+
+
 def l2_project_wh(f, wh: WhBasis, tmesh: TriMesh, rule: QuadRule) -> np.ndarray:
     """L2-orthogonal projection of a callable f(x, y) onto the constrained
     space; solves one small Gram system per quad."""
@@ -77,7 +98,7 @@ def l2_project_wh(f, wh: WhBasis, tmesh: TriMesh, rule: QuadRule) -> np.ndarray:
     fvals = np.asarray(f(coords[:, :, 0], coords[:, :, 1]), dtype=float)
     b_disc = np.einsum("q,t,tq,qm->tm", rule.weights, area, fvals, vals).ravel()
 
-    b_wh = wh.restriction.T @ b_disc
+    b_wh = wh_restriction(wh).T @ b_disc
     gram = assemble_wh_mass(wh, tmesh)
     m = wh.n_local
     blocks = np.stack([gram[q * m:(q + 1) * m, q * m:(q + 1) * m].toarray()
@@ -97,8 +118,7 @@ def local_divergence_image(corners, k: int):
     vspace = build_vector_space(tmesh, k)
     G = assemble_scalar_mass(disc, tmesh).toarray()
     # nodal P_{k-1} coefficients of the divergence of each basis field
-    div = np.linalg.solve(
-        G, assemble_div_coupling(vspace, disc, tmesh).toarray())
+    div = np.linalg.solve(G, disc_coupling(vspace, tmesh).toarray())
     n_disc = disc.cell_dofs.shape[1]
     centre = div[[s * n_disc + 2 for s in range(4)]]  # vertex 2 per slot
     residual = np.abs([1.0, -1.0, 1.0, -1.0] @ centre) / np.abs(div).max(axis=0)

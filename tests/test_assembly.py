@@ -35,7 +35,13 @@ from crisscross.mesh import (
 )
 from crisscross.refelem import quad_rule, tabulate_shapes
 
-from fe_helpers import interpolate_vector, l2_project_wh, traced_peak
+from fe_helpers import (
+    disc_coupling,
+    interpolate_vector,
+    l2_project_wh,
+    traced_peak,
+    wh_restriction,
+)
 
 PI = math.pi
 
@@ -95,12 +101,13 @@ def dense_gram_oracle(tmesh, dmap, form):
     per-pair accumulation into a dense array.  ``coupling`` tests the
     divergence of the vector space ``dmap`` against the discontinuous
     P_{k-1} space; ``wh_mass`` takes a W_h basis, whose mass is the P_{k-1}
-    mass compressed through its restriction.
+    mass compressed through its restriction (``wh_restriction``).
     """
     if form == "wh_mass":
         G = dense_gram_oracle(tmesh, build_disc_space(tmesh, dmap.degree - 1),
                               "mass")
-        return np.asarray(dmap.restriction.T @ G @ dmap.restriction)
+        R = wh_restriction(dmap)
+        return np.asarray(R.T @ G @ R)
     rule = quad_rule(10)
     vals, ref_grads = tabulate_shapes(dmap.degree, rule.points)
     rows = dmap
@@ -170,12 +177,12 @@ def test_coupling_and_wh_mass_match_dense_oracle(k):
     for tmesh in (small_perturbed_tri(), unit_square_tri()):
         vspace = build_vector_space(tmesh, k)
         wh = build_wh_space(tmesh, k)
-        D = assemble_div_coupling(vspace, build_disc_space(tmesh, k - 1),
-                                  tmesh)
-        M = assemble_wh_mass(wh, tmesh)
-        assert_allclose(D.toarray(),
-                        dense_gram_oracle(tmesh, vspace, "coupling"),
+        coupling = dense_gram_oracle(tmesh, vspace, "coupling")
+        assert_allclose(disc_coupling(vspace, tmesh).toarray(), coupling,
                         atol=1e-12)
+        assert_allclose(assemble_div_coupling(vspace, wh, tmesh).toarray(),
+                        wh_restriction(wh).T @ coupling, atol=1e-12)
+        M = assemble_wh_mass(wh, tmesh)
         assert_allclose(M.toarray(), dense_gram_oracle(tmesh, wh, "wh_mass"),
                         atol=1e-12)
 
@@ -253,7 +260,7 @@ def test_coupling_linear_field_against_indicator():
     tmesh = unit_square_tri()
     dmap = build_vector_space(tmesh, 2)
     disc = build_disc_space(tmesh, 1)
-    D = assemble_div_coupling(dmap, disc, tmesh)
+    D = disc_coupling(dmap, tmesh)
     v = interpolate_vector(tmesh, dmap, lambda x, y: (x, 0 * y))
     moments = D @ v
     areas = tmesh.tri_areas()
@@ -268,8 +275,7 @@ def test_coupling_rank_equals_wh_dimension(k):
     tmesh = small_perturbed_tri()
     dmap = build_vector_space(tmesh, k)
     wh = build_wh_space(tmesh, k)
-    disc = build_disc_space(tmesh, k - 1)
-    D_full = assemble_div_coupling(dmap, disc, tmesh).toarray()
+    D_full = disc_coupling(dmap, tmesh).toarray()
     s = np.linalg.svd(D_full, compute_uv=False)
     rank = int(np.count_nonzero(s > 1e-9 * s[0]))
     assert rank == wh.n_dofs
@@ -297,7 +303,7 @@ def test_projection_idempotent_on_members():
     rule = quad_rule(4)
     rng = np.random.default_rng(12)
     coeffs = rng.standard_normal(wh.n_dofs)
-    disc_coeffs = wh.restriction @ coeffs
+    disc_coeffs = wh_restriction(wh) @ coeffs
 
     # evaluate the member as a callable via nodal data per triangle
     def member(x, y):
@@ -346,7 +352,7 @@ def test_projection_reproduces_divergence_of_random_field():
     assert_allclose(projected, p, atol=1e-10)
     # div v lies in the space, so the projection reproduces it pointwise:
     # its disc expansion must satisfy the center constraint exactly
-    disc = wh.restriction @ projected
+    disc = wh_restriction(wh) @ projected
     n = k * (k + 1) // 2                 # nodes of P_{k-1} per triangle
     for q in range(tmesh.n_quads):
         vals_at_center = [disc[(4 * q + s) * n + 2] for s in range(4)]
@@ -366,7 +372,7 @@ def test_projection_of_checkerboard_misses():
         return np.broadcast_to(signs[:, None], x.shape).copy()
 
     coeffs = l2_project_wh(checkerboard, wh, tmesh, rule)
-    disc = wh.restriction @ coeffs
+    disc = wh_restriction(wh) @ coeffs
     # residual norm = L2 distance from the space, strictly positive
     M = assemble_wh_mass(wh, tmesh).toarray()
     norm_proj = math.sqrt(coeffs @ (M @ coeffs))
@@ -472,25 +478,32 @@ def test_fem2_pencil_assembly_peak_memory():
 ])
 @pytest.mark.parametrize("k", [2, 3])
 def test_wh_coupling_stores_the_symbolic_product_pattern(domain, n, k):
-    # R^T D keeps every product of stored entries, also where the values
-    # cancel, so its pattern does not depend on rounding
+    # the W_h coupling and mass keep every quad's block whole, the symbolic
+    # pattern of the quad-block restriction (each block dense) times the
+    # full P_{k-1} coupling and mass, also where the values are zero, so
+    # their patterns do not depend on rounding and their data are the
+    # arrays of quad blocks
     def stored(m):
         m = sp.csr_matrix(m)
         return sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), m.shape)
 
     tmesh = build_mesh(StudyConfig(domain=domain), n)
     vspace, wh = build_vector_space(tmesh, k), build_wh_space(tmesh, k)
-    D = assemble_div_coupling(vspace, build_disc_space(tmesh, k - 1), tmesh)
-    R = wh.restriction
-    coupling = assemble_div_coupling(vspace, wh, tmesh)
-    symbolic = (stored(R).T @ stored(D)).tocsr()
-    symbolic.sort_indices()
-    assert coupling.has_canonical_format
-    assert np.array_equal(coupling.indptr, symbolic.indptr)
-    assert np.array_equal(coupling.indices, symbolic.indices)
-    expected = (R.T @ D).toarray()
-    assert_allclose(coupling.toarray(), expected, rtol=0,
-                    atol=1e-15 * np.abs(expected).max())
+    D = disc_coupling(vspace, tmesh)
+    R = wh_restriction(wh)
+    blocks = sp.kron(sp.identity(tmesh.n_quads), np.ones(wh.basis.shape))
+    for assembled, full in [
+            (assemble_div_coupling(vspace, wh, tmesh), D),
+            (assemble_wh_mass(wh, tmesh),
+             assemble_scalar_mass(build_disc_space(tmesh, k - 1), tmesh) @ R)]:
+        symbolic = (stored(blocks).T @ stored(full)).tocsr()
+        symbolic.sort_indices()
+        assert assembled.has_canonical_format
+        assert np.array_equal(assembled.indptr, symbolic.indptr)
+        assert np.array_equal(assembled.indices, symbolic.indices)
+        expected = (R.T @ full).toarray()
+        assert_allclose(assembled.toarray(), expected, rtol=0,
+                        atol=1e-15 * np.abs(expected).max())
 
 
 def test_sparse_matrix_symmetry_flag():
@@ -526,5 +539,3 @@ def test_coupling_rejects_degree_mismatch():
     wh2 = build_wh_space(tmesh, 2)
     with pytest.raises(ValueError, match="degree"):
         assemble_div_coupling(v3, wh2, tmesh)
-    with pytest.raises(ValueError, match="degree"):
-        assemble_div_coupling(v3, build_disc_space(tmesh, 1), tmesh)

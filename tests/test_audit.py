@@ -5,11 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from crisscross import eigsolve
-from crisscross.assembly import assemble_div_coupling, assemble_divdiv
+from crisscross.assembly import assemble_divdiv
 from crisscross.audit import exactness_check, spurious_scan, square_exact_spectrum
 from crisscross.eigsolve import SolverError, solve_fem2
 from crisscross.fespace import (
-    build_disc_space,
     build_vector_space,
     build_wh_space,
     dim_sigma,
@@ -23,7 +22,7 @@ from crisscross.mesh import (
 )
 from crisscross.refelem import tabulate_shapes
 
-from fe_helpers import interpolate_vector, local_divergence_image
+from fe_helpers import disc_coupling, interpolate_vector, local_divergence_image
 
 PI = math.pi
 
@@ -53,8 +52,7 @@ def dense_counts(tmesh, k, rtol=1e-9):
     """Oracle: SVD rank of the divergence coupling D and eigvalsh nullity
     of the div-div matrix B, both dense."""
     vspace = build_vector_space(tmesh, k)
-    D = assemble_div_coupling(vspace, build_disc_space(tmesh, k - 1),
-                              tmesh).toarray()
+    D = disc_coupling(vspace, tmesh).toarray()
     s = np.linalg.svd(D, compute_uv=False)
     evals = np.linalg.eigvalsh(assemble_divdiv(vspace, tmesh).toarray())
     return (int(np.count_nonzero(s > rtol * s[0])),

@@ -381,6 +381,50 @@ def test_exact_off_lshape_refused(tmp_path, capsys):
     StudyConfig(domain="lshape", exact=[9.0]).validate()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--levels", "2,4", "--expect-rate", "5:3"], "--expect-rate"),
+    (["converge", "--levels", "2,4", "--expect-rate", "nan:5"],
+     "--expect-rate"),
+    (["converge", "--levels", "2,4", "--expect-rate", "3:inf"],
+     "--expect-rate"),
+    (["eig", "--domain", "lshape", "--levels", "2", "--exact", "nan,inf"],
+     "--exact"),
+    (["eig", "--domain", "lshape", "--levels", "2", "--exact", "3.9,inf"],
+     "--exact"),
+    (["converge", "--domain", "lshape", "--levels", "1,2", "--exact", "0"],
+     "--exact"),
+    (["eig", "--domain", "lshape", "--levels", "2", "--exact", "9,-1"],
+     "--exact"),
+], ids=["rate-reversed", "rate-nan", "rate-inf", "exact-nan-inf",
+        "exact-inf", "exact-zero", "exact-negative"])
+def test_bad_targets_refused(tmp_path, capsys, argv, message):
+    # a reversed rate window used to fail the run (exit 1) after solving,
+    # and targets that are not finite printed nan and inf columns (exit 0)
+    out = tmp_path / "t.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
+def test_rows_beyond_the_exact_targets_are_blank(tmp_path, capsys):
+    # README's CSV schema: exact and abs_error are empty where no target is
+    # known, not nan, in the CSV and in the table
+    out = tmp_path / "l.csv"
+    assert main(["eig", "--domain", "lshape", "--levels", "2", "--neigs", "3",
+                 "--exact", "3.9", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert float(rows[0][4]) == 3.9 and float(rows[0][5]) > 0
+    assert [row[4:6] for row in rows[1:]] == [["", ""], ["", ""]]
+    table = capsys.readouterr().out
+    assert "nan" not in table
+    assert [line.split()[0] for line in table.splitlines()[2:]] == [
+        "1", "2", "3"]
+    assert all(len(line.split()) == 2 for line in table.splitlines()[3:])
+
+
 def test_perturb_off_perturbed_square_refused(tmp_path, capsys):
     out = tmp_path / "p.csv"
     for argv in (["eig", "--levels", "2", "--out", str(out)],

@@ -24,7 +24,6 @@ from crisscross.eigsolve import (
     _dense_window,
     _factor_symmetric,
     _inertia,
-    _inverse_cholesky,
     _shifted,
     _pencil,
     _solve_pencil,
@@ -491,13 +490,28 @@ def test_fem1_dimension_is_wh_dimension():
     assert np.all(spec.eigenvalues > 0)
 
 
-@pytest.mark.parametrize("domain", ["square", "lshape", "square-perturbed"])
+# unrefined meshes on which the Schur complement also meets a dense LU solve
+# of the vector mass, the perturbed one with the most distorted quads the
+# perturbation allows
+_DENSE_ORACLE_MESHES = {
+    "square-perturbed-0.49": lambda: criss_cross(perturb_quad_grid(
+        build_rect_grid(0, 0, PI, PI, 6, 6), 0.49, seed=0)),
+    "lshape-4": lambda: criss_cross(build_lshape_grid(4)),
+}
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape", "square-perturbed",
+                                    "square-perturbed-0.49"])
 @pytest.mark.parametrize("k", [2, 3])
 def test_fem1_flux_pencil_is_the_divdiv_pencil(domain, k):
     # div V_h = W_h, so the W_h projection of div u is div u itself: fem1's
     # B = D~^T D~ = D^T M^-1 D is fem2's div-div matrix, and both pencils
-    # have one kernel, dim V_h - dim W_h = dim Sigma_h - 1
-    tmesh = build_mesh(StudyConfig(domain=domain), 4)
+    # have one kernel, dim V_h - dim W_h = dim Sigma_h - 1; the 0.49 mesh
+    # has triangles of unequal areas within each quad
+    if domain in _DENSE_ORACLE_MESHES:
+        tmesh = _DENSE_ORACLE_MESHES[domain]()
+    else:
+        tmesh = build_mesh(StudyConfig(domain=domain), 4)
     B1, A1, kernel1 = _pencil("fem1", tmesh, k)[:3]
     B2, A2, kernel2 = _pencil("fem2", tmesh, k)[:3]
     assert kernel1 == kernel2
@@ -505,18 +519,30 @@ def test_fem1_flux_pencil_is_the_divdiv_pencil(domain, k):
     assert abs(B1 - B2).max() <= 1e-13 * abs(B2).max()
 
 
-def test_inverse_cholesky_whitens_the_wh_mass():
-    # L^-1 M L^-T = I per quad block, L^-1 lower triangular; a block that is
-    # not positive definite is a solver error, not a bad configuration
-    tmesh = build_mesh(StudyConfig(domain="lshape"), 2)
-    wh = build_wh_space(tmesh, 3)
-    M = assemble_wh_mass(wh, tmesh)
-    Linv = _inverse_cholesky(M, wh.n_local)
-    assert not sp.triu(Linv, 1).data.any()
-    assert_allclose((Linv @ M @ Linv.T).toarray(), np.eye(wh.n_dofs),
-                    rtol=0, atol=1e-12)
-    with pytest.raises(SolverError, match="not positive definite"):
-        _inverse_cholesky(sp.csr_matrix(np.diag([1.0, 2.0, 1.0, -1.0])), 2)
+def test_fem1_whitened_coupling_is_the_wh_mass_solve(monkeypatch):
+    # D~^T D~ = D^T M^-1 D against a dense solve with the assembled W_h
+    # coupling and mass, on quads of unequal triangle areas; a block of the
+    # mass that is not positive definite, here the last quad's, is a solver
+    # error, not a bad configuration
+    tmesh = _DENSE_ORACLE_MESHES["square-perturbed-0.49"]()
+    for k in (2, 3):
+        vspace, wh = build_vector_space(tmesh, k), build_wh_space(tmesh, k)
+        D = assemble_div_coupling(vspace, wh, tmesh).toarray()
+        M = assemble_wh_mass(wh, tmesh).toarray()
+        expected = D.T @ np.linalg.solve(M, D)
+        div = _pencil("fem1", tmesh, k, dense=True)[3]
+        assert_allclose((div.T @ div).toarray(), expected, rtol=0,
+                        atol=1e-13 * np.abs(expected).max())
+
+    def indefinite(wh, tmesh):
+        M = assemble_wh_mass(wh, tmesh)
+        M.data[-wh.n_local ** 2:] *= -1.0
+        return M
+
+    monkeypatch.setattr(eigsolve, "assemble_wh_mass", indefinite)
+    with pytest.raises(SolverError,
+                       match="a block of the mass is not positive definite"):
+        _pencil("fem1", tmesh, 2, dense=True)
 
 
 def test_dense_fem1_peak_memory():
@@ -541,16 +567,6 @@ def test_schur_factor_rejects_non_spd_matrix(matrix):
     A = sp.csr_matrix(np.kron(matrix, np.eye(2)))
     with pytest.raises(SolverError, match="not positive definite"):
         _vector_mass_schur(A, sp.csr_matrix(np.eye(4)))
-
-
-# unrefined meshes on which the Schur complement also meets a dense LU solve
-# of the vector mass, the perturbed one with the most distorted quads the
-# perturbation allows
-_DENSE_ORACLE_MESHES = {
-    "square-perturbed-0.49": lambda: criss_cross(perturb_quad_grid(
-        build_rect_grid(0, 0, PI, PI, 6, 6), 0.49, seed=0)),
-    "lshape-4": lambda: criss_cross(build_lshape_grid(4)),
-}
 
 
 @pytest.mark.parametrize("domain, coupling, k", [

@@ -28,13 +28,6 @@ def unit_square_tri():
     return criss_cross(single_quad_mesh([(0, 0), (1, 0), (1, 1), (0, 1)]))
 
 
-def local_basis(wh):
-    """The basis every quad shares: the first 4 n_disc rows and n_local
-    columns of the restriction, n_disc = k(k+1)/2 nodes of P_{k-1}."""
-    n_disc = wh.degree * (wh.degree + 1) // 2
-    return wh.restriction[:4 * n_disc, :wh.n_local].toarray()
-
-
 def entity_counts(tmesh):
     """Brute-force vertex and edge counts straight from the triangle array."""
     verts = set()
@@ -220,9 +213,10 @@ def test_wh_basis_satisfies_center_constraint(k):
     # center value of slot s is disc coefficient s*n_disc + 2
     ell = np.zeros(4 * n)
     ell[np.arange(4) * n + 2] = CENTER_SIGNS
-    residual = ell @ local_basis(wh)
+    assert wh.basis.shape == (4 * n, wh.n_local)
+    residual = ell @ wh.basis
     assert np.abs(residual).max() < 1e-12
-    assert np.linalg.matrix_rank(local_basis(wh)) == wh.n_local
+    assert np.linalg.matrix_rank(wh.basis) == wh.n_local
 
 
 def test_checkerboard_violates_constraint():
@@ -234,18 +228,5 @@ def test_checkerboard_violates_constraint():
     ell[np.arange(4) * n + 2] = CENTER_SIGNS
     assert ell @ cb == -4.0
     # hence no coefficient vector of the basis reproduces it
-    coeffs, residual, *_ = np.linalg.lstsq(local_basis(wh), cb, rcond=None)
+    coeffs, residual, *_ = np.linalg.lstsq(wh.basis, cb, rcond=None)
     assert residual[0] > 0.1
-
-
-def test_wh_restriction_shape_and_blocks():
-    tmesh = criss_cross(build_rect_grid(0, 0, 1, 1, 2, 1))
-    wh = build_wh_space(tmesh, 2)
-    R = wh.restriction.toarray()
-    n_disc = 3                                   # nodes of P_1 per triangle
-    assert R.shape == (tmesh.n_triangles * n_disc, wh.n_dofs)
-    m = 4 * n_disc
-    # block diagonal with identical blocks
-    assert_allclose(R[m:, wh.n_local:], R[:m, : wh.n_local])
-    assert np.all(R[:m, wh.n_local:] == 0)
-    assert np.all(R[m:, : wh.n_local] == 0)
