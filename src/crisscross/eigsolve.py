@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .assembly import (
@@ -297,8 +296,12 @@ def _factor_symmetric(M: sp.csc_matrix):
     A symmetric minimum-degree ordering with diagonal pivots gives
     P^T M P = L U with U = D L^T, so by Sylvester's law of inertia the
     negative pivots, read by ``_inertia``, count the negative eigenvalues
-    of M.  A singular M raises ``RuntimeError``.
+    of M.  A singular M raises ``RuntimeError``.  SuperLU is imported here
+    and by ``shift_invert_lanczos`` only, so a dense run never loads
+    ``scipy.sparse.linalg``.
     """
+    import scipy.sparse.linalg as spla
+
     return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
@@ -372,11 +375,20 @@ def shift_invert_lanczos(lu, A, sigma: float, n_eigs: int,
     dropped on return, before the caller reads the pivots.
     The factor's owner, ``_count``, counts the eigenvalues below sigma;
     ``inertia`` is None here.
+
+    Each step solves with the transposed factor, (B - sigma A)^T x = b.
+    Assembly makes B - sigma A symmetric up to rounding in the last bit, so
+    that is the same system, and SuperLU's transposed solves gather along
+    the stored columns of L and U instead of scattering into the
+    right-hand side, which is faster.
     """
+    import scipy.sparse.linalg as spla
+
     n = A.shape[0]
     if n_eigs < 1 or n_eigs > n - 2:
         raise SolverError(f"cannot compute {n_eigs} eigenvalues of size-{n} pencil")
-    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    opinv = spla.LinearOperator((n, n), dtype=float,
+                                matvec=lambda b: lu.solve(b, trans="T"))
     v0 = np.random.default_rng(seed).standard_normal(n)
     mass = sp.csr_matrix(A, copy=True)
     mass.eliminate_zeros()
@@ -605,15 +617,27 @@ def _form_rule(form: str, k: int, backend: str | None = None,
     return row
 
 
+class _Gram:
+    """The operator x -> D^T (D x) of B = D^T D, for vectors and blocks of
+    columns alike: all the dense solve reads of B (``_dense_spectrum``)."""
+
+    def __init__(self, D):
+        self.D = D
+        self.shape = (D.shape[1], D.shape[1])
+
+    def __matmul__(self, x):
+        return self.D.T @ (self.D @ x)
+
+
 def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
     """The pencil (B, A) that ``form`` solves, the dimension of its kernel,
     and for the dense mixed routes the divergence D (None otherwise), from
-    the form's row of ``_FORMS``.  There B is the operator x -> D^T (D x),
-    all the dense solve reads of it (``_dense_window``).  Matrices that
-    share a pattern share its arrays: none may be changed in place."""
+    the form's row of ``_FORMS``.  There B is the operator ``_Gram(D)``.
+    Matrices that share a pattern share its arrays: none may be changed in
+    place."""
     B, A, kernel_dim, div = _form_rule(form, k).build(tmesh, k, dense)
     if div is not None:
-        B = spla.aslinearoperator(div.T) @ spla.aslinearoperator(div)
+        B = _Gram(div)
     return B, A, kernel_dim, div
 
 

@@ -165,6 +165,44 @@ def test_cli_import_leaves_scipy_io_unloaded():
     assert run.stdout.splitlines()[-1] == "False"
 
 
+_SOLVER_PROBE = """
+import contextlib, io, sys
+from crisscross.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in {argvs!r}:
+        print(main(argv), 'scipy.sparse.linalg' in sys.modules,
+              file=sys.stderr)
+"""
+
+
+def _solver_loaded_after(argvs, cwd):
+    # (exit code, whether scipy.sparse.linalg is loaded) after each command,
+    # run in order in one fresh interpreter
+    src = os.path.dirname(os.path.dirname(crisscross.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", _SOLVER_PROBE.format(argvs=argvs)], env=env,
+        cwd=cwd, capture_output=True, text=True, check=True)
+    return [tuple(line.split()) for line in run.stderr.splitlines()]
+
+
+def test_dense_runs_leave_the_sparse_solver_unloaded(tmp_path):
+    # ARPACK and SuperLU load where a shifted factor is built, not before
+    dense = [["eig", "--form", form, "--degree", "2", "--levels", "2",
+              "--neigs", "3"] for form in ("fem1", "fem2", "primal")]
+    dense += [["converge", "--degree", "2", "--levels", "2,4"],
+              ["compare", "--domain", "lshape", "--degree", "2",
+               "--levels", "2", "--neigs", "3"],
+              ["mesh", "--levels", "2"]]
+    assert (_solver_loaded_after(dense, tmp_path)
+            == [("0", "False")] * len(dense))
+    lanczos = ["eig", "--degree", "2", "--levels", "4", "--neigs", "3",
+               "--backend", "lanczos"]
+    audit = ["audit", "--degree", "2", "--levels", "2"]
+    for argv in (lanczos, audit):
+        assert _solver_loaded_after([argv], tmp_path) == [("0", "True")]
+
+
 def test_parse_errors_exit_2(capsys):
     # argparse's errors take main's exit-2 path instead of SystemExit
     for argv, flag in (

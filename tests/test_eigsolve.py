@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 from crisscross import assembly, eigsolve
@@ -396,7 +397,7 @@ def test_lanczos_counts_pivots_after_the_iteration(monkeypatch):
     # the pivot read copies L and U out of the factor; read after eigsh,
     # those copies no longer sit beside ARPACK's workspace
     events = []
-    eigsh, inertia = eigsolve.spla.eigsh, eigsolve._inertia
+    eigsh, inertia = scipy.sparse.linalg.eigsh, eigsolve._inertia
 
     def traced_eigsh(*args, **kwargs):
         events.append("eigsh")
@@ -406,7 +407,7 @@ def test_lanczos_counts_pivots_after_the_iteration(monkeypatch):
         events.append("inertia")
         return inertia(lu)
 
-    monkeypatch.setattr(eigsolve.spla, "eigsh", traced_eigsh)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", traced_eigsh)
     monkeypatch.setattr(eigsolve, "_inertia", traced_inertia)
     spec = solve_fem2(square_tri(4), 2, 3, backend="lanczos")
     assert events == ["eigsh", "inertia"]
@@ -860,6 +861,23 @@ def test_shifted_keeps_the_union_pattern(B, A):
     assert M.format == "csc" and M.has_sorted_indices
     assert M.nnz == union.nnz
     assert np.array_equal(M.toarray(), sp.csr_matrix(B).toarray() - A)
+
+
+@pytest.mark.parametrize("form, k", [("fem2", 2), ("primal", 3)])
+@pytest.mark.parametrize("domain", ["square", "square-perturbed"])
+def test_transposed_solve_solves_the_shifted_pencil(form, k, domain):
+    # Lanczos solves with the transposed factor; B - sigma A is symmetric
+    # to rounding, so that solves the shifted pencil itself
+    tmesh = build_mesh(StudyConfig(domain=domain), 3)
+    sigma = 1.0
+
+    def relative_residual(lu, B, A):
+        rhs = np.random.default_rng(0).standard_normal(B.shape[0])
+        x = lu.solve(rhs, trans="T")
+        r = B @ x - sigma * (A @ x) - rhs
+        return np.linalg.norm(r) / np.linalg.norm(rhs)
+
+    assert _count(form, tmesh, k, sigma, relative_residual)[2] < 1e-10
 
 
 def test_shifted_refuses_two_patterns():
