@@ -798,7 +798,6 @@ def test_solver_rejects_unknown_backend():
 
 def test_residual_certificate_inequality():
     # |B x - lambda A x| <= tol (|B| + |lambda| |A|) |x| for reported pairs
-    import scipy.sparse.linalg as spla
     from crisscross.assembly import assemble_divdiv, assemble_vector_mass
     from crisscross.fespace import build_vector_space
 
@@ -807,8 +806,8 @@ def test_residual_certificate_inequality():
     A = assemble_vector_mass(vspace, tmesh)
     B = assemble_divdiv(vspace, tmesh)
     spec = solve_fem2(tmesh, 2, 8)
-    norm_a = spla.norm(A, 1)
-    norm_b = spla.norm(B, 1)
+    norm_a = scipy.sparse.linalg.norm(A, 1)
+    norm_b = scipy.sparse.linalg.norm(B, 1)
     for lam, res in zip(spec.eigenvalues, spec.residuals):
         assert res <= 1e-9 * (norm_b + abs(lam) * norm_a)
 
