@@ -11,7 +11,6 @@ from .mesh import (
     criss_cross,
     mesh_stats,
     perturb_quad_grid,
-    single_quad_mesh,
     write_mesh_text,
 )
 from .refelem import QuadRule, quad_rule
@@ -43,7 +42,7 @@ from .eigsolve import (
 from .audit import (
     ComplexReport,
     exactness_check,
-    spurious_scan,
+    spurious_counts,
     square_exact_spectrum,
 )
 

@@ -1,5 +1,12 @@
 """Structural audits of the discrete complex: dimension counts and
-exactness, and the scan for the degree-1 spurious modes."""
+exactness, and the count of spurious eigenvalues on the square.
+
+Both are Sylvester inertia counts of the fem2 pencil (``eigsolve._count``):
+at a shift below lambda_1 the count is the kernel, and at a shift tau in a
+gap of the exact square spectrum the count less the kernel law, against the
+number of exact values below tau, is the number of spurious eigenvalues
+below tau (spectrum slicing, Ericsson & Ruhe, Math. Comp. 35, 1980).
+"""
 
 from __future__ import annotations
 
@@ -15,11 +22,8 @@ __all__ = [
     "ComplexReport",
     "exactness_check",
     "square_exact_spectrum",
-    "spurious_scan",
+    "spurious_counts",
 ]
-
-# distance from the exact spectrum beyond which a value may be spurious
-SPURIOUS_GAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -74,13 +78,8 @@ def exactness_check(tmesh, k: int) -> ComplexReport:
     size cap applies.  An uncertified count (an off-diagonal pivot) raises
     ``SolverError``.
     """
-    nullity, kernel_dim, dim_v = _count("fem2", tmesh, k, DEFAULT_SHIFT,
-                                        lambda lu, B, A: B.shape[0])
-    if nullity is None:
-        raise SolverError(
-            f"div-div kernel count at sigma={DEFAULT_SHIFT:g} is uncertified: "
-            "the factor of B - sigma*A took an off-diagonal pivot"
-        )
+    nullity, kernel_dim, dim_v = _certified_count(
+        tmesh, k, DEFAULT_SHIFT, lambda lu, B, A: B.shape[0])
     V_Q = tmesh.n_quad_vertices
     E_Q = tmesh.n_quad_edges
     Q = tmesh.n_quads
@@ -118,31 +117,36 @@ def square_exact_spectrum(count: int) -> np.ndarray:
     return np.array(vals[:count], dtype=float)
 
 
-def spurious_scan(spectra, n_eigs: int) -> list:
-    """Values of the finest square spectrum far from the exact set that fail
-    to shrink, as (value, distance, distance on the previous level).
+def spurious_counts(tmesh, k: int, n_eigs: int) -> list:
+    """(tau, discrete count, exact count) below each tau on a square mesh.
 
-    ``spectra`` holds the computed eigenvalues of each refinement level of
-    the square, coarse to fine, solved for ``n_eigs`` values.  A value at
-    the finest level is flagged when its distance to the exact spectrum
-    exceeds ``SPURIOUS_GAP`` and the nearest value on the previous level was
-    no better than twice as far (converging modes shrink by at least 4 per
-    refinement; spurious ones stagnate).
+    The tau are the midpoints between consecutive distinct values of
+    ``square_exact_spectrum(n_eigs)``.  The discrete count is the number of
+    nonzero fem2 eigenvalues below tau (the inertia of B - tau A less the
+    kernel law), and the exact count N(tau) the number of exact values below
+    tau, exact because every tau lies below the ``n_eigs``-th value.  Their
+    difference, the excess, is the number of spurious values below tau when
+    the mesh resolves the exact ones.  An uncertified count raises
+    ``SolverError``.
     """
-    if len(spectra) < 2:
-        raise ValueError("need at least two refinement levels")
-    exact = square_exact_spectrum(4 * n_eigs + 40)
+    exact = square_exact_spectrum(n_eigs)
+    distinct = np.unique(exact)
+    rows = []
+    for tau in (distinct[:-1] + distinct[1:]) / 2:
+        count, law, _ = _certified_count(tmesh, k, float(tau))
+        rows.append((float(tau), count - law,
+                     int(np.count_nonzero(exact < tau))))
+    return rows
 
-    def dist(x):
-        return float(np.min(np.abs(exact - x)))
 
-    coarse, fine = spectra[-2], spectra[-1]
-    flags = []
-    for lam in fine:
-        d_f = dist(lam)
-        if d_f <= SPURIOUS_GAP:
-            continue
-        d_c = dist(coarse[np.argmin(np.abs(coarse - lam))])
-        if d_f > 0.5 * d_c:
-            flags.append((float(lam), d_f, d_c))
-    return flags
+def _certified_count(tmesh, k: int, sigma: float,
+                     use=lambda lu, B, A: None):
+    """``_count`` of the fem2 pencil; an uncertified count (an off-diagonal
+    pivot) raises ``SolverError``."""
+    count, kernel_dim, used = _count("fem2", tmesh, k, sigma, use)
+    if count is None:
+        raise SolverError(
+            f"eigenvalue count below sigma={sigma:g} is uncertified: "
+            "the factor of B - sigma*A took an off-diagonal pivot"
+        )
+    return count, kernel_dim, used

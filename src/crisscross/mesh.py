@@ -21,7 +21,6 @@ __all__ = [
     "MeshStats",
     "build_rect_grid",
     "build_lshape_grid",
-    "single_quad_mesh",
     "perturb_quad_grid",
     "criss_cross",
     "mesh_stats",
@@ -199,14 +198,6 @@ def build_lshape_grid(n: int) -> QuadMesh:
     return _make_quad_mesh(full.vertices[used], remap[quads])
 
 
-def single_quad_mesh(corners) -> QuadMesh:
-    """Mesh consisting of one convex quad with the given corner coordinates."""
-    corners = np.asarray(corners, dtype=float)
-    if corners.shape != (4, 2):
-        raise MeshError("expected four corner points")
-    return _make_quad_mesh(corners, np.array([[0, 1, 2, 3]], dtype=np.int64))
-
-
 def _is_rect_grid(mesh: QuadMesh) -> bool:
     p = mesh.vertices[mesh.quads]
     e = np.roll(p, -1, axis=1) - p
@@ -314,15 +305,20 @@ def _validate_trimesh(mesh: TriMesh, qmesh: QuadMesh) -> None:
     if abs(float(np.sum(areas)) - total_quad) > 1e-12 * total_quad:
         raise MeshError("triangle areas do not sum to the quad-mesh area")
     # singular-vertex property: the four spokes at each center lie on the
-    # two diagonals, i.e. opposite corner-to-center vectors are anti-parallel
+    # two diagonals, i.e. opposite corner-to-center vectors are anti-parallel.
+    # The computed centre carries a rounding error of order eps |c|, so a
+    # spoke cross product of eps (|c| + h) h is collinear to working
+    # precision; a bound in h alone refuses fine meshes far from the origin.
     p = qmesh.vertices[qmesh.quads]
     c = mesh.vertices[mesh.n_quad_vertices:]
     h_local = np.max(np.linalg.norm(p - c[:, None, :], axis=2), axis=1)
+    bound = (16 * np.finfo(float).eps
+             * (np.linalg.norm(c, axis=1) + h_local) * h_local)
     for d in ((0, 2), (1, 3)):
         u = p[:, d[0]] - c
         v = p[:, d[1]] - c
         cross = np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-        if np.any(cross > 1e-12 * h_local * h_local):
+        if np.any(cross > bound):
             raise MeshError("center vertex is not singular (spokes not collinear)")
     if _euler_residuals(mesh) != (0, 0):
         raise MeshError("Euler characteristic check failed")

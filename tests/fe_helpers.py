@@ -1,11 +1,11 @@
-"""Finite element functions for tests: reference and physical node
-coordinates, pointwise evaluation, nodal interpolation, the global matrices
-of the divergence-image basis and of the divergence into the discontinuous
-P_{k-1} space, the L2 projection onto the divergence-image space, and the
-divergence image on one quad; and the traced peak memory of one call.  The
-library itself never evaluates or projects a function and builds the
-divergence-image space per quad, so these live beside the tests that use
-them."""
+"""Finite element functions for tests: a mesh of one quad, reference and
+physical node coordinates, pointwise evaluation, nodal interpolation, the
+global matrices of the divergence-image basis and of the divergence into the
+discontinuous P_{k-1} space, the L2 projection onto the divergence-image
+space, and the divergence image on one quad; and the traced peak memory of
+one call.  The library itself never builds a one-quad mesh, evaluates or
+projects a function, and it builds the divergence-image space per quad, so
+these live beside the tests that use them."""
 
 import tracemalloc
 
@@ -21,8 +21,13 @@ from crisscross.assembly import (
 )
 from crisscross.audit import exactness_check
 from crisscross.fespace import DofMap, WhBasis, build_disc_space, build_vector_space
-from crisscross.mesh import TriMesh, criss_cross, single_quad_mesh
+from crisscross.mesh import QuadMesh, TriMesh, _make_quad_mesh, criss_cross
 from crisscross.refelem import QuadRule, node_multi_indices, tabulate_shapes
+
+
+def single_quad_mesh(corners) -> QuadMesh:
+    """Mesh consisting of one convex quad with the given corner coordinates."""
+    return _make_quad_mesh(corners, np.array([[0, 1, 2, 3]]))
 
 
 def node_barycentric(degree: int) -> np.ndarray:

@@ -27,7 +27,7 @@ import time
 import numpy as np
 import pytest
 
-from crisscross.audit import exactness_check, spurious_scan
+from crisscross.audit import exactness_check, spurious_counts
 from crisscross.eigsolve import (
     cluster_eigenvalues,
     solve_fem1,
@@ -40,10 +40,9 @@ from crisscross.mesh import (
     build_rect_grid,
     criss_cross,
     perturb_quad_grid,
-    single_quad_mesh,
 )
 
-from fe_helpers import local_divergence_image
+from fe_helpers import local_divergence_image, single_quad_mesh
 
 PI = math.pi
 TARGETS = np.array([2, 5, 5, 8, 10, 10, 13, 13, 17, 17], dtype=float)
@@ -246,17 +245,15 @@ def test_criterion_6_formulation_equivalence(desk_meshes):
 
 
 def test_criterion_7_spurious_demonstration():
-    flags1, flags2, flags3 = (
-        spurious_scan([solve_fem2(square_mesh(n), k, 10).eigenvalues
-                       for n in (4, 8)], 10)
-        for k in (1, 2, 3))
-    ok = bool(flags1) and not flags2 and not flags3
-    flagged = ", ".join(f"{lam:.4f}" for lam, _, _ in flags1)
-    assert report(
-        7, ok,
-        f"k=1 flags=[{flagged}] (nonempty), "
-        f"k=2 flags={len(flags2)}, k=3 flags={len(flags3)}",
-    )
+    # spurious eigenvalues counted by inertia below the gap midpoints of the
+    # first ten exact values: k=1 has an excess on both levels, k=2, 3 none
+    excess = {(k, n): [count - exact for _, count, exact in
+                       spurious_counts(square_mesh(n), k, 10)]
+              for k in (1, 2, 3) for n in (4, 8)}
+    ok = all((max(e) > 0) == (k == 1) and min(e) >= 0
+             for (k, _), e in excess.items())
+    assert report(7, ok, "excess at tau=3.5,6.5,9,11.5,15: " + "; ".join(
+        f"k={k} n={n} {e}" for (k, n), e in excess.items()))
 
 
 def test_criterion_8_lshape_compare():

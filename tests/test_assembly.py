@@ -31,7 +31,6 @@ from crisscross.mesh import (
     build_rect_grid,
     criss_cross,
     perturb_quad_grid,
-    single_quad_mesh,
 )
 from crisscross.refelem import quad_rule, tabulate_shapes
 
@@ -39,6 +38,7 @@ from fe_helpers import (
     disc_coupling,
     interpolate_vector,
     l2_project_wh,
+    single_quad_mesh,
     traced_peak,
     wh_restriction,
 )

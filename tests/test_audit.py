@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from crisscross import eigsolve
 from crisscross.assembly import assemble_divdiv
-from crisscross.audit import exactness_check, spurious_scan, square_exact_spectrum
+from crisscross.audit import exactness_check, spurious_counts, square_exact_spectrum
 from crisscross.eigsolve import SolverError, solve_fem2
 from crisscross.fespace import (
     build_vector_space,
@@ -18,11 +18,15 @@ from crisscross.mesh import (
     build_rect_grid,
     criss_cross,
     perturb_quad_grid,
-    single_quad_mesh,
 )
 from crisscross.refelem import tabulate_shapes
 
-from fe_helpers import disc_coupling, interpolate_vector, local_divergence_image
+from fe_helpers import (
+    disc_coupling,
+    interpolate_vector,
+    local_divergence_image,
+    single_quad_mesh,
+)
 
 PI = math.pi
 
@@ -254,51 +258,36 @@ def test_square_exact_spectrum_prefix():
     assert_allclose(square_exact_spectrum(13)[10:], [18, 20, 20])
 
 
-def square_flags(k):
-    spectra = [solve_fem2(criss_cross(build_rect_grid(0, 0, PI, PI, n, n)),
-                          k, 10).eigenvalues for n in (4, 8)]
-    return spurious_scan(spectra, 10)
+def square_counts(k, n):
+    return spurious_counts(criss_cross(build_rect_grid(0, 0, PI, PI, n, n)),
+                           k, 10)
 
 
 def test_spurious_scan_k1_flags_something():
-    flags = square_flags(1)
-    # the classical criss-cross failure: a value near 6 that stagnates
-    assert any(5.5 < lam < 6.5 for lam, _, _ in flags)
+    # the criss-cross failure of the linear element as certified integers:
+    # one spurious value below 6.5 (near 5.92) and three below 15, on every
+    # level, so they do not converge away
+    for n in (8, 16):
+        rows = square_counts(1, n)
+        assert [tau for tau, _, _ in rows] == [3.5, 6.5, 9, 11.5, 15]
+        assert [exact for _, _, exact in rows] == [1, 3, 4, 6, 8]
+        assert [count - exact for _, count, exact in rows] == [0, 1, 1, 1, 3]
+
+
+# the coarsest square level on which degree k resolves the ten exact values
+COARSEST_CLEAN = {2: 3, 3: 2}
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_spurious_scan_clean_for_k23(k):
-    assert square_flags(k) == []
+    n = COARSEST_CLEAN[k]
+    assert [c - e for _, c, e in square_counts(k, n)] == [0] * 5
+    # one level coarser the excess is positive without a spurious mode: it
+    # counts values of the mesh that do not resolve the exact ones yet
+    assert max(c - e for _, c, e in square_counts(k, n - 1)) > 0
 
 
-def test_spurious_scan_flags_stagnating_value():
-    # 6.3 stays 1.3 from the exact set (5, 8) while the others converge
-    coarse = np.array([2.1, 5.2, 6.3])
-    fine = np.array([2.01, 5.05, 6.3])
-    assert spurious_scan([coarse, fine], 3) == [
-        (6.3, pytest.approx(1.3), pytest.approx(1.3))]
-
-
-def test_spurious_scan_passes_halving_distance():
-    # the coarse value 22.5 is 2.5 from 20 and 25; a fine value 1.0 away has
-    # more than halved its distance, one 1.3 away has not
-    coarse = np.array([2.3, 22.5])
-    assert spurious_scan([coarse, np.array([2.05, 21.0])], 2) == []
-    assert spurious_scan([coarse, np.array([2.05, 21.3])], 2) == [
-        (21.3, pytest.approx(1.3), pytest.approx(2.5))]
-
-
-def test_spurious_scan_passes_value_near_exact_set():
-    # stagnation within the gap of 0.5 around the exact set is not flagged
-    near = np.array([5.4])
-    assert spurious_scan([near, near], 2) == []
-    far = np.array([5.6])
-    assert spurious_scan([far, far], 2) == [
-        (5.6, pytest.approx(0.6), pytest.approx(0.6))]
-
-
-def test_spurious_scan_validates_inputs():
-    with pytest.raises(ValueError):
-        spurious_scan([np.array([2.0, 5.0])], 2)
-    with pytest.raises(ValueError):
-        spurious_scan([], 2)
+def test_spurious_counts_uncertified_count_raises(monkeypatch):
+    monkeypatch.setattr(eigsolve, "_inertia", lambda lu: None)
+    with pytest.raises(SolverError, match="sigma=3.5 .*off-diagonal pivot"):
+        square_counts(2, 2)

@@ -226,8 +226,8 @@ def test_parse_errors_exit_2(capsys):
 UNREAD = {
     "eig": ("expect_rate",),
     "converge": ("export_mesh", "export_matrices"),
-    "audit": ("formulation", "exact", "expect_rate", "out", "export_mesh",
-              "export_matrices"),
+    "audit": ("formulation", "backend", "sigma", "exact", "expect_rate", "out",
+              "export_mesh", "export_matrices"),
     "compare": ("exact", "expect_rate", "export_mesh", "export_matrices"),
     "mesh": ("formulation", "n_eigs", "backend", "sigma", "exact",
              "expect_rate", "export_mesh", "export_matrices"),
@@ -257,7 +257,7 @@ def _subparser_flags() -> dict:
 def test_each_command_registers_the_options_it_reads():
     flags = _subparser_flags()
     assert {cmd: len(f) for cmd, f in flags.items()} == {
-        "eig": 13, "converge": 12, "audit": 8, "compare": 10, "mesh": 6}
+        "eig": 13, "converge": 12, "audit": 6, "compare": 10, "mesh": 6}
     every = flags["eig"] | flags["converge"]
     assert len(every) == len(dataclasses.fields(StudyConfig)) == 14
     for cmd, names in UNREAD.items():
@@ -568,16 +568,34 @@ def test_cmd_audit_pass(capsys):
     assert "exactness: PASS" in out
 
 
+def _excesses(out):
+    return [int(line.rsplit("=", 1)[1]) for line in out.splitlines()
+            if line.startswith("spurious: n=8 tau=")]
+
+
 def test_cmd_audit_spurious_k1(capsys):
     assert main(["audit", "--degree", "1", "--levels", "4,8"]) == 0
     out = capsys.readouterr().out
-    assert "flagged" in out
+    assert "spurious: n=8 tau=6.5 count=4 exact=3 excess=1" in out
+    assert _excesses(out) == [0, 1, 1, 1, 3]
+    assert out.endswith("spurious: 3 flagged, PASS\n")
 
 
 def test_cmd_audit_k2_scan_clean(capsys):
     assert main(["audit", "--degree", "2", "--levels", "4,8"]) == 0
     out = capsys.readouterr().out
-    assert "0 flagged" in out
+    assert _excesses(out) == [0] * 5
+    assert out.endswith("spurious: 0 flagged, PASS\n")
+
+
+def test_cmd_audit_runs_no_solve(capsys, monkeypatch):
+    # the counts need a factor per tau, not a spectrum
+    def no_solve(*args, **kwargs):
+        raise AssertionError("audit solved a spectrum")
+
+    monkeypatch.setattr(cli, "_solve", no_solve)
+    assert main(["audit", "--degree", "1", "--levels", "4,8"]) == 0
+    assert "3 flagged, PASS" in capsys.readouterr().out
 
 
 def test_cmd_audit_lshape_k3(capsys):
@@ -637,31 +655,29 @@ def test_audit_with_nothing_to_check_refused(capsys, argv):
     assert "spurious" not in captured.out and captured.err == ""
 
 
-def test_cmd_audit_honours_backend(capsys):
-    # levels 20 has 6 562 unknowns, above the dense cap
-    assert main(["audit", "--degree", "2", "--levels", "4,20",
-                 "--backend", "lanczos"]) == 0
+def test_cmd_audit_counts_beyond_dense_cap(capsys):
+    # levels 20 has 6 562 unknowns, above the dense cap; counts take none
+    assert main(["audit", "--degree", "2", "--levels", "4,20"]) == 0
     out = capsys.readouterr().out
     assert "exactness: PASS" in out and "0 flagged, PASS" in out
 
 
-def test_cmd_audit_uncertified_scan_warns_on_stderr(capsys, monkeypatch):
-    import crisscross.cli as cli
+def test_cmd_audit_uncertified_spurious_count_exits_3(capsys, monkeypatch):
+    # the first level's kernel count is certified, the next count is not
+    inertia = eigsolve._inertia
+    calls = []
 
-    def doubtful(tmesh, k, n_eigs, backend, *, sigma, seed):
-        return Spectrum(eigenvalues=np.array([2.0, 5.0]), zero_count=0,
-                        backend="lanczos", converged=False, uncertified=True)
+    def second_uncertified(lu):
+        calls.append(lu)
+        return inertia(lu) if len(calls) == 1 else None
 
-    monkeypatch.setattr(cli, "solve_fem2", doubtful)
-    assert main(["audit", "--degree", "2", "--levels", "2,4", "--neigs", "2",
-                 "--backend", "lanczos"]) == 0
+    monkeypatch.setattr(eigsolve, "_inertia", second_uncertified)
+    assert main(["audit", "--degree", "2", "--levels", "2,4"]) == 3
     captured = capsys.readouterr()
-    warnings = captured.err.splitlines()
-    assert [w.split(":")[1] for w in warnings] == [" fem2 k=2 on 4 quads",
-                                                    " fem2 k=2 on 16 quads"]
-    assert all("did not converge" in w and "uncertified" in w
-               for w in warnings)
-    assert "warning" not in captured.out
+    assert "exactness: PASS" in captured.out and "flagged" not in captured.out
+    assert captured.err == (
+        "solver error: eigenvalue count below sigma=3.5 is uncertified: the "
+        "factor of B - sigma*A took an off-diagonal pivot\n")
 
 
 def test_cmd_eig_uncertified_count_warning(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from crisscross.assembly import (
     assemble_vector_mass,
     assemble_wh_mass,
 )
-from crisscross.audit import exactness_check
+from crisscross.audit import exactness_check, spurious_counts
 from crisscross.cli import StudyConfig, build_mesh, cmd_compare
 from crisscross.eigsolve import (
     SolverError,
@@ -43,10 +43,9 @@ from crisscross.mesh import (
     build_rect_grid,
     criss_cross,
     perturb_quad_grid,
-    single_quad_mesh,
 )
 
-from fe_helpers import traced_peak
+from fe_helpers import single_quad_mesh, traced_peak
 
 PI = math.pi
 
@@ -420,7 +419,8 @@ def test_lanczos_counts_pivots_after_the_iteration(monkeypatch):
     lambda tmesh: solve_fem2(tmesh, 2, 3, backend="lanczos"),
     lambda tmesh: solve_primal(tmesh, 2, 3, backend="lanczos"),
     lambda tmesh: exactness_check(tmesh, 2),
-], ids=["fem2", "primal", "audit"])
+    lambda tmesh: spurious_counts(tmesh, 2, 3),   # one tau, 3.5
+], ids=["fem2", "primal", "audit", "spurious"])
 def test_pivots_are_read_with_no_pencil_matrix_alive(monkeypatch, run):
     # reading the pivots copies L and U out of the factor; B and A, no longer
     # read by then, must not sit beside those copies in any frame

@@ -16,10 +16,15 @@ from crisscross.mesh import (
     build_rect_grid,
     criss_cross,
     perturb_quad_grid,
-    single_quad_mesh,
 )
 
-from fe_helpers import dof_points, eval_scalar, eval_vector, interpolate_vector
+from fe_helpers import (
+    dof_points,
+    eval_scalar,
+    eval_vector,
+    interpolate_vector,
+    single_quad_mesh,
+)
 
 PI = math.pi
 

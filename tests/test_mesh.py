@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -9,14 +10,16 @@ from crisscross.mesh import (
     MeshError,
     _euler_residuals,
     _make_quad_mesh,
+    _validate_trimesh,
     build_lshape_grid,
     build_rect_grid,
     criss_cross,
     format_mesh_text,
     mesh_stats,
     perturb_quad_grid,
-    single_quad_mesh,
 )
+
+from fe_helpers import single_quad_mesh
 
 PI = math.pi
 
@@ -248,6 +251,50 @@ def test_singular_vertex_spokes():
             u, v = p[i] - c, p[j] - c
             cross = abs(u[0] * v[1] - u[1] * v[0])
             assert cross < 1e-12
+
+
+def graded_lshape(n, beta):
+    """``build_lshape_grid(n)`` graded towards the re-entrant corner c: a
+    vertex at distance r from c, on a ray that leaves (0, pi)^2 at distance
+    R, moves along the ray to distance R (r / R)^beta."""
+    qmesh = build_lshape_grid(n)
+    c = np.array([PI / 2, PI / 2])
+    d = qmesh.vertices - c
+    r = np.linalg.norm(d, axis=1)
+    R = np.full_like(r, 1.0)
+    ray = r > 0
+    R[ray] = (PI / 2) * r[ray] / np.abs(d[ray]).max(axis=1)
+    scale = np.ones_like(r)
+    scale[ray] = (r[ray] / R[ray]) ** (beta - 1)
+    return _make_quad_mesh(c + d * scale[:, None], qmesh.quads)
+
+
+@pytest.mark.parametrize("n, beta", [(16, 3.0), (8, 4.0)])
+def test_graded_mesh_centres_are_singular(n, beta):
+    # the quads at the corner are 4e-4 across and 2 from the origin: their
+    # computed centres are collinear with the spokes only to the rounding of
+    # |c|, which a bound scaled by h alone refused
+    qmesh = graded_lshape(n, beta)
+    tmesh = criss_cross(qmesh)
+    assert mesh_stats(tmesh).h_min < 1e-3
+    assert tmesh.n_quads == 3 * n * n
+
+
+def test_moved_centre_refused_on_graded_mesh():
+    # a centre moved off the diagonals by 1e-3 of its quad size is not a
+    # singular vertex, on the smallest quad of the graded mesh as anywhere
+    qmesh = graded_lshape(16, 3.0)
+    tmesh = criss_cross(qmesh)
+    p = qmesh.vertices[qmesh.quads]
+    size = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
+    q = int(np.argmin(size))
+    diagonal = (p[q, 2] - p[q, 0]) / size[q]
+    vertices = tmesh.vertices.copy()
+    vertices[tmesh.n_quad_vertices + q] += 1e-3 * size[q] * np.array(
+        [-diagonal[1], diagonal[0]])
+    moved = dataclasses.replace(tmesh, vertices=vertices)
+    with pytest.raises(MeshError, match="not singular"):
+        _validate_trimesh(moved, qmesh)
 
 
 def test_edge_of_three_quads_refused():
