@@ -1,14 +1,15 @@
 """Element-loop assembly of the mass, stiffness, div-div, and divergence
 coupling forms into canonical CSR matrices (duplicates summed, column
 indices sorted).  Each matrix is summed through a scatter plan of its
-element graph (``_scatter_plan``), so sums that cancel stay stored as
-zeros and the stored pattern never depends on the values.  Each form is
-integrated with ``quad_rule(2 * k)``, k the degree of its Lagrange space,
-which is exact for every one of them.  The divergence is integrated once,
-into per-triangle blocks (``_div_blocks``), and the div-div matrix and both
-divergence couplings are linear maps of those blocks.  The divergence-image
-coupling and mass are per-quad blocks of the one local basis every quad
-shares (``WhBasis.basis``), each stored whole."""
+element graph (``_scatter_plan``), a vector map's as 2 x 2 blocks of its
+node graph, so cancelled sums stay stored zeros and the stored pattern
+never depends on the values.  Each form is integrated with
+``quad_rule(2 * k)``, exact for it on the degree-k Lagrange space.  The
+divergence is integrated once, into per-triangle blocks (``_div_blocks``),
+and the div-div matrix and both divergence couplings are linear maps of
+those blocks.  The divergence-image coupling and mass are per-quad blocks
+of the one local basis every quad shares (``WhBasis.basis``), each stored
+whole."""
 
 from __future__ import annotations
 
@@ -115,11 +116,13 @@ def _scatter_plan(row_dofs: np.ndarray, col_dofs: np.ndarray,
 
 
 def _assemble(plan: _ScatterPlan, element: np.ndarray,
-              symmetric: bool = False) -> sp.csr_matrix:
-    """Sum the element matrices into CSR on the plan's pattern.  An assembly
-    flagged symmetric scatters each element matrix on one dof list to both
-    sides, so it is symmetric when every element matrix is; those are
-    checked against their transposes."""
+              symmetric: bool = False) -> sp.spmatrix:
+    """Sum the element matrices into CSR on the plan's pattern.  Elements of
+    twice its size, (T, 2n, 2n) on n x n entries, rows and columns
+    interleaved by component as on a vector map, are summed block by block
+    into BSR.  An assembly flagged symmetric scatters each element matrix on
+    one dof list to both sides, so it is symmetric when every element matrix
+    is; those are checked against their transposes."""
     if symmetric:
         # antisymmetric, so its largest entry is its largest magnitude
         asym = element - element.transpose(0, 2, 1)
@@ -127,55 +130,38 @@ def _assemble(plan: _ScatterPlan, element: np.ndarray,
         if asym.max(initial=0.0) > 1e-12 * scale:
             raise ValueError("matrix flagged symmetric is not symmetric")
         del asym
-    data = np.bincount(plan.positions, weights=element.ravel(),
-                       minlength=len(plan.indices))
-    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=plan.shape)
+    b = 2 if element.size > len(plan.positions) else 1
+    parts = element.reshape(len(element), -1, b, element.shape[2] // b, b)
+    data = [np.bincount(plan.positions, weights=parts[:, :, i, :, j].ravel(),
+                        minlength=len(plan.indices))
+            for i, j in np.ndindex(b, b)]
+    if b == 1:
+        return sp.csr_matrix((data[0], plan.indices, plan.indptr),
+                             shape=plan.shape)
+    return sp.bsr_matrix((np.stack(data, axis=1).reshape(-1, b, b),
+                          plan.indices, plan.indptr))
 
 
 def _graph_plan(space) -> _ScatterPlan:
-    """The plan of a space's own element graph (dofs coupled to dofs).
-
-    A dof map keeps its plan (``DofMap.plans``), so every matrix assembled
-    on one map is scattered through one sort and shares its ``indices`` and
-    ``indptr`` arrays, and the plan goes when the map does.
+    """The plan of a map's own element graph, kept by the map
+    (``DofMap.plans``), so every matrix on it is scattered through one sort.
     A vector map couples both components of any two coupled nodes, so its
-    graph is the node graph with every entry a 2 x 2 block, and the plan of
-    the node graph is expanded rather than a plan of four times the keys
-    sorted.  Node row r, of ``length[r]`` node columns q from slot
-    ``start[r]``, becomes vector rows 2r + a (a = 0, 1), from slot
-    4 start[r] + 2a length[r], each with columns 2q and 2q + 1 in turn; an
-    element entry at node slot p lands at 2p + c + 2 start[r] + 2a length[r]
-    for the components (a, c)."""
-    plans = space.plans
-    if "graph" in plans:
-        return plans["graph"]
-    if space.kind != "vector2":
-        plans["graph"] = _scatter_plan(space.cell_dofs, space.cell_dofs,
-                                       (space.n_dofs, space.n_dofs))
-        return plans["graph"]
-    nodes = space.cell_dofs[:, 0::2] // 2
-    T, n = nodes.shape
-    node = _scatter_plan(nodes, nodes, (space.n_dofs // 2,) * 2)
-    start = node.indptr.astype(np.int64)
-    length = np.diff(start)
-    indptr = np.empty(2 * len(length) + 1, dtype=np.int64)
-    indptr[0::2] = 4 * start
-    indptr[1::2] = 4 * start[:-1] + 2 * length
-    columns = np.repeat(2 * node.indices.astype(np.int64), 2)   # 2q, 2q + 1
-    columns[1::2] += 1
-    at = np.repeat(np.repeat(2 * start[:-1], 2) - indptr[:-1], np.diff(indptr))
-    at += np.arange(len(at))
-    indices = columns[at]
-    del columns, at
-    slots = np.repeat(2 * node.positions.reshape(T, n, n), 2, axis=2)
-    slots[:, :, 1::2] += 1                                       # 2p + c
-    row_start = (2 * start[nodes][:, :, None]
-                 + 2 * length[nodes][:, :, None] * np.arange(2))
-    positions = (slots[:, :, None, :] + row_start[:, :, :, None]).reshape(-1)
-    index = np.int32 if max(space.n_dofs, len(indices)) < 2**31 else np.int64
-    plans["graph"] = _ScatterPlan(indptr.astype(index), indices.astype(index),
-                                  positions, (space.n_dofs, space.n_dofs))
-    return plans["graph"]
+    plan is its node graph's, the scalar map's, with 2 x 2 block entries."""
+    if "graph" not in space.plans:
+        b = 2 if space.kind == "vector2" else 1   # components per node
+        nodes = space.cell_dofs[:, ::b] // b
+        space.plans["graph"] = _scatter_plan(nodes, nodes,
+                                             (space.n_dofs // b,) * 2)
+    return space.plans["graph"]
+
+
+def _vector_matrix(space, bsr: sp.bsr_matrix) -> sp.csr_matrix:
+    """A vector map's matrix of 2 x 2 node blocks as CSR, rows and columns
+    interleaved by component, on the first one's ``indices`` and ``indptr``
+    (kept by the map)."""
+    mat = bsr.tocsr()
+    indices, indptr = space.plans.setdefault("csr", (mat.indices, mat.indptr))
+    return sp.csr_matrix((mat.data, indices, indptr), shape=mat.shape)
 
 
 def _mass_elements(space, tmesh: TriMesh) -> np.ndarray:
@@ -207,13 +193,12 @@ def assemble_vector_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix of the vector space; SPD, block of the scalar mass."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    plan = _graph_plan(space)   # before the elements, which it outweighs
-    scalar_el = _mass_elements(space, tmesh)
-    T, n, _ = scalar_el.shape
-    element = np.zeros((T, 2 * n, 2 * n))
-    element[:, 0::2, 0::2] = scalar_el
-    element[:, 1::2, 1::2] = scalar_el
-    return _assemble(plan, element, symmetric=True)
+    mass = _assemble(_graph_plan(space), _mass_elements(space, tmesh),
+                     symmetric=True)
+    blocks = np.zeros((mass.nnz, 2, 2))
+    blocks[:, 0, 0] = blocks[:, 1, 1] = mass.data
+    return _vector_matrix(space, sp.bsr_matrix((blocks, mass.indices,
+                                                mass.indptr)))
 
 
 def _div_blocks(tmesh: TriMesh, k: int):
@@ -245,14 +230,14 @@ def _div_blocks(tmesh: TriMesh, k: int):
 def assemble_divdiv(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """(div u, div v) matrix of the vector space, sum_t E_t^T E_t over the
     divergence blocks E (``_div_blocks``); symmetric positive semidefinite
-    with a large kernel of divergence-free fields.  It is scattered through
-    the map's element-graph plan, so it shares its ``indices`` and
+    with a large kernel of divergence-free fields.  It is summed in 2 x 2
+    blocks on the map's node-graph plan and shares its ``indices`` and
     ``indptr`` arrays with the vector mass of the same map."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
     E = _div_blocks(tmesh, space.degree)[0]
-    return _assemble(_graph_plan(space), np.einsum("tia,tib->tab", E, E),
-                     symmetric=True)
+    return _vector_matrix(space, _assemble(
+        _graph_plan(space), np.einsum("tia,tib->tab", E, E), symmetric=True))
 
 
 def assemble_orthonormal_div(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:

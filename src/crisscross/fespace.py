@@ -47,8 +47,8 @@ class DofMap:
     degree: int
     n_dofs: int
     cell_dofs: np.ndarray     # (T, n_local) in reference node order
-    # the scatter plan of the element graph, built by the first assembly on
-    # the map and dropped with it (``assembly._graph_plan``)
+    # the element-graph plan (node graph for a vector map) and CSR pattern
+    # the first assembly on the map builds, dropped with it (``assembly``)
     plans: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -139,12 +139,9 @@ def boundary_dofs(tmesh: TriMesh, k: int) -> np.ndarray:
 def build_vector_space(tmesh: TriMesh, k: int) -> DofMap:
     """Two-component vector Lagrange space, dofs interleaved per node."""
     scalar = build_scalar_space(tmesh, k)
-    cell = np.empty((scalar.cell_dofs.shape[0], 2 * scalar.cell_dofs.shape[1]),
-                    dtype=np.int64)
-    cell[:, 0::2] = 2 * scalar.cell_dofs
-    cell[:, 1::2] = 2 * scalar.cell_dofs + 1
+    cell = 2 * scalar.cell_dofs[:, :, None] + np.arange(2)   # (T, n, 2)
     return DofMap(kind="vector2", degree=k, n_dofs=2 * scalar.n_dofs,
-                  cell_dofs=cell)
+                  cell_dofs=cell.reshape(len(cell), -1))
 
 
 def build_disc_space(tmesh: TriMesh, degree: int) -> DofMap:

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from crisscross.assembly import (
     _assemble,
+    _div_blocks,
     _graph_plan,
+    _mass_elements,
     _scatter_plan,
     assemble_div_coupling,
     assemble_divdiv,
@@ -445,21 +447,58 @@ def test_pencil_matrices_share_pattern_arrays(k):
     assert np.array_equal(alone.data, A.data)
 
 
-@pytest.mark.parametrize("domain, n", [
-    ("square", 1), ("square", 3), ("lshape", 2), ("square-perturbed", 3),
-])
+GRAPH_CASES = [("square", 1), ("square", 3), ("lshape", 2),
+               ("square-perturbed", 3)]
+
+
+@pytest.mark.parametrize("domain, n", GRAPH_CASES)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_vector_graph_plan_expands_the_node_plan(domain, n, k):
-    # the vector plan is the node plan with 2 x 2 blocks: it must be the
-    # plan that sorting every vector key gives, slot for slot
-    space = build_vector_space(build_mesh(StudyConfig(domain=domain), n), k)
+    # the vector matrices are summed as 2 x 2 blocks on the node plan and
+    # laid out by BSR: they must be, array for array and bit for bit, the
+    # sums of every vector element entry on the plan of every vector key
+    tmesh = build_mesh(StudyConfig(domain=domain), n)
+    space = build_vector_space(tmesh, k)
     direct = _scatter_plan(space.cell_dofs, space.cell_dofs,
                            (space.n_dofs, space.n_dofs))
-    expanded = _graph_plan(space)
-    assert expanded.shape == direct.shape
-    for got, want in zip(expanded[:3], direct[:3]):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    E = _div_blocks(tmesh, k)[0]
+    mass = np.zeros((len(E), E.shape[2], E.shape[2]))
+    mass[:, 0::2, 0::2] = mass[:, 1::2, 1::2] = _mass_elements(space, tmesh)
+    for got, element in [
+            (assemble_divdiv(space, tmesh), np.einsum("tia,tib->tab", E, E)),
+            (assemble_vector_mass(space, tmesh), mass)]:
+        want = _assemble(direct, element, symmetric=True)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("domain, n", GRAPH_CASES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vector_plan_is_the_scalar_plan(domain, n, k):
+    # a vector map's plan is its node graph's, which the scalar map of the
+    # same mesh and degree numbers the same way: T n^2 positions, not
+    # T (2n)^2
+    tmesh = build_mesh(StudyConfig(domain=domain), n)
+    vector = _graph_plan(build_vector_space(tmesh, k))
+    scalar = _graph_plan(build_scalar_space(tmesh, k))
+    assert vector.shape == scalar.shape
+    for got, want in zip(vector[:3], scalar[:3]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_asymmetric_vector_element_refused():
+    # the block path checks the whole (2n x 2n) element, also the blocks
+    # that couple the two components
+    nodes = np.array([[0, 1]])
+    plan = _scatter_plan(nodes, nodes, (2, 2))
+    element = np.eye(4)[None]
+    assert np.array_equal(
+        _assemble(plan, element, symmetric=True).toarray(), np.eye(4))
+    element[0, 0, 1] = 1.0     # node 0, components x and y: one side only
+    with pytest.raises(ValueError, match="symmetric"):
+        _assemble(plan, element, symmetric=True)
 
 
 def test_fem2_pencil_assembly_peak_memory():

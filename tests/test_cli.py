@@ -588,6 +588,42 @@ def test_cmd_audit_k2_scan_clean(capsys):
     assert out.endswith("spurious: 0 flagged, PASS\n")
 
 
+def test_cmd_audit_negative_excess_is_unresolved(capsys):
+    # the k=2 values of the exact double 52 sit above tau=52.5 on n=8: the
+    # mesh does not resolve them, so no count there proves anything
+    assert main(["audit", "--degree", "2", "--levels", "4,8",
+                 "--neigs", "40"]) == 1
+    out = capsys.readouterr().out
+    assert "spurious: n=8 tau=52.5 count=33 exact=35 excess=-2\n" in out
+    assert out.endswith("spurious: unresolved at tau=52.5\n"
+                        "spurious: 0 flagged, FAIL\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--levels", "4,8", "--neigs", "1"],
+    ["audit", "--degree", "1", "--levels", "2,4", "--neigs", "1"],
+])
+def test_cmd_audit_refuses_one_eigenvalue(capsys, argv):
+    # one exact value leaves no gap to count at, so the verdict would be
+    # vacuous: refused before any count
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: spurious counts need --neigs 2 or more\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--levels", "4", "--neigs", "1"],
+    ["audit", "--domain", "lshape", "--levels", "1,2", "--neigs", "1"],
+])
+def test_cmd_audit_one_eigenvalue_without_counts(capsys, argv):
+    # no spurious count runs on one level or off the square
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "exactness: PASS" in out and "spurious" not in out
+
+
 def test_cmd_audit_runs_no_solve(capsys, monkeypatch):
     # the counts need a factor per tau, not a spectrum
     def no_solve(*args, **kwargs):
