@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import DofMap, WhBasis, build_disc_space
+from .fespace import DofMap, WhBasis
 from .mesh import TriMesh
 from .refelem import QuadRule, quad_rule, tabulate_shapes
 
@@ -164,19 +164,19 @@ def _vector_matrix(space, bsr: sp.bsr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((mat.data, indices, indptr), shape=mat.shape)
 
 
-def _mass_elements(space, tmesh: TriMesh) -> np.ndarray:
-    """Element mass matrices of a nodal space, (T, n, n).  The maps are
+def _mass_elements(degree: int, tmesh: TriMesh) -> np.ndarray:
+    """Element mass matrices of nodal P_degree, (T, n, n).  The maps are
     affine, so each is the reference mass scaled by the triangle's area."""
-    rule = quad_rule(2 * space.degree)
+    rule = quad_rule(2 * degree)
     area, _ = _geometry(tmesh)
-    vals, _ = _shapes(space.degree, rule)
+    vals, _ = _shapes(degree, rule)
     ref = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
     return area[:, None, None] * ref
 
 
 def assemble_scalar_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix of a scalar Lagrange space, continuous or not."""
-    return _assemble(_graph_plan(space), _mass_elements(space, tmesh),
+    return _assemble(_graph_plan(space), _mass_elements(space.degree, tmesh),
                      symmetric=True)
 
 
@@ -193,7 +193,7 @@ def assemble_vector_mass(space: DofMap, tmesh: TriMesh) -> sp.csr_matrix:
     """L2 mass matrix of the vector space; SPD, block of the scalar mass."""
     if space.kind != "vector2":
         raise ValueError("expected a vector dof map")
-    mass = _assemble(_graph_plan(space), _mass_elements(space, tmesh),
+    mass = _assemble(_graph_plan(space), _mass_elements(space.degree, tmesh),
                      symmetric=True)
     blocks = np.zeros((mass.nnz, 2, 2))
     blocks[:, 0, 0] = blocks[:, 1, 1] = mass.data
@@ -292,7 +292,7 @@ def assemble_wh_mass(wh: WhBasis, tmesh: TriMesh) -> sp.csr_matrix:
     q's block is the sum over its slots of Phi_s^T G_t Phi_s, G_t the
     P_{k-1} mass of triangle t.  The blocks are stored whole, so
     ``M.data`` reshaped (Q, n_local, n_local) is the array of them."""
-    G = _mass_elements(build_disc_space(tmesh, wh.degree - 1), tmesh)
+    G = _mass_elements(wh.degree - 1, tmesh)
     phi = wh.basis.reshape(4, -1, wh.n_local)
     blocks = _quad_blocks(wh, G) @ phi
     rows = np.arange(wh.n_dofs).reshape(tmesh.n_quads, wh.n_local)

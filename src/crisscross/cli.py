@@ -250,8 +250,6 @@ def _attach_rates(rows: list) -> None:
     for prev, cur in zip(rows, rows[1:]):
         if cur.level != 2 * prev.level:
             continue
-        if prev.errors is None or cur.errors is None:
-            continue
         m = min(len(prev.errors), len(cur.errors))
         rates = np.full(len(cur.lambdas), np.nan)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -299,6 +297,10 @@ def cmd_converge(config: StudyConfig) -> tuple[StudyReport, int]:
         raise ConfigError("converge expects at least two levels")
     if _exact_targets(config) is None:
         raise ConfigError("converge needs exact targets (square domain or --exact)")
+    if (config.expect_rate is not None
+            and config.levels[-1] != 2 * config.levels[-2]):
+        raise ConfigError("--expect-rate needs a last level twice the one "
+                          "before it, where h halves and the rate is taken")
     rows = [_run_level(config, n)[0] for n in config.levels]
     _attach_rates(rows)
     report = StudyReport(config, rows)
@@ -310,8 +312,7 @@ def cmd_converge(config: StudyConfig) -> tuple[StudyReport, int]:
               f"{row.errors[0]:>14.6e} {rate:>8}")
     if config.expect_rate is not None:
         lo, hi = config.expect_rate
-        last = rows[-1].rates
-        rate1 = last[0] if last is not None else math.nan
+        rate1 = rows[-1].rates[0]
         if not (lo <= rate1 <= hi):
             print(f"rate check FAILED: {rate1:.4f} outside [{lo}, {hi}]")
             code = EXIT_TOLERANCE

@@ -181,7 +181,7 @@ def dense_gevp(B, A=None, n_eigs: int | None = None, *,
     None): bisection and inverse iteration on T give y, and x = L^-T Q y.
     ``vectors`` holds those columns, A-orthonormal.  The generalized
     reduction serves the primal pencil and explicit ones; both mixed forms
-    reach this routine with the identity mass (``_dense_window``).
+    reach this routine with the identity mass (``_dense_spectrum``).
 
     By default the solve works on its own Fortran-ordered copies of B and
     A, so the caller's matrices are not modified; they are its only N x N
@@ -343,7 +343,7 @@ def _count(form: str, tmesh: TriMesh, k: int, sigma: float, use):
     the pivots are read, which copies L and U, only once B and A are
     dropped.  A singular B - sigma A raises ``SolverError``.
     """
-    B, A, kernel_dim, _ = _pencil(form, tmesh, k)
+    B, A, kernel_dim = _pencil(form, tmesh, k)
     try:
         lu = _factor_symmetric(_shifted(B, A, sigma))
     except RuntimeError as exc:
@@ -409,42 +409,18 @@ def shift_invert_lanczos(lu, A, sigma: float, n_eigs: int,
                     factor_nnz=int(lu.nnz))
 
 
-def _dense_window(B, A, n_eigs: int, div=None) -> tuple[int, np.ndarray]:
-    """The zero count of the whole dense spectrum of (B, A) and the
-    A-orthonormal eigenvectors of the window of ``n_eigs`` after the kernel.
+class _Gram:
+    """The operator x -> D^T (D x) of B = D^T D, for vectors and blocks of
+    columns alike: the B of the dense mixed routes (``_dense_spectrum``)."""
 
-    ``div`` is a matrix D of n_d rows with B = D^T D, for A the vector
-    mass M (x) I_2 (``_pencil``: fem2's orthonormal divergence, or fem1's
-    scaled W_h coupling, whose C has no kernel).
-    Then B x = lambda A x and D x = y give C y = lambda y with
-    C = D A^-1 D^T (``_vector_mass_schur``), so the nonzero spectrum is C's
-    and only C is reduced, in place (``dense_gevp`` with the identity mass
-    and ``overwrite_b``: nothing reads C after the reduction).  The
-    N - n_d eigenvalues that C has not are zero, and x = A^-1 D^T y /
-    sqrt(lambda) is A-orthonormal for an orthonormal y.  Without ``div``
-    the pencil is copied, since the caller reads B after the reduction.
+    def __init__(self, D):
+        self.D = D
 
-    x comes from the dense M^-1 that built C, both components' rows as one
-    block of 2m columns, so no sparse factor is built.  Building C holds
-    n_s^2 + n_d^2 doubles, the traced peak; the reduction holds C and M^-1,
-    the same count, but M^-1 stays resident beside the reduction's LAPACK
-    work memory, which the trace does not see.
-    """
-    if div is None:
-        spec = dense_gevp(B, A, n_eigs)
-        return spec.zero_count, spec.vectors
-    C, Minv = _vector_mass_schur(A, div)
-    spec = dense_gevp(C, None, n_eigs, overwrite_b=True)
-    del C
-    y = spec.vectors
-    n, m = A.shape[0], y.shape[1]
-    lam = spec.eigenvalues[spec.zero_count:spec.zero_count + m]
-    x = (Minv @ (div.T @ y).reshape(n // 2, 2 * m)).reshape(n, m)
-    return B.shape[0] - div.shape[0] + spec.zero_count, x / np.sqrt(lam)
+    def __matmul__(self, x):
+        return self.D.T @ (self.D @ x)
 
 
-def _dense_spectrum(B, A, kernel_dim: int, n_eigs: int,
-                    div=None) -> Spectrum:
+def _dense_spectrum(B, A, kernel_dim: int, n_eigs: int) -> Spectrum:
     """The reported dense spectrum of a pencil with B positive semidefinite.
 
     Kernel eigenvalues lead the ascending spectrum, so the split drops a
@@ -453,10 +429,34 @@ def _dense_spectrum(B, A, kernel_dim: int, n_eigs: int,
     with a kernel value or skip an eigenvalue.  It counts the zeros on
     every eigenvalue of its tridiagonal reduction, but reports the Rayleigh
     quotients x^T B x / x^T A x of its window vectors, ascending, which are
-    more accurate than the tridiagonal's eigenvalues; with ``div`` it
-    reduces only the divergence space (``_dense_window``).
+    more accurate than the tridiagonal's eigenvalues.  A pencil of matrices
+    is reduced on a copy, since those quotients read B afterwards.
+
+    A ``_Gram`` B = D^T D, D of n_d rows, comes with the vector mass
+    A = M (x) I_2 (fem2's orthonormal divergence, or fem1's scaled W_h
+    coupling, whose C has no kernel).  Then B x = lambda A x and D x = y
+    give C y = lambda y with C = D A^-1 D^T (``_vector_mass_schur``), so the
+    nonzero spectrum is C's and only C is reduced, in place, as nothing
+    reads it afterwards.  The N - n_d eigenvalues that C has not are zero,
+    and x = A^-1 D^T y / sqrt(lambda) is A-orthonormal for an orthonormal y.
+    x comes from the dense M^-1 that built C, both components' rows as one
+    block of 2m columns, so no sparse factor is built.  Building C holds
+    n_s^2 + n_d^2 doubles, the traced peak; the reduction holds C and M^-1,
+    the same count, but M^-1 stays resident beside the reduction's LAPACK
+    work memory, which the trace does not see.
     """
-    zeros, v = _dense_window(B, A, n_eigs, div)
+    if isinstance(B, _Gram):
+        C, Minv = _vector_mass_schur(A, B.D)
+        spec = dense_gevp(C, None, n_eigs, overwrite_b=True)
+        del C
+        y = spec.vectors
+        n, m = A.shape[0], y.shape[1]
+        lam = spec.eigenvalues[spec.zero_count:spec.zero_count + m]
+        x = (Minv @ (B.D.T @ y).reshape(n // 2, 2 * m)).reshape(n, m)
+        zeros, v = n - B.D.shape[0] + spec.zero_count, x / np.sqrt(lam)
+    else:
+        spec = dense_gevp(B, A, n_eigs)
+        zeros, v = spec.zero_count, spec.vectors
     if zeros != kernel_dim:
         raise SolverError(
             f"kernel check failed: {zeros} eigenvalues are zero "
@@ -487,8 +487,7 @@ def _solve_pencil(form: str, tmesh: TriMesh, k: int, n_eigs: int,
     """
     _form_rule(form, k, backend)
     if backend == "dense":
-        B, A, kernel_dim, div = _pencil(form, tmesh, k, dense=True)
-        return _dense_spectrum(B, A, kernel_dim, n_eigs, div)
+        return _dense_spectrum(*_pencil(form, tmesh, k, dense=True), n_eigs)
     def window(lu, B, A):
         spec = shift_invert_lanczos(lu, A, sigma, n_eigs, seed=seed)
         zeros = _count_zeros(spec.eigenvalues)
@@ -513,19 +512,19 @@ def _fem2_pencil(tmesh: TriMesh, k: int, dense: bool):
     """The div-div and vector mass pair on every vector dof.  The discrete
     complex is exact, so the kernel is curl Sigma_h, of dimension
     dim Sigma_h - 1 (``dim_sigma``), for every degree.  The ``dense`` route,
-    capped at the vector dimension first, assembles the orthonormal
-    divergence D and A only.  Otherwise B and A are scattered through the
-    one element-graph plan of the vector space, so the pencil holds its
-    pattern once and the shifted factor is ordered on it."""
+    capped at the vector dimension first, assembles A and B = ``_Gram(D)``
+    of the orthonormal divergence D only.  Otherwise B and A are scattered
+    through the one element-graph plan of the vector space, so the pencil
+    holds its pattern once and the shifted factor is ordered on it."""
     space = build_vector_space(tmesh, k)
     kernel_dim = dim_sigma(k, tmesh.n_quad_vertices, tmesh.n_quad_edges,
                            tmesh.n_quads) - 1
     if not dense:
         return (assemble_divdiv(space, tmesh),
-                assemble_vector_mass(space, tmesh), kernel_dim, None)
+                assemble_vector_mass(space, tmesh), kernel_dim)
     _check_dense_size(space.n_dofs, "fem2")
-    div = assemble_orthonormal_div(space, tmesh)
-    return None, assemble_vector_mass(space, tmesh), kernel_dim, div
+    return (_Gram(assemble_orthonormal_div(space, tmesh)),
+            assemble_vector_mass(space, tmesh), kernel_dim)
 
 
 def _fem1_pencil(tmesh: TriMesh, k: int, dense: bool):
@@ -560,8 +559,8 @@ def _fem1_pencil(tmesh: TriMesh, k: int, dense: bool):
     D.eliminate_zeros()
     kernel_dim = space.n_dofs - wh.n_dofs
     if dense:
-        return None, A, kernel_dim, D
-    return (D.T @ D).tocsr(), A, kernel_dim, None
+        return _Gram(D), A, kernel_dim
+    return (D.T @ D).tocsr(), A, kernel_dim
 
 
 def _primal_pencil(tmesh: TriMesh, k: int, dense: bool):
@@ -573,14 +572,14 @@ def _primal_pencil(tmesh: TriMesh, k: int, dense: bool):
     interior = np.setdiff1d(np.arange(space.n_dofs), boundary_dofs(tmesh, k))
     K = assemble_scalar_stiffness(space, tmesh)[interior][:, interior]
     M = assemble_scalar_mass(space, tmesh)[interior][:, interior]
-    return K, sp.csr_matrix((M.data, K.indices, K.indptr), K.shape), 0, None
+    return K, sp.csr_matrix((M.data, K.indices, K.indptr), K.shape), 0
 
 
 # The one list of which forms, degrees and backends run.  A row holds a
 # form's degrees, its backends, and its builder build(tmesh, k, dense) of
-# (B, A, kernel dimension, div), B None on the dense mixed routes
-# (``_pencil``).  The CLI reads its choices and checks from it through
-# ``_form_rule``; the space builders guard only their own inputs.
+# (B, A, kernel dimension) (``_pencil``).  The CLI reads its choices and
+# checks from it through ``_form_rule``; the space builders guard only
+# their own inputs.
 _Form = namedtuple("_Form", "degrees backends build")
 _BACKENDS = {"dense": "dense", "lanczos": "shift-invert"}  # path in messages
 _FORMS = {
@@ -617,28 +616,12 @@ def _form_rule(form: str, k: int, backend: str | None = None,
     return row
 
 
-class _Gram:
-    """The operator x -> D^T (D x) of B = D^T D, for vectors and blocks of
-    columns alike: all the dense solve reads of B (``_dense_spectrum``)."""
-
-    def __init__(self, D):
-        self.D = D
-        self.shape = (D.shape[1], D.shape[1])
-
-    def __matmul__(self, x):
-        return self.D.T @ (self.D @ x)
-
-
 def _pencil(form: str, tmesh: TriMesh, k: int, dense: bool = False):
-    """The pencil (B, A) that ``form`` solves, the dimension of its kernel,
-    and for the dense mixed routes the divergence D (None otherwise), from
-    the form's row of ``_FORMS``.  There B is the operator ``_Gram(D)``.
-    Matrices that share a pattern share its arrays: none may be changed in
-    place."""
-    B, A, kernel_dim, div = _form_rule(form, k).build(tmesh, k, dense)
-    if div is not None:
-        B = _Gram(div)
-    return B, A, kernel_dim, div
+    """The pencil (B, A) that ``form`` solves and the dimension of its
+    kernel, from the form's row of ``_FORMS``.  On the dense mixed routes B
+    is the operator ``_Gram(D)``.  Matrices that share a pattern share its
+    arrays: none may be changed in place."""
+    return _form_rule(form, k).build(tmesh, k, dense)
 
 
 def solve_fem2(tmesh: TriMesh, k: int, n_eigs: int, backend: str = "dense",

@@ -145,7 +145,8 @@ def build_vector_space(tmesh: TriMesh, k: int) -> DofMap:
 
 
 def build_disc_space(tmesh: TriMesh, degree: int) -> DofMap:
-    """Discontinuous nodal P_degree space over all triangles."""
+    """Discontinuous nodal P_degree space over all triangles, public only
+    because the benchmark traces it by name (``perfbench/worker.py``)."""
     _check_degree(degree)
     n_local = (degree + 1) * (degree + 2) // 2
     n_dofs = tmesh.n_triangles * n_local

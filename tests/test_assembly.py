@@ -463,7 +463,7 @@ def test_vector_graph_plan_expands_the_node_plan(domain, n, k):
                            (space.n_dofs, space.n_dofs))
     E = _div_blocks(tmesh, k)[0]
     mass = np.zeros((len(E), E.shape[2], E.shape[2]))
-    mass[:, 0::2, 0::2] = mass[:, 1::2, 1::2] = _mass_elements(space, tmesh)
+    mass[:, 0::2, 0::2] = mass[:, 1::2, 1::2] = _mass_elements(k, tmesh)
     for got, element in [
             (assemble_divdiv(space, tmesh), np.einsum("tia,tib->tab", E, E)),
             (assemble_vector_mass(space, tmesh), mass)]:
@@ -506,7 +506,7 @@ def test_fem2_pencil_assembly_peak_memory():
     # this mesh; the one plan and a bincount per matrix peak near twice
     tmesh = build_mesh(StudyConfig(), 16)
     _pencil("fem2", tmesh, 2)           # shape tables are cached per process
-    (B, A, _, _), peak = traced_peak(lambda: _pencil("fem2", tmesh, 2))
+    (B, A, _), peak = traced_peak(lambda: _pencil("fem2", tmesh, 2))
     size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
                for m in (B, A))
     assert peak < 3.0 * size

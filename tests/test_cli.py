@@ -425,6 +425,8 @@ def test_exact_off_lshape_refused(tmp_path, capsys):
      "--expect-rate"),
     (["converge", "--levels", "2,4", "--expect-rate", "3:inf"],
      "--expect-rate"),
+    (["converge", "--levels", "2,4,6", "--expect-rate", "3:5"],
+     "--expect-rate"),
     (["eig", "--domain", "lshape", "--levels", "2", "--exact", "nan,inf"],
      "--exact"),
     (["eig", "--domain", "lshape", "--levels", "2", "--exact", "3.9,inf"],
@@ -433,8 +435,8 @@ def test_exact_off_lshape_refused(tmp_path, capsys):
      "--exact"),
     (["eig", "--domain", "lshape", "--levels", "2", "--exact", "9,-1"],
      "--exact"),
-], ids=["rate-reversed", "rate-nan", "rate-inf", "exact-nan-inf",
-        "exact-inf", "exact-zero", "exact-negative"])
+], ids=["rate-reversed", "rate-nan", "rate-inf", "rate-not-halving",
+        "exact-nan-inf", "exact-inf", "exact-zero", "exact-negative"])
 def test_bad_targets_refused(tmp_path, capsys, argv, message):
     # a reversed rate window used to fail the run (exit 1) after solving,
     # and targets that are not finite printed nan and inf columns (exit 0)
@@ -557,6 +559,18 @@ def test_rate_skipped_for_non_halving_levels(capsys):
     assert code == 0
     assert report.rows[1].rates is None
     capsys.readouterr()
+
+
+def test_expect_rate_refused_before_any_solve(monkeypatch):
+    # the last row of 2,4,6 gets no rate, so any window used to fail only
+    # after every level was solved: "nan outside [3.0, 5.0]", exit 1
+    def refused(*args, **kwargs):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(cli, "_solve", refused)
+    for levels in ([2, 4, 6], [2, 3]):
+        with pytest.raises(ConfigError, match="twice the one before it"):
+            cmd_converge(StudyConfig(levels=levels, expect_rate=(3.0, 5.0)))
 
 
 # ---------------------------------------------------------------- audit

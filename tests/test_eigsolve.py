@@ -19,10 +19,10 @@ from crisscross.audit import exactness_check, spurious_counts
 from crisscross.cli import StudyConfig, build_mesh, cmd_compare
 from crisscross.eigsolve import (
     SolverError,
+    _Gram,
     _count,
     _count_zeros,
     _dense_spectrum,
-    _dense_window,
     _factor_symmetric,
     _inertia,
     _shifted,
@@ -531,7 +531,7 @@ def test_fem1_whitened_coupling_is_the_wh_mass_solve(monkeypatch):
         D = assemble_div_coupling(vspace, wh, tmesh).toarray()
         M = assemble_wh_mass(wh, tmesh).toarray()
         expected = D.T @ np.linalg.solve(M, D)
-        div = _pencil("fem1", tmesh, k, dense=True)[3]
+        div = _pencil("fem1", tmesh, k, dense=True)[0].D
         assert_allclose((div.T @ div).toarray(), expected, rtol=0,
                         atol=1e-13 * np.abs(expected).max())
 
@@ -628,10 +628,10 @@ def test_divergence_route_matches_full_pencil(domain, k):
     # the alternating value
     for n in (1, 2, 5):
         tmesh = build_mesh(StudyConfig(domain=domain), n)
-        B, A, kernel_dim = _pencil("fem2", tmesh, k)[:3]
+        B, A, kernel_dim = _pencil("fem2", tmesh, k)
         D = assemble_orthonormal_div(build_vector_space(tmesh, k), tmesh)
         full = dense_gevp(B, A, 0)
-        out = _dense_spectrum(B, A, kernel_dim, 20, D)
+        out = _dense_spectrum(_Gram(D), A, kernel_dim, 20)
         assert out.zero_count == full.zero_count
         lam = full.eigenvalues[full.zero_count:]
         assert_allclose(out.eigenvalues, lam[:len(out.eigenvalues)], rtol=1e-11)
@@ -658,15 +658,53 @@ def test_dense_fem2_reduces_only_the_divergence_space(monkeypatch):
     assert spec.zero_count == 386 and len(spec.eigenvalues) == 10
 
 
+def test_dense_fem1_reduces_only_the_pressure_space(monkeypatch):
+    # fem1's twin: D~ has n_p = 11 Q rows and C no kernel, so the one
+    # reduction is 704 x 704, not the 1090 x 1090 pencil
+    shapes = []
+
+    def traced(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return dense_gevp(*args, **kwargs)
+
+    monkeypatch.setattr(eigsolve, "dense_gevp", traced)
+    spec = solve_fem1(square_tri(8), 2, 10)
+    assert shapes == [(704, 704)]
+    assert spec.zero_count == 1090 - 704 and len(spec.eigenvalues) == 10
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("form", list(eigsolve._FORMS))
+def test_every_form_builds_one_pencil_contract(form, dense):
+    # (B, A, kernel dimension) from every builder; B is the operator D^T D
+    # exactly on the dense mixed routes, else a CSR matrix, on A's pattern
+    # arrays where the form has a shift-invert path (``_shifted``); fem1's
+    # explicit flux B lies on the wider quad pattern and is only exported
+    tmesh = square_tri(2)
+    for k in eigsolve._FORMS[form].degrees:
+        pencil = _pencil(form, tmesh, k, dense=dense)
+        assert len(pencil) == 3
+        B, A, kernel_dim = pencil
+        assert kernel_dim >= 0 and A.format == "csr"
+        if dense and form in ("fem1", "fem2"):
+            assert isinstance(B, _Gram)
+            continue
+        assert B.format == "csr" and B.shape == A.shape
+        if "lanczos" in eigsolve._FORMS[form].backends:
+            assert np.shares_memory(B.indices, A.indices)
+            assert np.shares_memory(B.indptr, A.indptr)
+        else:
+            assert B.nnz > A.nnz
+
+
 def test_dense_fem2_window_peak_memory():
     # M^-1 (n_s^2) and C (n_d^2) while C is built, then C alone, reduced in
     # place; a copy of C in the reduction peaked near 1.48 times this
     tmesh = square_tri(8)
-    B, A = _pencil("fem2", tmesh, 2)[:2]
-    D = assemble_orthonormal_div(build_vector_space(tmesh, 2), tmesh)
-    n_s, n_d = A.shape[0] // 2, D.shape[0]
-    _dense_window(B, A, 10, D)
-    peak = traced_peak(lambda: _dense_window(B, A, 10, D))[1]
+    B, A, kernel_dim = _pencil("fem2", tmesh, 2, dense=True)
+    n_s, n_d = A.shape[0] // 2, B.D.shape[0]
+    _dense_spectrum(B, A, kernel_dim, 10)
+    peak = traced_peak(lambda: _dense_spectrum(B, A, kernel_dim, 10))[1]
     assert peak < 1.4 * 8 * (n_s * n_s + n_d * n_d)
 
 
